@@ -11,7 +11,6 @@ from .symclass import (
     decide_orthogonal_basis,
     delta_bar,
     gram,
-    orbital_basis_search,
     orbits,
     predicted_basis,
     stabilizer_char_sum,

@@ -2,16 +2,20 @@
 
 Subcommands: classes, table, dims, orbits, basis, verify.  JSON is the
 machine format and is byte-identical across runs for identical arguments;
-CSV is available for the character table; pretty mode renders character
-values as trigonometric expressions next to their exact coordinates.
+CSV is available for the character table only; pretty mode renders
+character values as trigonometric expressions next to their exact
+coordinates.  COMMANDS maps each subcommand to its payload builder and its
+text renderers; `_emit` writes the rendered text or streams the JSON payload.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 budget
-refusal.  Diagnostics go to standard error.
+refusal, 4 the report could not be written (an unwritable --output, or a
+reader that closed the pipe).  Diagnostics go to standard error.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import io
 import json
@@ -19,7 +23,7 @@ import os
 import sys
 from fractions import Fraction
 
-from . import chartab, dims, group, symclass
+from . import chartab, dims, group, symclass, verify
 from .chartab import CharacterId
 from .cyclo import CycloInt
 from .group import SDElement
@@ -28,6 +32,7 @@ from .symclass import BudgetExceededError
 USAGE_ERROR = 2
 VERIFY_ERROR = 1
 BUDGET_ERROR = 3
+IO_ERROR = 4
 
 
 def _cyclo_json(x: CycloInt) -> dict:
@@ -61,12 +66,8 @@ def _trig_str(n: int, cid: CharacterId, g: SDElement) -> str:
     return f"2i*sin({frac}*pi)"
 
 
-def _dump_json(payload, stream) -> None:
-    json.dump(payload, stream, indent=2, sort_keys=True)
-    stream.write("\n")
-
-
-def _classes_payload(n: int) -> dict:
+def _classes_payload(args) -> dict:
+    n = args.n
     report = group.conjugacy_classes(n)
     return {
         "n": n,
@@ -93,7 +94,8 @@ def _classes_pretty(payload: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _table_payload(n: int) -> dict:
+def _table_payload(args) -> dict:
+    n = args.n
     table = chartab.character_table(n)
     return {
         "n": n,
@@ -116,38 +118,39 @@ def _table_payload(n: int) -> dict:
     }
 
 
-def _table_csv(n: int) -> str:
-    table = chartab.character_table(n)
+def _coeffs_str(value: dict) -> str:
+    return ";".join(str(c) for c in value["exact"]["coeffs"])
+
+
+def _table_csv(payload: dict) -> str:
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["character"] + [group.element_name(rep) for rep in table.class_reps])
-    for i, cid in enumerate(table.ids):
-        row = [cid.label()]
-        for value in table.entries[i]:
-            coeffs = ";".join(str(c) for c in value.coeffs)
-            row.append(f"({coeffs}) {_approx_str(value)}")
-        writer.writerow(row)
+    writer.writerow(["character"] + payload["class_labels"])
+    for row in payload["rows"]:
+        writer.writerow(
+            [row["character"]] + [f"({_coeffs_str(v)}) {v['approx']}" for v in row["values"]]
+        )
     return out.getvalue()
 
 
-def _table_pretty(n: int) -> str:
+def _table_pretty(payload: dict) -> str:
+    n = payload["n"]
     table = chartab.character_table(n)
-    labels = [group.element_name(rep) for rep in table.class_reps]
-    rows = []
-    for i, cid in enumerate(table.ids):
-        cells = [cid.label()]
-        for j, rep in enumerate(table.class_reps):
-            coeffs = ";".join(str(c) for c in table.entries[i][j].coeffs)
-            cells.append(f"{_trig_str(n, cid, rep)} ({coeffs})")
-        rows.append(cells)
-    widths = [max(len(r[c]) for r in rows + [["character"] + labels]) for c in range(len(labels) + 1)]
-    lines = ["  ".join(s.ljust(w) for s, w in zip(["character"] + labels, widths))]
-    for row in rows:
-        lines.append("  ".join(s.ljust(w) for s, w in zip(row, widths)))
-    return "\n".join(lines) + "\n"
+    rows = [["character"] + payload["class_labels"]]
+    for cid, row in zip(table.ids, payload["rows"]):
+        rows.append(
+            [row["character"]]
+            + [
+                f"{_trig_str(n, cid, rep)} ({_coeffs_str(v)})"
+                for rep, v in zip(table.class_reps, row["values"])
+            ]
+        )
+    widths = [max(len(r[c]) for r in rows) for c in range(len(rows[0]))]
+    return "".join("  ".join(s.ljust(w) for s, w in zip(r, widths)) + "\n" for r in rows)
 
 
-def _dims_payload(n: int, m: int) -> dict:
+def _dims_payload(args) -> dict:
+    n, m = args.n, args.m
     report = dims.dim_report(n, m)
     return {
         "n": n,
@@ -180,11 +183,12 @@ def _dims_pretty(payload: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _orbits_payload(n: int, m: int, char_spec: str | None, budget: int | None) -> dict:
-    orbit_list = symclass.orbits(n, m, budget)
+def _orbits_payload(args) -> dict:
+    n, m = args.n, args.m
+    orbit_list = symclass.orbits(n, m, args.budget)
     cid = None
-    if char_spec and char_spec != "all":
-        (cid,) = chartab.parse_character_spec(n, char_spec)
+    if args.char and args.char != "all":
+        (cid,) = chartab.parse_character_spec(n, args.char)
     payload = {
         "n": n,
         "m": m,
@@ -224,15 +228,16 @@ def _orbits_pretty(payload: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _basis_payload(
-    n: int,
-    m: int,
-    cid: CharacterId,
-    budget: int | None,
-    jobs: int | None,
-    orbit_list=None,
-) -> dict:
-    decision = symclass.decide_orthogonal_basis(n, m, cid, budget, jobs, orbit_list)
+def _basis_payload(args) -> dict:
+    """One decision, or {"decisions": [...]} when the spec names several."""
+    cids = chartab.parse_character_spec(args.n, args.char)
+    orbit_list = symclass.orbits(args.n, args.m, args.budget)
+    decisions = [_decision_payload(args.n, args.m, cid, orbit_list) for cid in cids]
+    return decisions[0] if len(decisions) == 1 else {"decisions": decisions}
+
+
+def _decision_payload(n: int, m: int, cid: CharacterId, orbit_list) -> dict:
+    decision = symclass.decide_orthogonal_basis(n, m, cid, orbit_list=orbit_list)
     predicted = symclass.predicted_basis(n, cid)
     return {
         "n": n,
@@ -259,25 +264,49 @@ def _basis_payload(
 
 
 def _basis_pretty(payload: dict) -> str:
-    lines = [
-        f"{payload['character']} at n={payload['n']}, m={payload['m']}: "
-        f"predicted={payload['predicted']} exhaustive={payload['exhaustive']}"
-        + ("" if payload["agree"] else "  (DISAGREE)")
-    ]
-    for o in payload["orbits"]:
-        rep = "".join(str(x) for x in o["representative"])
-        status = "ok" if "witness" in o else "FAIL"
+    lines = []
+    for d in payload.get("decisions", [payload]):
         lines.append(
-            f"  {rep}  dim {o['orbital_dim']}  size {o['orbit_size']}  {status}"
+            f"{d['character']} at n={d['n']}, m={d['m']}: "
+            f"predicted={d['predicted']} exhaustive={d['exhaustive']}"
+            + ("" if d["agree"] else "  (DISAGREE)")
         )
+        for o in d["orbits"]:
+            rep = "".join(str(x) for x in o["representative"])
+            status = "ok" if "witness" in o else "FAIL"
+            lines.append(
+                f"  {rep}  dim {o['orbital_dim']}  size {o['orbit_size']}  {status}"
+            )
     return "\n".join(lines) + "\n"
 
 
-def _verify_checks(n: int, m: int | None, budget: int | None):
-    """Yield (name, ok, detail) for the full invariant suite."""
-    from . import verify as verify_mod
+def _verify_payload(args) -> dict:
+    checks = verify.run_checks(args.n, args.m, args.budget)
+    return {
+        "n": args.n,
+        "m": args.m,
+        "ok": all(flag for _, flag, _ in checks),
+        "checks": [{"name": name, "ok": flag, "detail": detail} for name, flag, detail in checks],
+    }
 
-    return verify_mod.run_checks(n, m, budget)
+
+def _verify_pretty(payload: dict) -> str:
+    lines = [
+        f"{'PASS' if c['ok'] else 'FAIL'} {c['name']}: {c['detail']}" for c in payload["checks"]
+    ]
+    lines.append("all checks passed" if payload["ok"] else "SOME CHECKS FAILED")
+    return "\n".join(lines) + "\n"
+
+
+# subcommand -> (payload builder, text renderers by format); JSON needs none.
+COMMANDS = {
+    "classes": (_classes_payload, {"pretty": _classes_pretty}),
+    "table": (_table_payload, {"csv": _table_csv, "pretty": _table_pretty}),
+    "dims": (_dims_payload, {"pretty": _dims_pretty}),
+    "orbits": (_orbits_payload, {"pretty": _orbits_pretty}),
+    "basis": (_basis_payload, {"pretty": _basis_pretty}),
+    "verify": (_verify_payload, {"pretty": _verify_pretty}),
+}
 
 
 def _add_common(parser, with_m=False, m_required=False, with_char=False, char_required=False):
@@ -293,7 +322,6 @@ def _add_common(parser, with_m=False, m_required=False, with_char=False, char_re
     parser.add_argument("--format", choices=("json", "csv", "pretty"), default="json")
     parser.add_argument("--output", help="write report to this path instead of stdout")
     parser.add_argument("--budget", type=int, help="sequence enumeration budget override")
-    parser.add_argument("--jobs", type=int, default=os.cpu_count(), help="parallel workers")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -323,106 +351,44 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(text: str, output: str | None) -> None:
-    if output:
-        with open(output, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+def _emit(report: str | dict, output: str | None) -> None:
+    """Write a text report, or stream a JSON payload, to output or stdout."""
+    with open(output, "w") if output else contextlib.nullcontext(sys.stdout) as fh:
+        if isinstance(report, str):
+            fh.write(report)
+        else:
+            json.dump(report, fh, indent=2, sort_keys=True)
+            fh.write("\n")
+        # A closed pipe must fail here, where main reports it, not at shutdown.
+        fh.flush()
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    build, renderers = COMMANDS[args.command]
+    if args.format != "json" and args.format not in renderers:
+        parser.error(f"{args.format} format is only available for the character table")
     try:
-        if args.command == "classes":
-            payload = _classes_payload(args.n)
-            if args.format == "pretty":
-                _emit(_classes_pretty(payload), args.output)
-            elif args.format == "json":
-                _emit_json(payload, args.output)
-            else:
-                parser.error("csv format is only available for the character table")
-        elif args.command == "table":
-            if args.format == "csv":
-                _emit(_table_csv(args.n), args.output)
-            elif args.format == "pretty":
-                _emit(_table_pretty(args.n), args.output)
-            else:
-                _emit_json(_table_payload(args.n), args.output)
-        elif args.command == "dims":
-            payload = _dims_payload(args.n, args.m)
-            if args.format == "pretty":
-                _emit(_dims_pretty(payload), args.output)
-            elif args.format == "json":
-                _emit_json(payload, args.output)
-            else:
-                parser.error("csv format is only available for the character table")
-        elif args.command == "orbits":
-            payload = _orbits_payload(args.n, args.m, args.char, args.budget)
-            if args.format == "pretty":
-                _emit(_orbits_pretty(payload), args.output)
-            elif args.format == "json":
-                _emit_json(payload, args.output)
-            else:
-                parser.error("csv format is only available for the character table")
-        elif args.command == "basis":
-            cids = chartab.parse_character_spec(args.n, args.char)
-            shared_orbits = symclass.orbits(args.n, args.m, args.budget)
-            payloads = [
-                _basis_payload(args.n, args.m, cid, args.budget, args.jobs, shared_orbits)
-                for cid in cids
-            ]
-            payload = payloads[0] if len(payloads) == 1 else {"decisions": payloads}
-            if args.format == "pretty":
-                text = "".join(
-                    _basis_pretty(p) for p in (payloads if len(payloads) > 1 else [payload])
-                )
-                _emit(text, args.output)
-            elif args.format == "json":
-                _emit_json(payload, args.output)
-            else:
-                parser.error("csv format is only available for the character table")
-        elif args.command == "verify":
-            checks = list(_verify_checks(args.n, args.m, args.budget))
-            ok = all(flag for _, flag, _ in checks)
-            if args.format == "json":
-                _emit_json(
-                    {
-                        "n": args.n,
-                        "m": args.m,
-                        "ok": ok,
-                        "checks": [
-                            {"name": name, "ok": flag, "detail": detail}
-                            for name, flag, detail in checks
-                        ],
-                    },
-                    args.output,
-                )
-            else:
-                lines = [
-                    f"{'PASS' if flag else 'FAIL'} {name}: {detail}"
-                    for name, flag, detail in checks
-                ]
-                lines.append("all checks passed" if ok else "SOME CHECKS FAILED")
-                _emit("\n".join(lines) + "\n", args.output)
-            if not ok:
-                return VERIFY_ERROR
-        return 0
+        payload = build(args)
+        report = payload if args.format == "json" else renderers[args.format](payload)
     except BudgetExceededError as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return BUDGET_ERROR
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
-
-
-def _emit_json(payload, output: str | None) -> None:
-    if output:
-        with open(output, "w") as fh:
-            _dump_json(payload, fh)
-    else:
-        _dump_json(payload, sys.stdout)
+    try:
+        _emit(report, args.output)
+    except OSError as exc:
+        if isinstance(exc, BrokenPipeError):
+            # The reader is gone; send what is still buffered to devnull so
+            # the flush at interpreter shutdown cannot fail again.
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print(f"error: cannot write the report: {exc}", file=sys.stderr)
+        return IO_ERROR
+    # Only verify payloads carry "ok".
+    return VERIFY_ERROR if payload.get("ok") is False else 0
 
 
 if __name__ == "__main__":

@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import functools
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,10 +57,12 @@ class BudgetExceededError(RuntimeError):
 
 
 def resolve_budget(budget: int | None) -> int:
-    if budget is not None:
-        return budget
-    env = os.environ.get(BUDGET_ENV_VAR)
-    return int(env) if env else DEFAULT_BUDGET
+    if budget is None:
+        env = os.environ.get(BUDGET_ENV_VAR)
+        budget = int(env) if env else DEFAULT_BUDGET
+    if budget < 0:
+        raise ValueError(f"the sequence budget must be >= 0, got {budget}")
+    return budget
 
 
 @functools.lru_cache(maxsize=None)
@@ -223,27 +224,35 @@ def _orbital_dim(n: int, cid: CharacterId, char_sum: CycloInt, stab_order: int) 
     return exact_div(cid.degree * char_sum.to_int(), stab_order)
 
 
+def _gram_entries(
+    n: int, cid: CharacterId, stabilizer, reps
+) -> tuple[tuple[CycloInt, ...], ...]:
+    """Scaled Gram entries: entry (i, j) is the character sum over
+    reps[j] * stabilizer * reps[i]^(-1)."""
+    values = chartab.value_table(n, cid)
+    inverses = [group.inverse(n, s) for s in reps]
+    rows = []
+    for inv_i in inverses:
+        row = []
+        for sigma_j in reps:
+            acc = CycloInt.zero(4 * n)
+            for h in stabilizer:
+                acc = acc + values[group.multiply(n, group.multiply(n, sigma_j, h), inv_i)]
+            row.append(acc)
+        rows.append(tuple(row))
+    return tuple(rows)
+
+
 def gram(n: int, cid: CharacterId, orbit: OrbitData) -> GramData:
     """Exact Gram data for the orbital subspace of an orbit in Omega."""
     chartab.validate_id(n, cid)
     char_sum = _subgroup_char_sum(n, cid, frozenset(orbit.stabilizer))
     if char_sum.is_zero:
         raise ValueError("representative is not in Omega; the orbital subspace is zero")
-    values = chartab.value_table(n, cid)
-    inverses = [group.inverse(n, s) for s in orbit.coset_reps]
-    rows = []
-    for inv_i in inverses:
-        row = []
-        for sigma_j in orbit.coset_reps:
-            acc = CycloInt.zero(4 * n)
-            for h in orbit.stabilizer:
-                acc = acc + values[group.multiply(n, group.multiply(n, sigma_j, h), inv_i)]
-            row.append(acc)
-        rows.append(tuple(row))
     return GramData(
         orbit=orbit,
         character=cid,
-        entries=tuple(rows),
+        entries=_gram_entries(n, cid, orbit.stabilizer, orbit.coset_reps),
         orbital_dim=_orbital_dim(n, cid, char_sum, orbit.stabilizer_order),
     )
 
@@ -275,25 +284,6 @@ def _find_clique(neighbors: list[set[int]], k: int) -> list[int] | None:
     return extend([], order)
 
 
-def orbital_basis_search(data: GramData) -> tuple[bool, list[Sequence] | None]:
-    """Search for orbital_dim pairwise-orthogonal members of the orbit.
-
-    Vertices are orbit members; edges join members whose scaled Gram entry
-    is exactly zero.  A clique of size orbital_dim is a set of nonzero,
-    pairwise-orthogonal tensors inside the orbital subspace, hence a basis
-    of it.  The search is exhaustive, so False is a proof of nonexistence.
-    """
-    size = data.orbit.size
-    neighbors = [
-        {j for j in range(size) if j != i and data.entries[i][j].is_zero}
-        for i in range(size)
-    ]
-    clique = _find_clique(neighbors, data.orbital_dim)
-    if clique is None:
-        return False, None
-    return True, [data.orbit.members[v] for v in sorted(clique)]
-
-
 @functools.lru_cache(maxsize=None)
 def _stabilizer_decision(
     n: int, cid: CharacterId, stabilizer: frozenset
@@ -305,8 +295,13 @@ def _stabilizer_decision(
     orbits with the same stabilizer.  Returns (orbital_dim, found, witness
     coset representatives or None); witness members of a concrete orbit are
     recovered by acting with the representatives on its representative.
+
+    Vertices are coset representatives, in group.elements order; edges join
+    pairs whose scaled Gram entry is exactly zero.  A clique of size
+    orbital_dim is a set of nonzero, pairwise-orthogonal tensors inside the
+    orbital subspace, hence a basis of it.  The search is exhaustive, so a
+    negative answer is a proof of nonexistence.
     """
-    values = chartab.value_table(n, cid)
     members = sorted(stabilizer)
     char_sum = _subgroup_char_sum(n, cid, stabilizer)
     dim = _orbital_dim(n, cid, char_sum, len(members))
@@ -319,17 +314,10 @@ def _stabilizer_decision(
             seen.add(coset)
             reps.append(g)
 
-    inverses = [group.inverse(n, s) for s in reps]
-    size = len(reps)
-    zero = [[False] * size for _ in range(size)]
-    for i in range(size):
-        for j in range(size):
-            acc = CycloInt.zero(4 * n)
-            for h in members:
-                acc = acc + values[group.multiply(n, group.multiply(n, reps[j], h), inverses[i])]
-            zero[i][j] = acc.is_zero
+    entries = _gram_entries(n, cid, members, reps)
     neighbors = [
-        {j for j in range(size) if j != i and zero[i][j]} for i in range(size)
+        {j for j, entry in enumerate(row) if j != i and entry.is_zero}
+        for i, row in enumerate(entries)
     ]
     clique = _find_clique(neighbors, dim)
     if clique is None:
@@ -365,7 +353,6 @@ def decide_orthogonal_basis(
     m: int,
     cid: CharacterId,
     budget: int | None = None,
-    jobs: int | None = None,
     orbit_list: list[OrbitData] | None = None,
 ) -> BasisDecision:
     """Exhaustively decide whether V_chi has an orthogonal basis of
@@ -396,13 +383,7 @@ def decide_orthogonal_basis(
             witness=witness,
         )
 
-    if jobs and jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            judged = list(pool.map(judge, all_orbits))
-    else:
-        judged = [judge(o) for o in all_orbits]
-
-    outcomes = tuple(o for o in judged if o is not None)
+    outcomes = tuple(o for o in map(judge, all_orbits) if o is not None)
     failures = [o for o in outcomes if not o.found]
     return BasisDecision(
         n=n,

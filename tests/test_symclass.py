@@ -15,7 +15,6 @@ from sdtensor.symclass import (
     delta_bar,
     gram,
     nu2,
-    orbital_basis_search,
     orbits,
     predicted_basis,
     stabilizer_char_sum,
@@ -283,13 +282,17 @@ def test_clique_search_against_brute_force_random_graphs():
                 assert all(v in neighbors[u] for u, v in itertools.combinations(found, 2))
 
 
-def test_orbital_basis_search_on_gram_data():
-    orbit = next(o for o in orbits(2, 2) if o.representative == ONE_TWO)
-    found, witness = orbital_basis_search(gram(2, zeta(2), orbit))
-    assert found and len(witness) == 2
+def test_decision_witness_on_one_orbit():
+    def outcome(cid):
+        decision = decide_orthogonal_basis(2, 2, cid)
+        return next(o for o in decision.orbits if o.representative == ONE_TWO)
+
+    result = outcome(zeta(2))
+    assert result.found and len(result.witness) == 2
     # psi_1 also finds a pair here; cross-checked against the tensor oracle
-    found, witness = orbital_basis_search(gram(2, psi(1), orbit))
-    assert found and len(witness) == 2
+    result = outcome(psi(1))
+    assert result.found and len(result.witness) == 2
+    witness = result.witness
     vectors = {w: _tensor_vector(2, psi(1), w) for w in witness}
     a, b = witness
     assert _tensor_inner(2, vectors[a], vectors[b]).is_zero
@@ -386,8 +389,3 @@ def test_psi_at_even_n_has_bases_despite_prediction():
         assert decision.exists is True
         assert predicted_basis(2, cid) is False
 
-
-def test_jobs_parameter_is_deterministic():
-    sequential = decide_orthogonal_basis(2, 2, zeta(2), jobs=1)
-    threaded = decide_orthogonal_basis(2, 2, zeta(2), jobs=4)
-    assert sequential == threaded
