@@ -143,8 +143,11 @@ _CHI_B_SIGN = {0: 1, 1: -1, 2: 1, 3: -1, 4: 1, 5: -1, 6: 1, 7: -1}
 
 def character_value(n: int, cid: CharacterId, g: SDElement) -> CycloInt:
     """Exact value of the character at a group element."""
-    validate_id(n, cid)
     group.check_element(n, g)
+    return value_table(n, cid)[g]
+
+
+def _formula_value(n: int, cid: CharacterId, g: SDElement) -> CycloInt:
     m = 4 * n
     if cid.kind == "chi":
         exp_a = _CHI_A_EXPONENT[cid.param] * n  # chi(a) = zeta^(exp_a)
@@ -160,8 +163,10 @@ def character_value(n: int, cid: CharacterId, g: SDElement) -> CycloInt:
 
 @functools.lru_cache(maxsize=None)
 def value_table(n: int, cid: CharacterId) -> dict[SDElement, CycloInt]:
-    """Character values at every group element, computed once."""
-    return {g: character_value(n, cid, g) for g in group.elements(n)}
+    """Character values at every group element, computed once; the one
+    producer of character values."""
+    validate_id(n, cid)
+    return {g: _formula_value(n, cid, g) for g in group.elements(n)}
 
 
 @dataclass(frozen=True)

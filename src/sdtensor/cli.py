@@ -9,7 +9,9 @@ text renderers; `_emit` writes the rendered text or streams the JSON payload.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 budget
 refusal, 4 the report could not be written (an unwritable --output, or a
-reader that closed the pipe).  Diagnostics go to standard error.
+reader that closed the pipe), 5 internal error (a broken invariant, an
+arithmetic failure or exhausted memory).  Diagnostics go to standard error,
+never as a traceback.
 """
 
 from __future__ import annotations
@@ -33,6 +35,11 @@ USAGE_ERROR = 2
 VERIFY_ERROR = 1
 BUDGET_ERROR = 3
 IO_ERROR = 4
+INTERNAL_ERROR = 5
+
+# What a computation raises when the program, not the request, is at fault.
+# BudgetExceededError is a RuntimeError too, so it must be caught first.
+INTERNAL_FAILURES = (RuntimeError, ArithmeticError, MemoryError)
 
 
 def _cyclo_json(x: CycloInt) -> dict:
@@ -363,6 +370,11 @@ def _emit(report: str | dict, output: str | None) -> None:
         fh.flush()
 
 
+def _internal_error(exc: BaseException) -> int:
+    print(f"error: internal error: {str(exc) or type(exc).__name__}", file=sys.stderr)
+    return INTERNAL_ERROR
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -378,6 +390,8 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
+    except INTERNAL_FAILURES as exc:
+        return _internal_error(exc)
     try:
         _emit(report, args.output)
     except OSError as exc:
@@ -387,6 +401,8 @@ def main(argv=None) -> int:
             os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         print(f"error: cannot write the report: {exc}", file=sys.stderr)
         return IO_ERROR
+    except INTERNAL_FAILURES as exc:
+        return _internal_error(exc)
     # Only verify payloads carry "ok".
     return VERIFY_ERROR if payload.get("ok") is False else 0
 

@@ -26,10 +26,9 @@ assumed equal.
 from __future__ import annotations
 
 import functools
+import operator
 import os
 from dataclasses import dataclass
-
-import numpy as np
 
 from . import chartab, group, perm
 from .chartab import CharacterId
@@ -66,24 +65,24 @@ def resolve_budget(budget: int | None) -> int:
 
 
 @functools.lru_cache(maxsize=None)
-def _action_maps(n: int) -> tuple[tuple[SDElement, tuple[int, ...]], ...]:
-    """For each g, the 0-based position map sending alpha to g.alpha.
+def _action_maps(n: int) -> dict[SDElement, tuple[int, ...]]:
+    """For each g, in group.elements order, the 0-based position map
+    sending alpha to g.alpha.
 
     (g.alpha)[t] = alpha[T(g)^(-1)(t)], so the map stores the inverse images.
     """
-    out = []
-    for g in group.elements(n):
-        inv = perm.inverse(perm.embed(n, g))
-        out.append((g, tuple(p - 1 for p in inv.images)))
-    return tuple(out)
+    return {
+        g: tuple(p - 1 for p in perm.inverse(perm.embed(n, g)).images)
+        for g in group.elements(n)
+    }
 
 
 def act(n: int, g: SDElement, alpha: Sequence) -> Sequence:
     """Left action on sequences: act(gh, alpha) == act(g, act(h, alpha))."""
     if len(alpha) != 4 * n:
         raise ValueError(f"sequence length {len(alpha)} does not match 4n = {4 * n}")
-    inv = perm.inverse(perm.embed(n, g))
-    return tuple(alpha[p - 1] for p in inv.images)
+    group.check_element(n, g)
+    return tuple(alpha[i] for i in _action_maps(n)[g])
 
 
 @dataclass(frozen=True)
@@ -110,7 +109,7 @@ class OrbitData:
 def _orbit_from_representative(n: int, m: int, rep: Sequence) -> OrbitData:
     first_map: dict[Sequence, SDElement] = {}
     stabilizer = []
-    for g, pos in _action_maps(n):
+    for g, pos in _action_maps(n).items():
         seq = tuple(rep[i] for i in pos)
         if seq not in first_map:
             first_map[seq] = g
@@ -132,11 +131,11 @@ def _orbit_from_representative(n: int, m: int, rep: Sequence) -> OrbitData:
 def orbits(n: int, m: int, budget: int | None = None) -> list[OrbitData]:
     """Partition all m^4n sequences into orbits, sorted by representative.
 
-    Orbit minima are found with a vectorized sweep: for every group element
-    the action is a fixed position permutation, applied to all sequences at
-    once on their integer codes; the running elementwise minimum of the
-    translated codes is the orbit minimum.  Codes order sequences
-    lexicographically, so minima are the lex-least members.
+    A sequence is coded as the base-m integer of its letters minus one, so
+    code order is lexicographic order.  One pass over the codes marks every
+    member of each orbit found; the next unmarked code is the lex-least
+    member of a new orbit, because every smaller code already belongs to an
+    earlier one.  The marks take one byte per sequence.
     """
     group.check_n(n)
     if m < 1:
@@ -146,32 +145,20 @@ def orbits(n: int, m: int, budget: int | None = None) -> list[OrbitData]:
     if total > limit:
         raise BudgetExceededError(n, m, total, limit)
 
-    length = 4 * n
-    radix = [m ** (length - 1 - t) for t in range(length)]
-    codes = np.arange(total, dtype=np.int64)
-    digits = np.empty((total, length), dtype=np.int64)
-    for t in range(length):
-        digits[:, t] = (codes // radix[t]) % m
-
-    minima = codes.copy()
-    scratch = np.empty(total, dtype=np.int64)
-    for g, pos in _action_maps(n):
-        if g == group.identity():
-            continue
-        scratch[:] = 0
-        for t in range(length):
-            scratch += digits[:, pos[t]] * radix[t]
-        np.minimum(minima, scratch, out=minima)
-
+    radix = [m ** (4 * n - 1 - t) for t in range(4 * n)]
+    offset = sum(radix)  # letters start at 1, digits at 0
+    covered = bytearray(total)
     result = []
-    covered = 0
-    for code in np.flatnonzero(minima == codes).tolist():
-        rep = tuple(int(code // radix[t] % m) + 1 for t in range(length))
-        orbit = _orbit_from_representative(n, m, rep)
-        covered += orbit.size
+    code = covered.find(0)
+    while code != -1:
+        orbit = _orbit_from_representative(n, m, tuple(code // r % m + 1 for r in radix))
+        for member in orbit.members:
+            member_code = sum(map(operator.mul, member, radix)) - offset
+            if covered[member_code]:
+                raise RuntimeError("orbit partition has overlapping orbits")
+            covered[member_code] = 1
         result.append(orbit)
-    if covered != total:
-        raise RuntimeError("orbit partition does not cover the sequence space")
+        code = covered.find(0, code + 1)
     return result
 
 
@@ -191,7 +178,7 @@ def stabilizer_char_sum(n: int, cid: CharacterId, alpha: Sequence) -> CycloInt:
     exactly when this sum is nonzero.
     """
     chartab.validate_id(n, cid)
-    stab = frozenset(g for g, pos in _action_maps(n) if tuple(alpha[i] for i in pos) == alpha)
+    stab = frozenset(g for g, pos in _action_maps(n).items() if tuple(alpha[i] for i in pos) == alpha)
     return _subgroup_char_sum(n, cid, stab)
 
 
@@ -228,17 +215,26 @@ def _gram_entries(
     n: int, cid: CharacterId, stabilizer, reps
 ) -> tuple[tuple[CycloInt, ...], ...]:
     """Scaled Gram entries: entry (i, j) is the character sum over
-    reps[j] * stabilizer * reps[i]^(-1)."""
+    reps[j] * stabilizer * reps[i]^(-1).
+
+    A character is a class function, so that sum equals F(reps[i]^(-1) *
+    reps[j]) with F(x) the character sum over x * stabilizer.  F is summed
+    once per element that occurs, never per entry.
+    """
     values = chartab.value_table(n, cid)
     inverses = [group.inverse(n, s) for s in reps]
+    coset_sums: dict[SDElement, CycloInt] = {}
     rows = []
     for inv_i in inverses:
         row = []
         for sigma_j in reps:
-            acc = CycloInt.zero(4 * n)
-            for h in stabilizer:
-                acc = acc + values[group.multiply(n, group.multiply(n, sigma_j, h), inv_i)]
-            row.append(acc)
+            x = group.multiply(n, inv_i, sigma_j)
+            if x not in coset_sums:
+                acc = CycloInt.zero(4 * n)
+                for h in stabilizer:
+                    acc = acc + values[group.multiply(n, x, h)]
+                coset_sums[x] = acc
+            row.append(coset_sums[x])
         rows.append(tuple(row))
     return tuple(rows)
 

@@ -7,6 +7,7 @@ Everything asserted here is an exact identity, no tolerances anywhere.
 
 from __future__ import annotations
 
+from collections import Counter
 from math import gcd
 
 from . import chartab, dims, group, perm, symclass
@@ -80,17 +81,17 @@ def run_checks(n: int, m: int | None, budget: int | None):
     )
     checks.append(("class_function", class_fun_ok, "values constant on conjugacy classes"))
 
+    embedded = {g: perm.embed(n, g) for g in group.elements(n)}
     cycle_ok = all(
-        perm.cycle_count_formula(n, g) == perm.cycle_decomposition(perm.embed(n, g)).count
-        for g in group.elements(n)
+        perm.cycle_count_formula(n, g) == perm.cycle_decomposition(p).count
+        for g, p in embedded.items()
     )
     checks.append(("cycle_count_formula", cycle_ok, "closed form matches direct factorization"))
 
     hom_ok = all(
-        perm.embed(n, group.multiply(n, g, h))
-        == perm.compose(perm.embed(n, g), perm.embed(n, h))
-        for g in group.elements(n)
-        for h in group.elements(n)
+        embedded[group.multiply(n, g, h)] == perm.compose(p, q)
+        for g, p in embedded.items()
+        for h, q in embedded.items()
     )
     checks.append(("embedding_homomorphism", hom_ok, "checked on all pairs"))
 
@@ -146,14 +147,16 @@ def run_checks(n: int, m: int | None, budget: int | None):
                 )
             )
 
+            # orbits sharing a stabilizer share its character sums
+            stabilizer_counts = Counter(frozenset(o.stabilizer) for o in orbit_list)
             direct_ok = True
             for cid in ids:
                 dim_sum = 0
-                for o in orbit_list:
-                    char_sum = symclass._subgroup_char_sum(n, cid, frozenset(o.stabilizer))
+                for stab, count in stabilizer_counts.items():
+                    char_sum = symclass._subgroup_char_sum(n, cid, stab)
                     if char_sum.is_zero:
                         continue
-                    dim_sum += symclass._orbital_dim(n, cid, char_sum, o.stabilizer_order)
+                    dim_sum += count * symclass._orbital_dim(n, cid, char_sum, len(stab))
                 if dim_sum != dims.dim_general(n, m, cid):
                     direct_ok = False
             checks.append(
@@ -165,12 +168,12 @@ def run_checks(n: int, m: int | None, budget: int | None):
             )
 
             zeta_ok = True
-            for cid in (chartab.zeta(h) for h in chartab.index_sets(n).Cdag_even):
-                for o in orbit_list:
-                    stab = frozenset(o.stabilizer)
+            zetas = [chartab.zeta(h) for h in chartab.index_sets(n).Cdag_even]
+            for stab in stabilizer_counts:
+                r, _ = group.cyclic_intersection(n, stab)
+                l = 4 * n // gcd(4 * n, r) if r else 1
+                for cid in zetas:
                     char_sum = symclass._subgroup_char_sum(n, cid, stab)
-                    r, _ = group.cyclic_intersection(n, stab)
-                    l = 4 * n // gcd(4 * n, r) if r else 1
                     expected_nonzero = (r * cid.param) % (4 * n) == 0
                     if expected_nonzero:
                         if not (char_sum - 2 * l).is_zero:

@@ -100,6 +100,8 @@ def test_invalid_ids_rejected():
         character_value(3, psi(3), SDElement(0, 0))  # n and 3n are excluded
     with pytest.raises(ValueError):
         character_value(2, zeta(0), SDElement(0, 0))
+    with pytest.raises(ValueError):
+        chartab.value_table(2, zeta(1))
 
 
 def test_class_function_property():

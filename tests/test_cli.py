@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import sdtensor
+from sdtensor import cli
 from sdtensor.cli import main
 
 # (arguments, exit code, byte length, sha256) of small reports, pinned so
@@ -254,6 +255,48 @@ def test_closed_pipe_is_an_io_error():
     assert "Traceback" not in err
     assert "Exception ignored" not in err
     assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+
+INTERNAL_EXCEPTIONS = [
+    RuntimeError("orbit construction is inconsistent"),
+    ZeroDivisionError("exact_div by zero"),
+    MemoryError(),
+]
+
+
+@pytest.mark.parametrize("exc", INTERNAL_EXCEPTIONS, ids=lambda e: type(e).__name__)
+def test_internal_failure_while_building_exits_5(capsys, monkeypatch, exc):
+    def fail(args):
+        raise exc
+
+    monkeypatch.setitem(cli.COMMANDS, "classes", (fail, cli.COMMANDS["classes"][1]))
+    code, out, err = run_cli(capsys, "classes", "--n", "2")
+    assert code == 5
+    assert out == ""
+    assert err.startswith("error: internal error: ") and len(err.splitlines()) == 1
+    assert (str(exc) or type(exc).__name__) in err
+
+
+@pytest.mark.parametrize("exc", INTERNAL_EXCEPTIONS, ids=lambda e: type(e).__name__)
+def test_internal_failure_while_emitting_exits_5(capsys, monkeypatch, exc):
+    def fail(report, output):
+        raise exc
+
+    monkeypatch.setattr(cli, "_emit", fail)
+    code, out, err = run_cli(capsys, "classes", "--n", "2")
+    assert code == 5
+    assert out == ""
+    assert err.startswith("error: internal error: ") and len(err.splitlines()) == 1
+
+
+def test_cli_import_leaves_numpy_out():
+    env = dict(os.environ, PYTHONPATH=str(Path(sdtensor.__file__).resolve().parents[1]))
+    subprocess.run(
+        [sys.executable, "-c", "import sys, sdtensor.cli; assert 'numpy' not in sys.modules"],
+        env=env,
+        check=True,
+        timeout=60,
+    )
 
 
 def test_verify_group_level(capsys):

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 
@@ -76,19 +77,36 @@ def test_orbit_count_is_burnside_dimension():
 
 
 def test_orbits_partition_and_representatives_minimal():
-    all_members = []
-    for o in orbits(2, 2):
-        all_members.extend(o.members)
-        assert o.representative == min(o.members)
-        assert sorted(o.members) == list(o.members)
-    assert len(all_members) == 256
-    assert len(set(all_members)) == 256
+    for n, m in ((2, 2), (2, 3), (3, 2)):
+        result = orbits(n, m)
+        all_members = []
+        for o in result:
+            all_members.extend(o.members)
+            assert o.representative == min(o.members)
+            assert sorted(o.members) == list(o.members)
+        assert len(all_members) == m ** (4 * n)
+        assert len(set(all_members)) == m ** (4 * n)
+        representatives = [o.representative for o in result]
+        assert representatives == sorted(representatives)
 
 
 def test_coset_reps_map_representative_to_members():
-    for o in orbits(2, 2):
-        for sigma, member in zip(o.coset_reps, o.members):
-            assert act(2, sigma, o.representative) == member
+    for n, m in ((2, 2), (2, 3), (3, 2)):
+        for o in orbits(n, m):
+            for sigma, member in zip(o.coset_reps, o.members):
+                assert act(n, sigma, o.representative) == member
+
+
+def test_orbits_rejects_overlapping_orbits(monkeypatch):
+    build = symclass._orbit_from_representative
+
+    def overlapping(n, m, rep):
+        orbit = build(n, m, rep)
+        return dataclasses.replace(orbit, members=orbit.members + ((1,) * (4 * n),))
+
+    monkeypatch.setattr(symclass, "_orbit_from_representative", overlapping)
+    with pytest.raises(RuntimeError, match="overlapping"):
+        orbits(2, 2)
 
 
 def test_orbits_budget_guard():
@@ -230,7 +248,7 @@ def test_gram_matches_direct_tensor_inner_products(cid):
     # With v_x = sum_g chi(g) e_{g.x} = (8n/chi(1)) e*_x, the scaled Gram
     # entry satisfies  8n * entry(i, j) = chi(1) * <v_i, v_j>  exactly.
     n, m = 2, 2
-    for rep in delta_bar(n, m, cid)[:4]:
+    for rep in delta_bar(n, m, cid):
         orbit = next(o for o in orbits(n, m) if o.representative == rep)
         data = gram(n, cid, orbit)
         vectors = [_tensor_vector(n, cid, member) for member in orbit.members]
