@@ -212,7 +212,7 @@ def _orbits_payload(args) -> dict:
             "stabilizer": [group.element_name(g) for g in o.stabilizer],
         }
         if cid is not None:
-            char_sum = symclass.stabilizer_char_sum(n, cid, o.representative)
+            char_sum = symclass._subgroup_char_sum(n, cid, frozenset(o.stabilizer))
             entry["char_sum"] = _cyclo_json(char_sum)
             entry["in_delta_bar"] = not char_sum.is_zero
         payload["orbits"].append(entry)
@@ -244,7 +244,7 @@ def _basis_payload(args) -> dict:
 
 
 def _decision_payload(n: int, m: int, cid: CharacterId, orbit_list) -> dict:
-    decision = symclass.decide_orthogonal_basis(n, m, cid, orbit_list=orbit_list)
+    decision = symclass.decide_orthogonal_basis(cid, orbit_list)
     predicted = symclass.predicted_basis(n, cid)
     return {
         "n": n,
@@ -359,15 +359,27 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _emit(report: str | dict, output: str | None) -> None:
-    """Write a text report, or stream a JSON payload, to output or stdout."""
-    with open(output, "w") if output else contextlib.nullcontext(sys.stdout) as fh:
-        if isinstance(report, str):
-            fh.write(report)
-        else:
-            json.dump(report, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        # A closed pipe must fail here, where main reports it, not at shutdown.
-        fh.flush()
+    """Write a text report, or stream a JSON payload, to stdout or to output.
+
+    output is written through a sibling temporary file that replaces it only
+    once complete, so a failed write keeps any earlier report there.
+    """
+    partial = f"{output}.{os.getpid()}.tmp" if output else None
+    try:
+        with open(partial, "w") if partial else contextlib.nullcontext(sys.stdout) as fh:
+            if isinstance(report, str):
+                fh.write(report)
+            else:
+                json.dump(report, fh, indent=2, sort_keys=True)
+                fh.write("\n")
+            # A closed pipe must fail here, where main reports it, not at shutdown.
+            fh.flush()
+        if partial:
+            os.replace(partial, output)
+    except BaseException:
+        if partial and os.path.exists(partial):
+            os.remove(partial)
+        raise
 
 
 def _internal_error(exc: BaseException) -> int:

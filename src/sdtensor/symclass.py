@@ -85,28 +85,32 @@ def act(n: int, g: SDElement, alpha: Sequence) -> Sequence:
     return tuple(alpha[i] for i in _action_maps(n)[g])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class OrbitData:
-    """One orbit: lex-least representative, sorted members, stabilizer, and
-    one coset representative per member mapping the representative to it."""
+    """One orbit: lex-least representative, stabilizer, and one coset
+    representative per sorted member, mapping the representative to it."""
 
     n: int
     m: int
     representative: Sequence
-    members: tuple[Sequence, ...]
     stabilizer: tuple[SDElement, ...]
     coset_reps: tuple[SDElement, ...]
 
     @property
+    def members(self) -> tuple[Sequence, ...]:
+        return tuple(act(self.n, s, self.representative) for s in self.coset_reps)
+
+    @property
     def size(self) -> int:
-        return len(self.members)
+        return len(self.coset_reps)
 
     @property
     def stabilizer_order(self) -> int:
         return len(self.stabilizer)
 
 
-def _orbit_from_representative(n: int, m: int, rep: Sequence) -> OrbitData:
+def _orbit_from_representative(n: int, m: int, rep: Sequence) -> tuple[OrbitData, tuple]:
+    """The orbit of rep, and its sorted members for the caller to mark."""
     first_map: dict[Sequence, SDElement] = {}
     stabilizer = []
     for g, pos in _action_maps(n).items():
@@ -118,14 +122,14 @@ def _orbit_from_representative(n: int, m: int, rep: Sequence) -> OrbitData:
     members = tuple(sorted(first_map))
     if members[0] != rep or len(members) * len(stabilizer) != 8 * n:
         raise RuntimeError("orbit construction is inconsistent")
-    return OrbitData(
+    orbit = OrbitData(
         n=n,
         m=m,
         representative=rep,
-        members=members,
         stabilizer=tuple(stabilizer),
         coset_reps=tuple(first_map[seq] for seq in members),
     )
+    return orbit, members
 
 
 def orbits(n: int, m: int, budget: int | None = None) -> list[OrbitData]:
@@ -135,7 +139,7 @@ def orbits(n: int, m: int, budget: int | None = None) -> list[OrbitData]:
     code order is lexicographic order.  One pass over the codes marks every
     member of each orbit found; the next unmarked code is the lex-least
     member of a new orbit, because every smaller code already belongs to an
-    earlier one.  The marks take one byte per sequence.
+    earlier one.  The marks take one byte per sequence; orbits store no members.
     """
     group.check_n(n)
     if m < 1:
@@ -151,8 +155,8 @@ def orbits(n: int, m: int, budget: int | None = None) -> list[OrbitData]:
     result = []
     code = covered.find(0)
     while code != -1:
-        orbit = _orbit_from_representative(n, m, tuple(code // r % m + 1 for r in radix))
-        for member in orbit.members:
+        orbit, members = _orbit_from_representative(n, m, tuple(code // r % m + 1 for r in radix))
+        for member in members:
             member_code = sum(map(operator.mul, member, radix)) - offset
             if covered[member_code]:
                 raise RuntimeError("orbit partition has overlapping orbits")
@@ -182,12 +186,13 @@ def stabilizer_char_sum(n: int, cid: CharacterId, alpha: Sequence) -> CycloInt:
     return _subgroup_char_sum(n, cid, stab)
 
 
-def delta_bar(n: int, m: int, cid: CharacterId, budget: int | None = None) -> list[Sequence]:
-    """Orbit representatives whose stabilizer character sum is nonzero."""
+def delta_bar(cid: CharacterId, orbit_list: list[OrbitData]) -> list[Sequence]:
+    """Representatives of the orbits whose stabilizer character sum is nonzero."""
+    n = orbit_list[0].n
     chartab.validate_id(n, cid)
     return [
         o.representative
-        for o in orbits(n, m, budget)
+        for o in orbit_list
         if not _subgroup_char_sum(n, cid, frozenset(o.stabilizer)).is_zero
     ]
 
@@ -344,23 +349,17 @@ class BasisDecision:
     first_failure: OrbitalOutcome | None
 
 
-def decide_orthogonal_basis(
-    n: int,
-    m: int,
-    cid: CharacterId,
-    budget: int | None = None,
-    orbit_list: list[OrbitData] | None = None,
-) -> BasisDecision:
+def decide_orthogonal_basis(cid: CharacterId, orbit_list: list[OrbitData]) -> BasisDecision:
     """Exhaustively decide whether V_chi has an orthogonal basis of
     decomposable symmetrized tensors, with per-orbit witnesses.
 
     The symmetry class is the orthogonal direct sum of the orbital
     subspaces over representatives in Omega, so a basis exists exactly when
-    every such orbital subspace admits one.  Callers sweeping several
-    characters can pass a precomputed orbit_list to enumerate only once.
+    every such orbital subspace admits one.  n and m are those of the
+    orbits, so callers sweeping several characters enumerate only once.
     """
+    n, m = orbit_list[0].n, orbit_list[0].m
     chartab.validate_id(n, cid)
-    all_orbits = orbits(n, m, budget) if orbit_list is None else orbit_list
 
     def judge(orbit: OrbitData) -> OrbitalOutcome | None:
         stab = frozenset(orbit.stabilizer)
@@ -379,7 +378,7 @@ def decide_orthogonal_basis(
             witness=witness,
         )
 
-    outcomes = tuple(o for o in map(judge, all_orbits) if o is not None)
+    outcomes = tuple(o for o in map(judge, orbit_list) if o is not None)
     failures = [o for o in outcomes if not o.found]
     return BasisDecision(
         n=n,

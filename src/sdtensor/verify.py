@@ -1,8 +1,9 @@
 """The invariant suite behind the `verify` subcommand.
 
 Each check returns (name, ok, detail).  Checks that need the alphabet size
-are skipped when m is not supplied; enumeration checks respect the budget.
-Everything asserted here is an exact identity, no tolerances anywhere.
+are skipped when m is not supplied; with m, the orbits are enumerated first,
+so an alphabet over the budget is refused before any check runs.  Everything
+asserted here is an exact identity, no tolerances anywhere.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from .cyclo import CycloInt, root_power
 
 
 def run_checks(n: int, m: int | None, budget: int | None):
+    orbit_list = None if m is None else symclass.orbits(n, m, budget)
     checks = []
 
     classes = group.conjugacy_classes(n)
@@ -103,7 +105,6 @@ def run_checks(n: int, m: int | None, budget: int | None):
         ("valuation_criterion", vanish_ok, "cosine vanishing matches nu2(h/2n) < 0 for all h")
     )
 
-    report = None
     if m is not None:
         report = dims.dim_report(n, m)
         flagged = [e for e in report.entries if not e.agree]
@@ -127,88 +128,76 @@ def run_checks(n: int, m: int | None, budget: int | None):
             )
         )
 
-        total = m ** (4 * n)
-        limit = symclass.resolve_budget(budget)
-        if total <= limit:
-            orbit_list = symclass.orbits(n, m, budget)
-            chi0 = chartab.chi(0)
-            checks.append(
-                (
-                    "burnside_orbit_count",
-                    len(orbit_list) == dims.dim_general(n, m, chi0),
-                    f"{len(orbit_list)} orbits vs dim for {chi0.label()}",
-                )
+        chi0 = chartab.chi(0)
+        checks.append(
+            (
+                "burnside_orbit_count",
+                len(orbit_list) == dims.dim_general(n, m, chi0),
+                f"{len(orbit_list)} orbits vs dim for {chi0.label()}",
             )
-            checks.append(
-                (
-                    "orbit_stabilizer",
-                    all(o.size * o.stabilizer_order == 8 * n for o in orbit_list),
-                    "orbit size times stabilizer order equals 8n",
-                )
+        )
+        checks.append(
+            (
+                "orbit_stabilizer",
+                all(o.size * o.stabilizer_order == 8 * n for o in orbit_list),
+                "orbit size times stabilizer order equals 8n",
             )
+        )
 
-            # orbits sharing a stabilizer share its character sums
-            stabilizer_counts = Counter(frozenset(o.stabilizer) for o in orbit_list)
-            direct_ok = True
+        # orbits sharing a stabilizer share its character sums
+        stabilizer_counts = Counter(frozenset(o.stabilizer) for o in orbit_list)
+        direct_ok = True
+        for cid in ids:
+            dim_sum = 0
+            for stab, count in stabilizer_counts.items():
+                char_sum = symclass._subgroup_char_sum(n, cid, stab)
+                if char_sum.is_zero:
+                    continue
+                dim_sum += count * symclass._orbital_dim(n, cid, char_sum, len(stab))
+            if dim_sum != dims.dim_general(n, m, cid):
+                direct_ok = False
+        checks.append(
+            (
+                "orbital_direct_sum",
+                direct_ok,
+                "orbital dimensions over delta-bar sum to the class dimension",
+            )
+        )
+
+        zeta_ok = True
+        zetas = [chartab.zeta(h) for h in chartab.index_sets(n).Cdag_even]
+        for stab in stabilizer_counts:
+            r, _ = group.cyclic_intersection(n, stab)
+            l = 4 * n // gcd(4 * n, r) if r else 1
+            for cid in zetas:
+                char_sum = symclass._subgroup_char_sum(n, cid, stab)
+                expected = 2 * l if (r * cid.param) % (4 * n) == 0 else 0
+                zeta_ok &= (char_sum - expected).is_zero
+        checks.append(
+            (
+                "stabilizer_sum_structure",
+                zeta_ok,
+                "zeta character sums are 2l exactly when r*h = 0 mod 4n, else 0",
+            )
+        )
+
+        if m >= 2:
+            disagreements = []
             for cid in ids:
-                dim_sum = 0
-                for stab, count in stabilizer_counts.items():
-                    char_sum = symclass._subgroup_char_sum(n, cid, stab)
-                    if char_sum.is_zero:
-                        continue
-                    dim_sum += count * symclass._orbital_dim(n, cid, char_sum, len(stab))
-                if dim_sum != dims.dim_general(n, m, cid):
-                    direct_ok = False
+                if cid.degree != 2:
+                    continue
+                decision = symclass.decide_orthogonal_basis(cid, orbit_list)
+                predicted = symclass.predicted_basis(n, cid)
+                if decision.exists != predicted:
+                    disagreements.append(
+                        f"{cid.label()} exhaustive={decision.exists} predicted={predicted}"
+                    )
             checks.append(
                 (
-                    "orbital_direct_sum",
-                    direct_ok,
-                    "orbital dimensions over delta-bar sum to the class dimension",
+                    "criterion_equivalence",
+                    not disagreements,
+                    "; ".join(disagreements) if disagreements else "exhaustive search matches the prediction table",
                 )
             )
-
-            zeta_ok = True
-            zetas = [chartab.zeta(h) for h in chartab.index_sets(n).Cdag_even]
-            for stab in stabilizer_counts:
-                r, _ = group.cyclic_intersection(n, stab)
-                l = 4 * n // gcd(4 * n, r) if r else 1
-                for cid in zetas:
-                    char_sum = symclass._subgroup_char_sum(n, cid, stab)
-                    expected_nonzero = (r * cid.param) % (4 * n) == 0
-                    if expected_nonzero:
-                        if not (char_sum - 2 * l).is_zero:
-                            zeta_ok = False
-                    elif not char_sum.is_zero:
-                        zeta_ok = False
-            checks.append(
-                (
-                    "stabilizer_sum_structure",
-                    zeta_ok,
-                    "zeta character sums are 2l exactly when r*h = 0 mod 4n, else 0",
-                )
-            )
-
-            if m >= 2:
-                agree_ok = True
-                disagreements = []
-                for cid in ids:
-                    if cid.degree != 2:
-                        continue
-                    decision = symclass.decide_orthogonal_basis(
-                        n, m, cid, budget, orbit_list=orbit_list
-                    )
-                    predicted = symclass.predicted_basis(n, cid)
-                    if decision.exists != predicted:
-                        agree_ok = False
-                        disagreements.append(
-                            f"{cid.label()} exhaustive={decision.exists} predicted={predicted}"
-                        )
-                checks.append(
-                    (
-                        "criterion_equivalence",
-                        agree_ok,
-                        "; ".join(disagreements) if disagreements else "exhaustive search matches the prediction table",
-                    )
-                )
 
     return checks

@@ -171,7 +171,7 @@ def test_criterion_6_basis_decisions_match_prediction():
             for cid in character_ids(n):
                 if cid.degree != 2:
                     continue
-                decision = symclass.decide_orthogonal_basis(n, m, cid, orbit_list=orbit_list)
+                decision = symclass.decide_orthogonal_basis(cid, orbit_list)
                 predicted = symclass.predicted_basis(n, cid)
                 case = (
                     f"n={n}, m={m}, {cid.label()}: exhaustive={decision.exists}, "
@@ -237,7 +237,7 @@ def test_criterion_8_orbital_direct_sum():
     orbit_index = {o.representative: o for o in orbit_list}
     for cid in character_ids(n):
         total = 0
-        for rep in symclass.delta_bar(n, m, cid):
+        for rep in symclass.delta_bar(cid, orbit_list):
             data = symclass.gram(n, cid, orbit_index[rep])
             total += data.orbital_dim
             if cid.kind == "zeta" and data.orbital_dim not in (1, 2, 4):

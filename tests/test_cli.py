@@ -1,3 +1,4 @@
+import errno
 import hashlib
 import json
 import os
@@ -8,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import sdtensor
-from sdtensor import cli
+from sdtensor import cli, symclass, verify
 from sdtensor.cli import main
 
 # (arguments, exit code, byte length, sha256) of small reports, pinned so
@@ -51,11 +52,15 @@ def run_cli(capsys, *args):
     return code, captured.out, captured.err
 
 
-@pytest.mark.parametrize("argv, code, length, sha256", GOLDEN_REPORTS, ids=[g[0] for g in GOLDEN_REPORTS])
-def test_golden_report_bytes(capsys, argv, code, length, sha256):
+def assert_golden(capsys, argv, code, length, sha256):
     got_code, out, _ = run_cli(capsys, *argv.split())
     data = out.encode()
     assert (got_code, len(data), hashlib.sha256(data).hexdigest()) == (code, length, sha256)
+
+
+@pytest.mark.parametrize("argv, code, length, sha256", GOLDEN_REPORTS, ids=[g[0] for g in GOLDEN_REPORTS])
+def test_golden_report_bytes(capsys, argv, code, length, sha256):
+    assert_golden(capsys, argv, code, length, sha256)
 
 
 def test_classes_json(capsys):
@@ -175,6 +180,41 @@ def test_budget_env_var(capsys, monkeypatch):
     assert code == 0
 
 
+def test_over_budget_verify_is_refused(capsys, monkeypatch):
+    # refused before any check runs, not reported as a passing partial suite
+    def fail(n):
+        raise AssertionError("a check ran before the enumeration")
+
+    monkeypatch.setattr(verify.group, "conjugacy_classes", fail)
+    code, out, err = run_cli(capsys, "verify", "--n", "3", "--m", "2", "--budget", "10")
+    assert (code, out) == (3, "")
+    assert err.startswith("refused: ") and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("argv", ["basis --n 2 --m 2 --char all", "verify --n 2 --m 2"])
+def test_one_enumeration_per_request(capsys, monkeypatch, argv):
+    calls = []
+    enumerate_orbits = symclass.orbits
+
+    def counted(*args):
+        calls.append(args)
+        return enumerate_orbits(*args)
+
+    monkeypatch.setattr(symclass, "orbits", counted)
+    run_cli(capsys, *argv.split())
+    assert len(calls) == 1
+
+
+def test_orbits_report_reads_each_orbits_stabilizer(capsys, monkeypatch):
+    def fail(*args):
+        raise AssertionError("stabilizer scanned again")
+
+    monkeypatch.setattr(symclass, "stabilizer_char_sum", fail)
+    golden = GOLDEN_REPORTS[7]
+    assert golden[0] == "orbits --n 2 --m 2 --char zeta:2"
+    assert_golden(capsys, *golden)
+
+
 def test_negative_budget_is_a_usage_error(capsys, monkeypatch):
     code, out, err = run_cli(capsys, "orbits", "--n", "2", "--m", "2", "--budget", "-5")
     assert (code, out) == (2, "")
@@ -228,6 +268,7 @@ def test_output_file(tmp_path, capsys):
     assert code == 0
     assert out == ""
     assert json.loads(target.read_text())["class_count"] == 7
+    assert os.listdir(tmp_path) == ["report.json"]
 
 
 def test_unwritable_output_is_an_io_error(tmp_path, capsys):
@@ -236,6 +277,22 @@ def test_unwritable_output_is_an_io_error(tmp_path, capsys):
     assert code == 4
     assert out == ""
     assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+
+def test_failed_write_keeps_the_previous_report(tmp_path, capsys, monkeypatch):
+    target = tmp_path / "report.json"
+    target.write_text("previous report\n")
+
+    def disk_full(obj, fh, **kwargs):
+        fh.write('{"class_count": ')
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    monkeypatch.setattr(json, "dump", disk_full)
+    code, out, err = run_cli(capsys, "classes", "--n", "2", "--output", str(target))
+    assert (code, out) == (4, "")
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+    assert target.read_text() == "previous report\n"
+    assert os.listdir(tmp_path) == ["report.json"]
 
 
 def test_closed_pipe_is_an_io_error():

@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import random
+import tracemalloc
 
 import pytest
 
@@ -101,12 +102,40 @@ def test_orbits_rejects_overlapping_orbits(monkeypatch):
     build = symclass._orbit_from_representative
 
     def overlapping(n, m, rep):
-        orbit = build(n, m, rep)
-        return dataclasses.replace(orbit, members=orbit.members + ((1,) * (4 * n),))
+        orbit, members = build(n, m, rep)
+        return orbit, members + ((1,) * (4 * n),)
 
     monkeypatch.setattr(symclass, "_orbit_from_representative", overlapping)
     with pytest.raises(RuntimeError, match="overlapping"):
         orbits(2, 2)
+
+
+def test_orbits_keep_no_member_tuples():
+    # an orbit is its representative, stabilizer and coset representatives;
+    # the marks of the enumeration are freed on return
+    assert "members" not in {f.name for f in dataclasses.fields(symclass.OrbitData)}
+    n, m = 4, 2
+    symclass._action_maps(n)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        result = orbits(n, m)
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(result) == dims.dim_general(n, m, chi(0))
+    assert retained < 64 * m ** (4 * n), retained / m ** (4 * n)
+
+
+def test_consumers_of_an_orbit_list_do_not_enumerate(monkeypatch):
+    orbit_list = orbits(2, 2)
+
+    def fail(*args, **kwargs):
+        raise AssertionError("orbits enumerated again")
+
+    monkeypatch.setattr(symclass, "orbits", fail)
+    assert decide_orthogonal_basis(zeta(2), orbit_list).exists is True
+    assert delta_bar(chi(0), orbit_list) == [o.representative for o in orbit_list]
 
 
 def test_orbits_budget_guard():
@@ -149,19 +178,21 @@ def test_zeta_stabilizer_sums_follow_cyclic_intersection():
 
 
 def test_delta_bar_single_letter():
-    assert delta_bar(2, 1, chi(0)) == [(1,) * 8]
+    orbit_list = orbits(2, 1)
+    assert delta_bar(chi(0), orbit_list) == [(1,) * 8]
     for cid in chartab.character_ids(2):
         if cid != chi(0):
-            assert delta_bar(2, 1, cid) == []
+            assert delta_bar(cid, orbit_list) == []
 
 
 def test_delta_bar_dimension_sum():
     # orbital dimensions over delta-bar add up to the class dimension
     for n, m in ((2, 2), (2, 3), (3, 2)):
-        orbit_index = {o.representative: o for o in orbits(n, m)}
+        orbit_list = orbits(n, m)
+        orbit_index = {o.representative: o for o in orbit_list}
         for cid in chartab.character_ids(n):
             total = 0
-            for rep in delta_bar(n, m, cid):
+            for rep in delta_bar(cid, orbit_list):
                 total += gram(n, cid, orbit_index[rep]).orbital_dim
             assert total == dims.dim_general(n, m, cid), (n, m, cid)
 
@@ -173,9 +204,11 @@ def test_gram_requires_omega_membership():
 
 
 def test_gram_structure():
+    orbit_list = orbits(2, 2)
+    orbit_index = {o.representative: o for o in orbit_list}
     for cid in (zeta(2), psi(1)):
-        for rep in delta_bar(2, 2, cid)[:6]:
-            orbit = next(o for o in orbits(2, 2) if o.representative == rep)
+        for rep in delta_bar(cid, orbit_list)[:6]:
+            orbit = orbit_index[rep]
             data = gram(2, cid, orbit)
             size = orbit.size
             diag = data.entries[0][0]
@@ -248,8 +281,10 @@ def test_gram_matches_direct_tensor_inner_products(cid):
     # With v_x = sum_g chi(g) e_{g.x} = (8n/chi(1)) e*_x, the scaled Gram
     # entry satisfies  8n * entry(i, j) = chi(1) * <v_i, v_j>  exactly.
     n, m = 2, 2
-    for rep in delta_bar(n, m, cid):
-        orbit = next(o for o in orbits(n, m) if o.representative == rep)
+    orbit_list = orbits(n, m)
+    orbit_index = {o.representative: o for o in orbit_list}
+    for rep in delta_bar(cid, orbit_list):
+        orbit = orbit_index[rep]
         data = gram(n, cid, orbit)
         vectors = [_tensor_vector(n, cid, member) for member in orbit.members]
         for i in range(orbit.size):
@@ -263,10 +298,11 @@ def test_zeta_orbital_dims_case_analysis():
     # orbital dimensions for zeta characters are 1, 2, or 4, and equal 4
     # exactly when the stabilizer is the cyclic rotation part itself
     for n, m in ((2, 2), (2, 3), (3, 2)):
-        orbit_index = {o.representative: o for o in orbits(n, m)}
+        orbit_list = orbits(n, m)
+        orbit_index = {o.representative: o for o in orbit_list}
         for h in index_sets(n).Cdag_even:
             cid = zeta(h)
-            for rep in delta_bar(n, m, cid):
+            for rep in delta_bar(cid, orbit_list):
                 orbit = orbit_index[rep]
                 data = gram(n, cid, orbit)
                 assert data.orbital_dim in (1, 2, 4)
@@ -301,8 +337,10 @@ def test_clique_search_against_brute_force_random_graphs():
 
 
 def test_decision_witness_on_one_orbit():
+    orbit_list = orbits(2, 2)
+
     def outcome(cid):
-        decision = decide_orthogonal_basis(2, 2, cid)
+        decision = decide_orthogonal_basis(cid, orbit_list)
         return next(o for o in decision.orbits if o.representative == ONE_TWO)
 
     result = outcome(zeta(2))
@@ -356,8 +394,9 @@ def test_cosine_vanishing_matches_valuation():
 
 def test_linear_characters_always_admit_bases():
     for n, m in ((2, 2), (3, 2)):
+        orbit_list = orbits(n, m)
         for i in chartab.linear_range(n):
-            decision = decide_orthogonal_basis(n, m, chi(i))
+            decision = decide_orthogonal_basis(chi(i), orbit_list)
             assert decision.exists
             assert all(o.orbital_dim == 1 for o in decision.orbits)
             assert all(o.witness and len(o.witness) == 1 for o in decision.orbits)
@@ -388,9 +427,10 @@ def _check_witnesses(n, cid, decision, orbit_index, one_per_stabilizer=False):
 
 
 def test_decision_witnesses_are_valid():
-    orbit_index = {o.representative: o for o in orbits(2, 2)}
+    orbit_list = orbits(2, 2)
+    orbit_index = {o.representative: o for o in orbit_list}
     for cid in (zeta(2), psi(1)):
-        _check_witnesses(2, cid, decide_orthogonal_basis(2, 2, cid), orbit_index)
+        _check_witnesses(2, cid, decide_orthogonal_basis(cid, orbit_list), orbit_index)
 
 
 def test_psi_witnesses_at_n2_m3_match_tensor_oracle():
@@ -399,7 +439,7 @@ def test_psi_witnesses_at_n2_m3_match_tensor_oracle():
     orbit_list = orbits(2, 3)
     orbit_index = {o.representative: o for o in orbit_list}
     for cid in (psi(1), psi(5)):
-        decision = decide_orthogonal_basis(2, 3, cid, orbit_list=orbit_list)
+        decision = decide_orthogonal_basis(cid, orbit_list)
         assert decision.exists is True
         assert predicted_basis(2, cid) is False
         _check_witnesses(2, cid, decision, orbit_index)
@@ -413,7 +453,7 @@ def test_psi_witnesses_at_n4_match_tensor_oracle():
     psi_ids = [cid for cid in chartab.character_ids(4) if cid.kind == "psi"]
     assert psi_ids == [psi(1), psi(3), psi(9), psi(11)]
     for cid in psi_ids:
-        decision = decide_orthogonal_basis(4, 2, cid, orbit_list=orbit_list)
+        decision = decide_orthogonal_basis(cid, orbit_list)
         assert decision.exists is True
         assert predicted_basis(4, cid) is False
         assert len(_check_witnesses(4, cid, decision, orbit_index, True)) == 9
@@ -421,15 +461,16 @@ def test_psi_witnesses_at_n4_match_tensor_oracle():
 
 def test_exhaustive_decisions_small_cases():
     # zeta_2 at n=2 admits a basis, every degree-2 character at n=3 does not
-    assert decide_orthogonal_basis(2, 2, zeta(2)).exists is True
-    assert decide_orthogonal_basis(3, 2, zeta(2)).exists is False
-    assert decide_orthogonal_basis(3, 2, zeta(4)).exists is False
-    assert decide_orthogonal_basis(3, 2, psi(1)).exists is False
-    assert decide_orthogonal_basis(3, 2, psi(7)).exists is False
+    n3_orbits = orbits(3, 2)
+    assert decide_orthogonal_basis(zeta(2), orbits(2, 2)).exists is True
+    assert decide_orthogonal_basis(zeta(2), n3_orbits).exists is False
+    assert decide_orthogonal_basis(zeta(4), n3_orbits).exists is False
+    assert decide_orthogonal_basis(psi(1), n3_orbits).exists is False
+    assert decide_orthogonal_basis(psi(7), n3_orbits).exists is False
 
 
 def test_failing_orbit_reported():
-    decision = decide_orthogonal_basis(3, 2, zeta(2))
+    decision = decide_orthogonal_basis(zeta(2), orbits(3, 2))
     assert decision.first_failure is not None
     assert not decision.first_failure.found
     assert decision.first_failure.witness is None
@@ -441,8 +482,9 @@ def test_psi_at_even_n_has_bases_despite_prediction():
     # subspace of psi_1 and psi_5 at n=2.  The valuation prediction table
     # says psi characters never admit one; it is wrong for even n, and the
     # two reports are deliberately kept in disagreement.
+    orbit_list = orbits(2, 2)
     for cid in (psi(1), psi(5)):
-        decision = decide_orthogonal_basis(2, 2, cid)
+        decision = decide_orthogonal_basis(cid, orbit_list)
         assert decision.exists is True
         assert predicted_basis(2, cid) is False
 
