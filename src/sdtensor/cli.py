@@ -361,12 +361,17 @@ def build_parser() -> argparse.ArgumentParser:
 def _emit(report: str | dict, output: str | None) -> None:
     """Write a text report, or stream a JSON payload, to stdout or to output.
 
-    output is written through a sibling temporary file that replaces it only
-    once complete, so a failed write keeps any earlier report there.
+    A new or regular output file (symlinks followed) is replaced by a complete
+    temporary file beside it, so a failed write keeps any earlier report; a
+    device, FIFO or pipe, or a file in an unwritable directory, is written in place.
     """
-    partial = f"{output}.{os.getpid()}.tmp" if output else None
+    partial = None
+    if output and (os.path.isfile(output) or not os.path.exists(output)):
+        target = os.path.realpath(output)
+        if os.access(os.path.dirname(target), os.W_OK):
+            partial = f"{target}.{os.getpid()}.tmp"
     try:
-        with open(partial, "w") if partial else contextlib.nullcontext(sys.stdout) as fh:
+        with open(partial or output, "w") if output else contextlib.nullcontext(sys.stdout) as fh:
             if isinstance(report, str):
                 fh.write(report)
             else:
@@ -375,7 +380,7 @@ def _emit(report: str | dict, output: str | None) -> None:
             # A closed pipe must fail here, where main reports it, not at shutdown.
             fh.flush()
         if partial:
-            os.replace(partial, output)
+            os.replace(partial, target)
     except BaseException:
         if partial and os.path.exists(partial):
             os.remove(partial)

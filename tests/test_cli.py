@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -293,6 +294,66 @@ def test_failed_write_keeps_the_previous_report(tmp_path, capsys, monkeypatch):
     assert err.startswith("error: ") and len(err.splitlines()) == 1
     assert target.read_text() == "previous report\n"
     assert os.listdir(tmp_path) == ["report.json"]
+
+
+def test_output_through_a_symlink_keeps_the_link(tmp_path, capsys):
+    target = tmp_path / "report.json"
+    target.write_text("previous report\n")
+    link = tmp_path / "latest.json"
+    link.symlink_to("report.json")
+    code, out, _ = run_cli(capsys, "classes", "--n", "2", "--output", str(link))
+    assert (code, out) == (0, "")
+    assert link.is_symlink() and os.readlink(link) == "report.json"
+    assert json.loads(target.read_text())["class_count"] == 7
+    assert sorted(os.listdir(tmp_path)) == ["latest.json", "report.json"]
+
+
+def test_output_to_a_fifo_is_written_in_place(tmp_path, capsys):
+    expected = run_cli(capsys, "classes", "--n", "2")[1].encode()
+    fifo = tmp_path / "report.fifo"
+    os.mkfifo(fifo)
+    received = []
+    reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()), daemon=True)
+    reader.start()
+    code, out, _ = run_cli(capsys, "classes", "--n", "2", "--output", str(fifo))
+    reader.join(timeout=30)
+    assert (code, out) == (0, "")
+    assert received == [expected]
+    assert os.listdir(tmp_path) == ["report.fifo"] and fifo.is_fifo()
+
+
+def test_output_file_in_a_read_only_directory_is_written_in_place(tmp_path, capsys):
+    target = tmp_path / "report.json"
+    target.write_text("previous report\n")
+    tmp_path.chmod(0o555)
+    try:
+        if os.access(tmp_path, os.W_OK):
+            pytest.skip("this process may write any directory")
+        code, out, _ = run_cli(capsys, "classes", "--n", "2", "--output", str(target))
+    finally:
+        tmp_path.chmod(0o755)
+    assert (code, out) == (0, "")
+    assert json.loads(target.read_text())["class_count"] == 7
+    assert os.listdir(tmp_path) == ["report.json"]
+
+
+def test_output_to_an_inherited_pipe_path():
+    # as a shell's process substitution passes it: /dev/fd/<n> names a pipe
+    env = dict(os.environ, PYTHONPATH=str(Path(sdtensor.__file__).resolve().parents[1]))
+    read_fd, write_fd = os.pipe()
+    with os.fdopen(read_fd, "rb") as reader:
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "sdtensor", "classes", "--n", "2",
+             "--output", f"/dev/fd/{write_fd}"],
+            pass_fds=(write_fd,),
+            stderr=subprocess.PIPE,
+            env=env,
+        )
+        os.close(write_fd)
+        report = reader.read()
+    assert proc.wait(timeout=60) == 0
+    assert proc.stderr.read() == b""
+    assert json.loads(report)["class_count"] == 7
 
 
 def test_closed_pipe_is_an_io_error():
