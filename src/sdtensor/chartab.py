@@ -8,6 +8,15 @@ which vanish on every reflection; the familiar 2cos / 2isin expressions for
 their rotation values are consequences checked by the test suite, not the
 definition used here.
 
+So every value is 0, +-zeta^e, or zeta^(hr) + zeta^((2n-1)hr), and
+`value_terms` stores it as that list of signed exponent terms (e, c) with
+0 <= e < 4n.  Sums of values and of their products (inner products,
+symmetrizer traces, stabilizer and coset sums) are accumulated as integer
+lists indexed by exponent, where a product adds exponents and a conjugate
+negates them, and each result is reduced modulo the cyclotomic polynomial
+once by `cyclo.from_exponents`.  `value_table` holds the reduced CycloInt
+values, which are what every public function returns.
+
 Character families and their parameter ranges:
   chi:i   linear; i in 0..3 for even n, 0..7 for odd n
   zeta:h  degree 2, h even, h in C1 minus {0, 2n}
@@ -21,7 +30,7 @@ import functools
 from dataclasses import dataclass
 
 from . import group
-from .cyclo import CycloInt, root_power
+from .cyclo import CycloInt, from_exponents
 from .group import SDElement, check_n
 
 
@@ -147,26 +156,47 @@ def character_value(n: int, cid: CharacterId, g: SDElement) -> CycloInt:
     return value_table(n, cid)[g]
 
 
-def _formula_value(n: int, cid: CharacterId, g: SDElement) -> CycloInt:
-    m = 4 * n
+@functools.lru_cache(maxsize=None)
+def value_terms(n: int, cid: CharacterId) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """Every character value as signed exponent terms; the one producer of
+    character values.
+
+    Entry i belongs to group.elements(n)[i]; the value there is the sum of
+    c * zeta^e over its pairs (e, c), with 0 <= e < 4n.  A linear character
+    has one term per element.  A degree-2 character has the two terms
+    zeta^(hr) and zeta^((2n-1)hr) at a^r and none on the reflections.
+    """
+    validate_id(n, cid)
+    order = 4 * n
     if cid.kind == "chi":
         exp_a = _CHI_A_EXPONENT[cid.param] * n  # chi(a) = zeta^(exp_a)
-        value = root_power(m, exp_a * g.r)
-        if g.s and _CHI_B_SIGN[cid.param] < 0:
-            value = -value
-        return value
-    if g.s:
-        return CycloInt.zero(m)
+        sign_b = _CHI_B_SIGN[cid.param]
+        return tuple(
+            ((exp_a * g.r % order, sign_b if g.s else 1),) for g in group.elements(n)
+        )
     h = cid.param
-    return root_power(m, h * g.r) + root_power(m, (2 * n - 1) * h * g.r)
+    rotations = tuple(
+        ((h * r % order, 1), ((2 * n - 1) * h * r % order, 1)) for r in range(order)
+    )
+    return rotations + ((),) * order
 
 
 @functools.lru_cache(maxsize=None)
 def value_table(n: int, cid: CharacterId) -> dict[SDElement, CycloInt]:
-    """Character values at every group element, computed once; the one
-    producer of character values."""
-    validate_id(n, cid)
-    return {g: _formula_value(n, cid, g) for g in group.elements(n)}
+    """Character values at every group element, reduced from value_terms.
+
+    Equal values share one CycloInt object.
+    """
+    order = 4 * n
+    distinct: dict[CycloInt, CycloInt] = {}
+    table = {}
+    for g, terms in zip(group.elements(n), value_terms(n, cid)):
+        vec = [0] * order
+        for e, c in terms:
+            vec[e] += c
+        value = from_exponents(order, vec)
+        table[g] = distinct.setdefault(value, value)
+    return table
 
 
 @dataclass(frozen=True)
@@ -201,14 +231,16 @@ def char_inner_product(n: int, id1: CharacterId, id2: CharacterId) -> tuple[Cycl
 
     Row orthonormality of the character table is the statement that the
     numerator equals 8n when id1 == id2 and 0 otherwise; callers assert this
-    exactly, with no division performed here.
+    exactly, with no division performed here.  The sum is taken over
+    exponents in Z[C_4n] and reduced once.
     """
-    t1 = value_table(n, id1)
-    t2 = value_table(n, id2)
-    acc = CycloInt.zero(4 * n)
-    for g in group.elements(n):
-        acc = acc + t1[g] * t2[g].conjugate()
-    return acc, 8 * n
+    order = 4 * n
+    vec = [0] * order  # conj(zeta^e2) = zeta^(-e2), so a term product adds e1 - e2
+    for terms1, terms2 in zip(value_terms(n, id1), value_terms(n, id2)):
+        for e1, c1 in terms1:
+            for e2, c2 in terms2:
+                vec[(e1 - e2) % order] += c1 * c2
+    return from_exponents(order, vec), 8 * n
 
 
 def parse_character_spec(n: int, spec: str) -> list[CharacterId]:

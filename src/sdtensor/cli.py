@@ -399,6 +399,9 @@ def main(argv=None) -> int:
     if args.format != "json" and args.format not in renderers:
         parser.error(f"{args.format} format is only available for the character table")
     try:
+        # A bad budget is a usage error on every subcommand, not only where
+        # enumeration reads it.
+        symclass.resolve_budget(args.budget)
         payload = build(args)
         report = payload if args.format == "json" else renderers[args.format](payload)
     except BudgetExceededError as exc:

@@ -10,6 +10,13 @@ which is what every orthogonality test in this package rests on.  Reducing
 modulo x^k - 1 instead would not give this: x^k - 1 is reducible, and
 distinct residues could denote the same complex number.
 
+Sums of many values are cheaper one step earlier, in the group ring
+Z[C_k] = Z[x]/(x^k - 1): there a value is an integer list of length k indexed
+by exponent, a product of powers of zeta adds exponents and conjugation
+negates them, with no reduction.  `from_exponents` is the ring map
+Z[C_k] -> Z[zeta_k], x -> zeta; it reduces such a list once, giving the
+canonical coordinates that equality and zero tests need.
+
 Integer polynomials appear in this module as plain tuples of arbitrary
 precision coefficients in ascending degree, trimmed of trailing zeros.
 """
@@ -25,6 +32,7 @@ class ExactDivisionError(ArithmeticError):
     """An exact integer division failed, or a value was not a rational integer."""
 
 
+@functools.lru_cache(maxsize=None)
 def euler_phi(k: int) -> int:
     """Euler's totient function.
 
@@ -261,6 +269,34 @@ def root_power(order: int, e: int) -> CycloInt:
     if order < 1:
         raise ValueError(f"order must be >= 1, got {order}")
     return CycloInt(order, _power_table(order)[e % order])
+
+
+def from_exponents(order: int, vec) -> CycloInt:
+    """The image of sum over e of vec[e] * x^e under x -> zeta_order.
+
+    vec has one integer per exponent 0..order-1.  The result is the
+    remainder of that polynomial modulo the cyclotomic polynomial, found by
+    cancelling its top coefficients one at a time; Phi_order is monic and has
+    few nonzero terms, so each step is cheap.
+
+    >>> from_exponents(8, [1, 0, 0, 0, 1, 0, 0, 0]).is_zero   # 1 + zeta^4 = 0
+    True
+    >>> from_exponents(8, [0, 2, 0, 0, 0, 0, 0, 3]).coeffs    # 2 zeta + 3 zeta^7
+    (0, 2, 0, -3)
+    """
+    if len(vec) != order:
+        raise ValueError(f"exponent vector must have length {order}, got {len(vec)}")
+    phi_poly = cyclotomic_polynomial(order)
+    deg = len(phi_poly) - 1
+    low = [(i, c) for i, c in enumerate(phi_poly[:deg]) if c]
+    rem = list(vec)
+    for e in range(order - 1, deg - 1, -1):
+        lead = rem[e]
+        if lead:
+            # modulo Phi, x^e = -x^(e-deg) * (Phi minus its leading term)
+            for i, c in low:
+                rem[e - deg + i] -= lead * c
+    return CycloInt(order, tuple(rem[:deg]))
 
 
 def exact_div(value, divisor: int):

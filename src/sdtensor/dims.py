@@ -4,9 +4,10 @@ Two independent computations are provided and cross-validated:
 
 * `dim_general` evaluates the trace of the symmetrizer,
   (chi(1)/8n) * sum over g of chi(g) * m^c(g), where c(g) is the cycle count
-  of the embedded permutation.  The sum is accumulated exactly in Z[zeta]
-  and must reduce to a rational integer divisible by 8n/chi(1); anything
-  else is a bug, never valid input.  This is the authoritative value.
+  of the embedded permutation.  The sum is accumulated exactly over the
+  exponents of zeta (chartab.value_terms), reduced once into Z[zeta], and
+  must be a rational integer divisible by 8n/chi(1); anything else is a
+  bug, never valid input.  This is the authoritative value.
 
 * `dim_closed_form` evaluates explicit per-character polynomial formulas
   (split by the parity of n).  The catalog of formulas carries two known
@@ -27,7 +28,7 @@ from math import gcd
 
 from . import chartab, group, perm
 from .chartab import CharacterId, index_sets
-from .cyclo import CycloInt, ExactDivisionError, exact_div, root_power
+from .cyclo import CycloInt, ExactDivisionError, exact_div, from_exponents
 
 
 def _bar(n: int, ks) -> tuple[int, ...]:
@@ -41,11 +42,13 @@ def dim_general(n: int, m: int, cid: CharacterId) -> int:
     chartab.validate_id(n, cid)
     if m < 1:
         raise ValueError(f"alphabet size m must be >= 1, got {m}")
-    values = chartab.value_table(n, cid)
-    acc = CycloInt.zero(4 * n)
-    for g in group.elements(n):
-        acc = acc + values[g] * (m ** perm.cycle_count_formula(n, g))
-    total = acc.to_int()  # must be rational: dimensions are integers
+    order = 4 * n
+    vec = [0] * order
+    for g, terms in zip(group.elements(n), chartab.value_terms(n, cid)):
+        weight = m ** perm.cycle_count_formula(n, g)
+        for e, c in terms:
+            vec[e] += c * weight
+    total = from_exponents(order, vec).to_int()  # must be rational: dimensions are integers
     return exact_div(total, 8 * n // cid.degree)
 
 
@@ -56,11 +59,12 @@ def _gcd_power_sum(n: int, m: int, ks) -> int:
 def _cos_sum_doubled(n: int, m: int, h: int, ks) -> CycloInt:
     """Sum over ks of m^gcd(4n,k) * (zeta^(hk) + zeta^(-hk)), i.e. 2*cos terms."""
     order = 4 * n
-    acc = CycloInt.zero(order)
+    vec = [0] * order
     for k in ks:
         weight = m ** (gcd(order, k) if k else order)
-        acc = acc + weight * (root_power(order, h * k) + root_power(order, -h * k))
-    return acc
+        vec[h * k % order] += weight
+        vec[-h * k % order] += weight
+    return from_exponents(order, vec)
 
 
 def dim_closed_form(n: int, m: int, cid: CharacterId) -> int:

@@ -7,6 +7,7 @@ group parameter n explicitly; values are immutable and hashable.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from math import gcd
 
@@ -56,6 +57,22 @@ def elements(n: int) -> tuple[SDElement, ...]:
     """All 8n elements, rotations first, in (s, r) order."""
     check_n(n)
     return tuple(SDElement(s, r) for s in (0, 1) for r in range(4 * n))
+
+
+def element_index(n: int, g: SDElement) -> int:
+    """Position of g in elements(n); g is not validated."""
+    return g.s * 4 * n + g.r
+
+
+@functools.lru_cache(maxsize=None)
+def product_table(n: int) -> tuple[tuple[int, ...], ...]:
+    """Cayley table on positions in elements(n): row i, column j is the
+    position of elements(n)[i] * elements(n)[j].  For inner loops over
+    elements already known to be valid; multiply checks its arguments."""
+    all_elements = elements(n)
+    return tuple(
+        tuple(element_index(n, multiply(n, g, h)) for h in all_elements) for g in all_elements
+    )
 
 
 def multiply(n: int, g: SDElement, h: SDElement) -> SDElement:

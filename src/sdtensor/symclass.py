@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 from . import chartab, group, perm
 from .chartab import CharacterId
-from .cyclo import CycloInt, exact_div, root_power
+from .cyclo import CycloInt, exact_div, from_exponents, root_power
 from .group import SDElement
 
 Sequence = tuple[int, ...]
@@ -58,7 +58,10 @@ class BudgetExceededError(RuntimeError):
 def resolve_budget(budget: int | None) -> int:
     if budget is None:
         env = os.environ.get(BUDGET_ENV_VAR)
-        budget = int(env) if env else DEFAULT_BUDGET
+        try:
+            budget = int(env) if env else DEFAULT_BUDGET
+        except ValueError:
+            raise ValueError(f"{BUDGET_ENV_VAR} must be an integer, got {env!r}") from None
     if budget < 0:
         raise ValueError(f"the sequence budget must be >= 0, got {budget}")
     return budget
@@ -168,11 +171,12 @@ def orbits(n: int, m: int, budget: int | None = None) -> list[OrbitData]:
 
 @functools.lru_cache(maxsize=None)
 def _subgroup_char_sum(n: int, cid: CharacterId, subgroup: frozenset) -> CycloInt:
-    values = chartab.value_table(n, cid)
-    acc = CycloInt.zero(4 * n)
+    terms = chartab.value_terms(n, cid)
+    vec = [0] * (4 * n)
     for g in subgroup:
-        acc = acc + values[g]
-    return acc
+        for e, c in terms[group.element_index(n, g)]:
+            vec[e] += c
+    return from_exponents(4 * n, vec)
 
 
 def stabilizer_char_sum(n: int, cid: CharacterId, alpha: Sequence) -> CycloInt:
@@ -224,21 +228,27 @@ def _gram_entries(
 
     A character is a class function, so that sum equals F(reps[i]^(-1) *
     reps[j]) with F(x) the character sum over x * stabilizer.  F is summed
-    once per element that occurs, never per entry.
+    over exponents and reduced once per element that occurs, never per entry.
     """
-    values = chartab.value_table(n, cid)
-    inverses = [group.inverse(n, s) for s in reps]
-    coset_sums: dict[SDElement, CycloInt] = {}
+    order = 4 * n
+    terms = chartab.value_terms(n, cid)
+    table = group.product_table(n)
+    stab = [group.element_index(n, h) for h in stabilizer]
+    cols = [group.element_index(n, s) for s in reps]
+    coset_sums: dict[int, CycloInt] = {}
     rows = []
-    for inv_i in inverses:
+    for sigma_i in reps:
+        inv_row = table[group.element_index(n, group.inverse(n, sigma_i))]
         row = []
-        for sigma_j in reps:
-            x = group.multiply(n, inv_i, sigma_j)
+        for j in cols:
+            x = inv_row[j]
             if x not in coset_sums:
-                acc = CycloInt.zero(4 * n)
-                for h in stabilizer:
-                    acc = acc + values[group.multiply(n, x, h)]
-                coset_sums[x] = acc
+                x_row = table[x]
+                vec = [0] * order
+                for h in stab:
+                    for e, c in terms[x_row[h]]:
+                        vec[e] += c
+                coset_sums[x] = from_exponents(order, vec)
             row.append(coset_sums[x])
         rows.append(tuple(row))
     return tuple(rows)
@@ -307,10 +317,12 @@ def _stabilizer_decision(
     char_sum = _subgroup_char_sum(n, cid, stabilizer)
     dim = _orbital_dim(n, cid, char_sum, len(members))
 
+    table = group.product_table(n)
+    stab = [group.element_index(n, h) for h in members]
     reps: list[SDElement] = []
     seen: set[frozenset] = set()
-    for g in group.elements(n):
-        coset = frozenset(group.multiply(n, g, h) for h in members)
+    for g, row in zip(group.elements(n), table):
+        coset = frozenset(row[h] for h in stab)
         if coset not in seen:
             seen.add(coset)
             reps.append(g)

@@ -102,6 +102,10 @@ def test_invalid_ids_rejected():
         character_value(2, zeta(0), SDElement(0, 0))
     with pytest.raises(ValueError):
         chartab.value_table(2, zeta(1))
+    with pytest.raises(ValueError):
+        chartab.value_terms(2, psi(2))  # psi parameter must be odd
+    with pytest.raises(ValueError):
+        char_inner_product(2, chi(0), chi(4))
 
 
 def test_class_function_property():

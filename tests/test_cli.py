@@ -13,7 +13,7 @@ import sdtensor
 from sdtensor import cli, symclass, verify
 from sdtensor.cli import main
 
-# (arguments, exit code, byte length, sha256) of small reports, pinned so
+# (arguments, exit code, byte length, sha256) of reports, pinned so
 # that any change to their bytes, witness order included, is caught.
 GOLDEN_REPORTS = [
     ("classes --n 2", 0, 1320,
@@ -44,6 +44,11 @@ GOLDEN_REPORTS = [
      "a8bba20556e388bd1f67ea4b873b878dc5c3bb879819c5ff381b919e5f33a9bc"),
     ("verify --n 2 --m 2", 1, 2205,
      "fa3a0934cc4d00d4efff12664727fdad01e85e14c939cb3c35a571739fa23255"),
+    # The reports of the benchmark's verify-table and dims-large workloads.
+    ("verify --n 20", 0, 1258,
+     "f39aa04b99ab59c54af7d8c53079706169961d367e91f5f479770d481d2e57fd"),
+    ("dims --n 48 --m 3", 0, 34445,
+     "f63ca841ecc13d1b2f225d20b6ed74864e5d90ffd58a1fab0d2185be0b534df8"),
 ]
 
 
@@ -224,6 +229,36 @@ def test_negative_budget_is_a_usage_error(capsys, monkeypatch):
     code, out, err = run_cli(capsys, "orbits", "--n", "2", "--m", "2")
     assert (code, out) == (2, "")
     assert "budget must be >= 0" in err
+
+
+@pytest.mark.parametrize("source", ["flag", "environment"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "classes --n 2",
+        "table --n 2",
+        "dims --n 2 --m 2",
+        "orbits --n 2 --m 2",
+        "basis --n 2 --m 2 --char zeta:2",
+        "verify --n 2",
+    ],
+)
+def test_negative_budget_is_a_usage_error_on_every_subcommand(capsys, monkeypatch, argv, source):
+    args = argv.split()
+    if source == "flag":
+        args += ["--budget", "-5"]
+    else:
+        monkeypatch.setenv("SDTENSOR_BUDGET", "-5")
+    code, out, err = run_cli(capsys, *args)
+    assert (code, out) == (2, "")
+    assert err.splitlines() == ["error: the sequence budget must be >= 0, got -5"]
+
+
+def test_non_integer_budget_variable_is_a_usage_error(capsys, monkeypatch):
+    monkeypatch.setenv("SDTENSOR_BUDGET", "1e7")
+    code, out, err = run_cli(capsys, "dims", "--n", "2", "--m", "2")
+    assert (code, out) == (2, "")
+    assert err.splitlines() == ["error: SDTENSOR_BUDGET must be an integer, got '1e7'"]
 
 
 def test_bad_character_spec_exit_code(capsys):

@@ -1,0 +1,162 @@
+"""Oracles for sums of character values taken over exponents of zeta.
+
+`cyclo.from_exponents` reduces an integer list indexed by exponent, an
+element of Z[C_k] = Z[x]/(x^k - 1), to Z[zeta_k].  Here it is checked as a
+ring map with hypothesis, and against sympy's remainder modulo the
+cyclotomic polynomial.  The sums built on it (`char_inner_product`,
+`dim_general`, `_cos_sum_doubled`) are compared with plain CycloInt loops
+kept in this file, over character values written out from the definitions.
+"""
+
+from math import gcd
+
+import pytest
+import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from sdtensor import chartab, dims, group, perm
+from sdtensor.cyclo import CycloInt, exact_div, from_exponents, root_power
+
+# chi_i(a) as a power of i = zeta^n, and chi_i(b), for i = 0..7.
+CHI_A_POWER_OF_I = (0, 0, 2, 2, 1, 1, 3, 3)
+CHI_B = (1, -1, 1, -1, 1, -1, 1, -1)
+
+
+def formula_value(n: int, cid, g) -> CycloInt:
+    order = 4 * n
+    if cid.kind == "chi":
+        value = root_power(order, CHI_A_POWER_OF_I[cid.param] * n * g.r)
+        return -value if g.s and CHI_B[cid.param] < 0 else value
+    if g.s:
+        return CycloInt.zero(order)
+    h = cid.param
+    return root_power(order, h * g.r) + root_power(order, (2 * n - 1) * h * g.r)
+
+
+def formula_table(n: int, cid) -> list[CycloInt]:
+    return [formula_value(n, cid, g) for g in group.elements(n)]
+
+
+def reference_inner_product(left: list[CycloInt], conj_right: list[CycloInt], order: int) -> CycloInt:
+    """Sum of left[i] * conj_right[i], the right factor already conjugated."""
+    acc = CycloInt.zero(order)
+    for x, y in zip(left, conj_right):
+        acc = acc + x * y
+    return acc
+
+
+def cyclic_product(a: list[int], b: list[int]) -> list[int]:
+    order = len(a)
+    out = [0] * order
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[(i + j) % order] += x * y
+    return out
+
+
+@st.composite
+def exponent_vectors(draw, count, even=True):
+    """An order and count integer lists of that length."""
+    order = draw(st.integers(1, 40).map(lambda k: 2 * k) if even else st.integers(1, 80))
+    vector = st.lists(st.integers(-50, 50), min_size=order, max_size=order)
+    return order, [draw(vector) for _ in range(count)]
+
+
+# CycloInt multiplication needs an even order (see cyclo._power_table).
+@settings(max_examples=60, deadline=None)
+@given(exponent_vectors(2))
+def test_from_exponents_is_a_ring_homomorphism(case):
+    order, (a, b) = case
+    fa, fb = from_exponents(order, a), from_exponents(order, b)
+    assert from_exponents(order, [x + y for x, y in zip(a, b)]) == fa + fb
+    assert from_exponents(order, cyclic_product(a, b)) == fa * fb
+    assert from_exponents(order, [1] + [0] * (order - 1)) == CycloInt.one(order)
+
+
+@settings(max_examples=60, deadline=None)
+@given(exponent_vectors(1))
+def test_from_exponents_turns_exponent_negation_into_conjugation(case):
+    order, (a,) = case
+    negated = [a[-e % order] for e in range(order)]
+    assert from_exponents(order, negated) == from_exponents(order, a).conjugate()
+
+
+@settings(max_examples=60, deadline=None)
+@given(exponent_vectors(1, even=False))
+def test_from_exponents_is_the_remainder_modulo_the_cyclotomic_polynomial(case):
+    order, (a,) = case
+    x = sympy.Symbol("x")
+    remainder = sympy.rem(sympy.Poly(list(reversed(a)), x), sympy.Poly(sympy.cyclotomic_poly(order, x), x))
+    coeffs = [int(c) for c in reversed(remainder.all_coeffs())]
+    phi = sympy.totient(order)
+    assert from_exponents(order, a).coeffs == tuple(coeffs + [0] * (phi - len(coeffs)))
+
+
+def test_from_exponents_rejects_a_wrong_length():
+    with pytest.raises(ValueError):
+        from_exponents(8, [1, 2, 3])
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_value_table_equals_the_formula_and_is_interned(n):
+    for cid in chartab.character_ids(n):
+        table = chartab.value_table(n, cid)
+        assert list(table) == list(group.elements(n))
+        assert list(table.values()) == formula_table(n, cid)
+        assert len({id(v) for v in table.values()}) == len(set(table.values()))
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_inner_products_match_the_reference_loop(n):
+    ids = chartab.character_ids(n)
+    tables = {cid: formula_table(n, cid) for cid in ids}
+    conjugates = {cid: [v.conjugate() for v in table] for cid, table in tables.items()}
+    for i, id1 in enumerate(ids):
+        for id2 in ids[i:]:
+            num, den = chartab.char_inner_product(n, id1, id2)
+            assert den == 8 * n
+            assert num == reference_inner_product(tables[id1], conjugates[id2], 4 * n)
+            assert num == CycloInt.from_int(4 * n, 8 * n if id1 == id2 else 0)
+
+
+def test_all_inner_products_at_n20_match_class_weighted_sums():
+    n = 20
+    classes = group.conjugacy_classes(n).classes
+    ids = chartab.character_ids(n)
+    # a character is a class function: weight each representative by its class size
+    columns = {
+        cid: [len(members) * formula_value(n, cid, rep) for rep, members in classes] for cid in ids
+    }
+    conjugates = {cid: [formula_value(n, cid, rep).conjugate() for rep, _ in classes] for cid in ids}
+    for i, id1 in enumerate(ids):
+        for id2 in ids[i:]:
+            num, _ = chartab.char_inner_product(n, id1, id2)
+            assert num == reference_inner_product(columns[id1], conjugates[id2], 4 * n)
+            assert num == CycloInt.from_int(4 * n, 8 * n if id1 == id2 else 0)
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_dim_general_matches_the_reference_loop(n):
+    for cid in chartab.character_ids(n):
+        values = formula_table(n, cid)
+        for m in (1, 2, 3):
+            acc = CycloInt.zero(4 * n)
+            for g, value in zip(group.elements(n), values):
+                acc = acc + value * m ** perm.cycle_count_formula(n, g)
+            want = exact_div(acc.to_int(), 8 * n // cid.degree)
+            assert dims.dim_general(n, m, cid) == want
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_cos_sum_doubled_matches_the_reference_loop(n):
+    order = 4 * n
+    sets = chartab.index_sets(n)
+    for h in range(1, 2 * n):
+        for ks in (range(order), sets.Cdag_even):
+            for m in (2, 3):
+                acc = CycloInt.zero(order)
+                for k in ks:
+                    weight = m ** (gcd(order, k) if k else order)
+                    acc = acc + weight * (root_power(order, h * k) + root_power(order, -h * k))
+                assert dims._cos_sum_doubled(n, m, h, ks) == acc
