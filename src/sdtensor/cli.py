@@ -5,7 +5,9 @@ machine format and is byte-identical across runs for identical arguments;
 CSV is available for the character table only; pretty mode renders
 character values as trigonometric expressions next to their exact
 coordinates.  COMMANDS maps each subcommand to its payload builder and its
-text renderers; `_emit` writes the rendered text or streams the JSON payload.
+text renderers; `_emit` writes the rendered text, or streams the JSON payload
+through the one JSON writer, `_write_json`, whose bytes are those of
+json.dump(payload, indent=2, sort_keys=True) plus a newline.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 budget
 refusal, 4 the report could not be written (an unwritable --output, or a
@@ -358,6 +360,93 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# The JSON writer hands the file at most this many characters per write, so
+# its memory does not grow with the report.
+_WRITE_CHARS = 1 << 16
+
+
+def _write_json(fh, payload) -> None:
+    """Write payload to fh exactly as json.dump(payload, fh, indent=2,
+    sort_keys=True) followed by a newline would, in writes of at most
+    _WRITE_CHARS characters (unless one string or int list is longer).
+
+    A list of plain ints is rendered by one join.  Anything that is not a
+    str, int, bool, None, or a non-empty list, tuple or str-keyed dict goes
+    to json.dumps, so floats match and an unserializable value raises
+    TypeError.
+
+    >>> import io
+    >>> out = io.StringIO()
+    >>> _write_json(out, {"b": [1, 2], "a": {"y": (True, 1.5), "x": None}})
+    >>> print(out.getvalue(), end="")
+    {
+      "a": {
+        "x": null,
+        "y": [
+          true,
+          1.5
+        ]
+      },
+      "b": [
+        1,
+        2
+      ]
+    }
+    """
+    encode = json.encoder.encode_basestring_ascii
+    pieces: list[str] = []
+    held = 0
+
+    def put(piece: str) -> None:
+        nonlocal held
+        if held + len(piece) > _WRITE_CHARS and pieces:
+            fh.write("".join(pieces))
+            pieces.clear()
+            held = 0
+        pieces.append(piece)
+        held += len(piece)
+
+    def render(value, indent: str, lead: str) -> None:
+        """Render value after lead, the separator and key that precede it."""
+        # The order of these tests is json.encoder's: bool before int.
+        if isinstance(value, str):
+            put(lead + encode(value))
+        elif value is None:
+            put(lead + "null")
+        elif value is True:
+            put(lead + "true")
+        elif value is False:
+            put(lead + "false")
+        elif isinstance(value, int):
+            put(lead + int.__repr__(value))
+        elif isinstance(value, (list, tuple)) and value:
+            inner = indent + "  "
+            if {*map(type, value)} == {int}:
+                items = (",\n" + inner).join(map(str, value))
+                put(lead + "[\n" + inner + items + "\n" + indent + "]")
+                return
+            sep = lead + "[\n" + inner
+            for item in value:
+                render(item, inner, sep)
+                sep = ",\n" + inner
+            put("\n" + indent + "]")
+        elif isinstance(value, dict) and value and all(isinstance(key, str) for key in value):
+            inner = indent + "  "
+            sep = lead + "{\n" + inner
+            for key in sorted(value):
+                render(value[key], inner, sep + encode(key) + ": ")
+                sep = ",\n" + inner
+            put("\n" + indent + "}")
+        else:
+            # Empty containers, floats and the rest.  JSON strings hold no
+            # raw newline, so re-indenting is exact.
+            put(lead + json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n" + indent))
+
+    render(payload, "", "")
+    put("\n")
+    fh.write("".join(pieces))
+
+
 def _emit(report: str | dict, output: str | None) -> None:
     """Write a text report, or stream a JSON payload, to stdout or to output.
 
@@ -375,8 +464,7 @@ def _emit(report: str | dict, output: str | None) -> None:
             if isinstance(report, str):
                 fh.write(report)
             else:
-                json.dump(report, fh, indent=2, sort_keys=True)
-                fh.write("\n")
+                _write_json(fh, report)
             # A closed pipe must fail here, where main reports it, not at shutdown.
             fh.flush()
         if partial:

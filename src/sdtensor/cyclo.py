@@ -122,8 +122,9 @@ def cyclotomic_polynomial(k: int) -> tuple[int, ...]:
 def _power_table(order: int) -> tuple[tuple[int, ...], ...]:
     """Coordinates of x^e mod Phi_order for every e in [0, order).
 
-    Since order is even in all uses here, 2*phi(order) - 2 < order, so this
-    table covers every exponent produced by multiplying two reduced values.
+    Exponents from order on are reduced modulo order first, since
+    zeta^order = 1: a product of two reduced values reaches 2*phi(order) - 2,
+    which is order or more when order is an odd prime, for example.
     """
     phi_poly = cyclotomic_polynomial(order)
     deg = len(phi_poly) - 1
@@ -226,7 +227,7 @@ class CycloInt:
             for j, b in enumerate(other.coeffs):
                 if b == 0:
                     continue
-                row = table[i + j]
+                row = table[(i + j) % self.order]
                 ab = a * b
                 for t in range(phi):
                     acc[t] += ab * row[t]

@@ -80,12 +80,19 @@ def _action_maps(n: int) -> dict[SDElement, tuple[int, ...]]:
     }
 
 
+@functools.lru_cache(maxsize=None)
+def _position_getters(n: int) -> dict[SDElement, operator.itemgetter]:
+    """For each g, the action map as an itemgetter: act(n, g, alpha)
+    without its checks, for elements and sequences the package produced."""
+    return {g: operator.itemgetter(*pos) for g, pos in _action_maps(n).items()}
+
+
 def act(n: int, g: SDElement, alpha: Sequence) -> Sequence:
     """Left action on sequences: act(gh, alpha) == act(g, act(h, alpha))."""
     if len(alpha) != 4 * n:
         raise ValueError(f"sequence length {len(alpha)} does not match 4n = {4 * n}")
     group.check_element(n, g)
-    return tuple(alpha[i] for i in _action_maps(n)[g])
+    return _position_getters(n)[g](alpha)
 
 
 @dataclass(frozen=True, slots=True)
@@ -372,6 +379,7 @@ def decide_orthogonal_basis(cid: CharacterId, orbit_list: list[OrbitData]) -> Ba
     """
     n, m = orbit_list[0].n, orbit_list[0].m
     chartab.validate_id(n, cid)
+    getters = _position_getters(n)
 
     def judge(orbit: OrbitData) -> OrbitalOutcome | None:
         stab = frozenset(orbit.stabilizer)
@@ -380,7 +388,7 @@ def decide_orthogonal_basis(cid: CharacterId, orbit_list: list[OrbitData]) -> Ba
         dim, found, sigmas = _stabilizer_decision(n, cid, stab)
         witness = None
         if found:
-            witness = tuple(act(n, s, orbit.representative) for s in sigmas)
+            witness = tuple(getters[s](orbit.representative) for s in sigmas)
         return OrbitalOutcome(
             representative=orbit.representative,
             orbit_size=orbit.size,

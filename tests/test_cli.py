@@ -1,5 +1,6 @@
 import errno
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -8,6 +9,8 @@ import threading
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import sdtensor
 from sdtensor import cli, symclass, verify
@@ -67,6 +70,80 @@ def assert_golden(capsys, argv, code, length, sha256):
 @pytest.mark.parametrize("argv, code, length, sha256", GOLDEN_REPORTS, ids=[g[0] for g in GOLDEN_REPORTS])
 def test_golden_report_bytes(capsys, argv, code, length, sha256):
     assert_golden(capsys, argv, code, length, sha256)
+
+
+def written_json(payload) -> str:
+    out = io.StringIO()
+    cli._write_json(out, payload)
+    return out.getvalue()
+
+
+def dumped_json(payload) -> str:
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+JSON_KEYS = st.text() | st.sampled_from(["", '"', "\\", "\x00\x1f\n\t\u2028", "é✓", "\ud800"])
+JSON_SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(-(2**80), 2**80)
+    | st.floats()
+    | JSON_KEYS
+    | st.lists(st.integers() | st.booleans())
+)
+JSON_VALUES = st.recursive(
+    JSON_SCALARS,
+    lambda children: (
+        st.lists(children)
+        | st.lists(children).map(tuple)
+        | st.dictionaries(JSON_KEYS, children)
+        | st.dictionaries(st.integers(), children)
+    ),
+    max_leaves=40,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(JSON_VALUES)
+def test_json_writer_matches_json_dumps(payload):
+    assert written_json(payload) == dumped_json(payload)
+
+
+def test_json_writer_rejects_what_json_rejects():
+    for payload in ({"a": [1, object()]}, [{1, 2}], {"k": {(1, 2): 3}}):
+        with pytest.raises(TypeError):
+            written_json(payload)
+
+
+@pytest.mark.parametrize("argv", [g[0] for g in GOLDEN_REPORTS if "--format" not in g[0]])
+def test_json_writer_matches_json_dumps_on_golden_payloads(argv):
+    args = cli.build_parser().parse_args(argv.split())
+    payload = cli.COMMANDS[args.command][0](args)
+    assert written_json(payload) == dumped_json(payload)
+
+
+class RecordingFile(io.StringIO):
+    """A text file that remembers the length of every write."""
+
+    def __init__(self):
+        super().__init__()
+        self.sizes = []
+
+    def write(self, text):
+        self.sizes.append(len(text))
+        return super().write(text)
+
+
+def test_json_report_is_streamed_in_bounded_writes(monkeypatch):
+    stdout = RecordingFile()
+    monkeypatch.setattr(sys, "stdout", stdout)
+    assert main(["basis", "--n", "2", "--m", "2", "--char", "all"]) == 0
+    data = stdout.getvalue().encode()
+    (pinned,) = [g[2:] for g in GOLDEN_REPORTS if g[0] == "basis --n 2 --m 2 --char all"]
+    assert (len(data), hashlib.sha256(data).hexdigest()) == pinned
+    assert len(stdout.sizes) > 1
+    assert max(stdout.sizes) <= cli._WRITE_CHARS
 
 
 def test_classes_json(capsys):
@@ -319,11 +396,11 @@ def test_failed_write_keeps_the_previous_report(tmp_path, capsys, monkeypatch):
     target = tmp_path / "report.json"
     target.write_text("previous report\n")
 
-    def disk_full(obj, fh, **kwargs):
+    def disk_full(fh, payload):
         fh.write('{"class_count": ')
         raise OSError(errno.ENOSPC, "No space left on device")
 
-    monkeypatch.setattr(json, "dump", disk_full)
+    monkeypatch.setattr(cli, "_write_json", disk_full)
     code, out, err = run_cli(capsys, "classes", "--n", "2", "--output", str(target))
     assert (code, out) == (4, "")
     assert err.startswith("error: ") and len(err.splitlines()) == 1

@@ -65,6 +65,15 @@ def test_root_power_inverse_pairs():
             assert (root_power(order, e) * root_power(order, order - e)).to_int() == 1
 
 
+def test_product_at_an_odd_order():
+    # 3 + 3 = 6 exceeds the order 5, so the exponent must wrap around.
+    assert root_power(5, 3) * root_power(5, 3) == root_power(5, 1)
+    for order in (3, 5, 7, 9, 15):
+        for i in range(order):
+            for j in range(order):
+                assert root_power(order, i) * root_power(order, j) == root_power(order, i + j)
+
+
 def test_half_turn_is_minus_one():
     for n in (2, 3, 4, 5):
         order = 4 * n
