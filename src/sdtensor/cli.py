@@ -194,10 +194,12 @@ def _dims_pretty(payload: dict) -> str:
 
 def _orbits_payload(args) -> dict:
     n, m = args.n, args.m
-    orbit_list = symclass.orbits(n, m, args.budget)
+    if args.char == "all":
+        raise ValueError("orbits takes one character; --char all is for basis")
     cid = None
-    if args.char and args.char != "all":
+    if args.char:
         (cid,) = chartab.parse_character_spec(n, args.char)
+    orbit_list = symclass.orbits(n, m, args.budget)
     payload = {
         "n": n,
         "m": m,
@@ -326,7 +328,7 @@ def _add_common(parser, with_m=False, m_required=False, with_char=False, char_re
         parser.add_argument(
             "--char",
             required=char_required,
-            help="character spec: chi:<i> | zeta:<h> | psi:<h> | all",
+            help="character spec: chi:<i> | zeta:<h> | psi:<h> | all (basis only)",
         )
     parser.add_argument("--format", choices=("json", "csv", "pretty"), default="json")
     parser.add_argument("--output", help="write report to this path instead of stdout")

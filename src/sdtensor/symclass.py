@@ -1,12 +1,13 @@
 """Orbits, stabilizers, exact Gram matrices, and orthogonal-basis decisions.
 
 The group SD_{8n} acts on length-4n sequences over the alphabet {1, ..., m}
-by permuting positions through its embedding into S_{4n}.  Each orbit whose
-stabilizer character sum is nonzero carries an orbital subspace of the
-symmetry class, spanned by the decomposable symmetrized tensors of its
-members.  Inner products between those tensors are, up to one global
-positive factor, sums of character values over translated stabilizer
-cosets; they live in Z[zeta] and are compared to zero exactly.
+by permuting positions through its embedding into S_{4n}, read from one
+cached action table.  Each orbit whose stabilizer character sum is nonzero
+carries an orbital subspace of the symmetry class, spanned by the
+decomposable symmetrized tensors of its members.  Inner products between
+those tensors are, up to one global positive factor, character sums F(xH)
+over left cosets of the stabilizer H, summed once per coset by one kernel;
+they live in Z[zeta] and are compared to zero exactly.
 
 The orthogonal-basis question for a symmetry class reduces to: does every
 orbital subspace contain as many pairwise-orthogonal member tensors as its
@@ -68,31 +69,29 @@ def resolve_budget(budget: int | None) -> int:
 
 
 @functools.lru_cache(maxsize=None)
-def _action_maps(n: int) -> dict[SDElement, tuple[int, ...]]:
-    """For each g, in group.elements order, the 0-based position map
-    sending alpha to g.alpha.
+def _action_maps(n: int) -> dict[SDElement, operator.itemgetter]:
+    """The one action table: for each g, in group.elements order, an
+    itemgetter sending alpha to g.alpha, unchecked.
 
-    (g.alpha)[t] = alpha[T(g)^(-1)(t)], so the map stores the inverse images.
+    (g.alpha)[t] = alpha[T(g)^(-1)(t)], so the getter reads the 0-based
+    inverse images.
     """
     return {
-        g: tuple(p - 1 for p in perm.inverse(perm.embed(n, g)).images)
+        g: operator.itemgetter(*(p - 1 for p in perm.inverse(perm.embed(n, g)).images))
         for g in group.elements(n)
     }
 
 
-@functools.lru_cache(maxsize=None)
-def _position_getters(n: int) -> dict[SDElement, operator.itemgetter]:
-    """For each g, the action map as an itemgetter: act(n, g, alpha)
-    without its checks, for elements and sequences the package produced."""
-    return {g: operator.itemgetter(*pos) for g, pos in _action_maps(n).items()}
+def _check_length(n: int, alpha: Sequence) -> None:
+    if len(alpha) != 4 * n:
+        raise ValueError(f"sequence length {len(alpha)} does not match 4n = {4 * n}")
 
 
 def act(n: int, g: SDElement, alpha: Sequence) -> Sequence:
     """Left action on sequences: act(gh, alpha) == act(g, act(h, alpha))."""
-    if len(alpha) != 4 * n:
-        raise ValueError(f"sequence length {len(alpha)} does not match 4n = {4 * n}")
+    _check_length(n, alpha)
     group.check_element(n, g)
-    return _position_getters(n)[g](alpha)
+    return _action_maps(n)[g](alpha)
 
 
 @dataclass(frozen=True, slots=True)
@@ -123,8 +122,8 @@ def _orbit_from_representative(n: int, m: int, rep: Sequence) -> tuple[OrbitData
     """The orbit of rep, and its sorted members for the caller to mark."""
     first_map: dict[Sequence, SDElement] = {}
     stabilizer = []
-    for g, pos in _action_maps(n).items():
-        seq = tuple(rep[i] for i in pos)
+    for g, move in _action_maps(n).items():
+        seq = move(rep)
         if seq not in first_map:
             first_map[seq] = g
         if seq == rep:
@@ -176,14 +175,37 @@ def orbits(n: int, m: int, budget: int | None = None) -> list[OrbitData]:
     return result
 
 
+def _coset_sums(n: int, cid: CharacterId, subgroup) -> tuple[list[int], list[int], list[CycloInt]]:
+    """The left cosets xH of a subgroup, on element positions.
+
+    Cosets are numbered in order of their first elements in group.elements
+    order.  Returns those first positions, the coset number of every
+    position, and F(xH), the character sum over each coset: one exponent
+    vector per coset, reduced once.  The identity's coset, number 0, is H.
+    """
+    order = 4 * n
+    terms = chartab.value_terms(n, cid)
+    stab = [group.element_index(n, h) for h in subgroup]
+    firsts: list[int] = []
+    number = [-1] * (2 * order)
+    sums = []
+    for x, row in enumerate(group.product_table(n)):
+        if number[x] >= 0:
+            continue
+        vec = [0] * order
+        for h in stab:
+            number[row[h]] = len(firsts)
+            for e, c in terms[row[h]]:
+                vec[e] += c
+        firsts.append(x)
+        sums.append(from_exponents(order, vec))
+    return firsts, number, sums
+
+
 @functools.lru_cache(maxsize=None)
 def _subgroup_char_sum(n: int, cid: CharacterId, subgroup: frozenset) -> CycloInt:
-    terms = chartab.value_terms(n, cid)
-    vec = [0] * (4 * n)
-    for g in subgroup:
-        for e, c in terms[group.element_index(n, g)]:
-            vec[e] += c
-    return from_exponents(4 * n, vec)
+    """F(H), the character sum over the subgroup: the identity's coset."""
+    return _coset_sums(n, cid, subgroup)[2][0]
 
 
 def stabilizer_char_sum(n: int, cid: CharacterId, alpha: Sequence) -> CycloInt:
@@ -193,7 +215,8 @@ def stabilizer_char_sum(n: int, cid: CharacterId, alpha: Sequence) -> CycloInt:
     exactly when this sum is nonzero.
     """
     chartab.validate_id(n, cid)
-    stab = frozenset(g for g, pos in _action_maps(n).items() if tuple(alpha[i] for i in pos) == alpha)
+    _check_length(n, alpha)
+    stab = frozenset(g for g, move in _action_maps(n).items() if move(alpha) == alpha)
     return _subgroup_char_sum(n, cid, stab)
 
 
@@ -227,50 +250,31 @@ def _orbital_dim(n: int, cid: CharacterId, char_sum: CycloInt, stab_order: int) 
     return exact_div(cid.degree * char_sum.to_int(), stab_order)
 
 
-def _gram_entries(
-    n: int, cid: CharacterId, stabilizer, reps
-) -> tuple[tuple[CycloInt, ...], ...]:
-    """Scaled Gram entries: entry (i, j) is the character sum over
-    reps[j] * stabilizer * reps[i]^(-1).
-
-    A character is a class function, so that sum equals F(reps[i]^(-1) *
-    reps[j]) with F(x) the character sum over x * stabilizer.  F is summed
-    over exponents and reduced once per element that occurs, never per entry.
-    """
-    order = 4 * n
-    terms = chartab.value_terms(n, cid)
-    table = group.product_table(n)
-    stab = [group.element_index(n, h) for h in stabilizer]
-    cols = [group.element_index(n, s) for s in reps]
-    coset_sums: dict[int, CycloInt] = {}
-    rows = []
-    for sigma_i in reps:
-        inv_row = table[group.element_index(n, group.inverse(n, sigma_i))]
-        row = []
-        for j in cols:
-            x = inv_row[j]
-            if x not in coset_sums:
-                x_row = table[x]
-                vec = [0] * order
-                for h in stab:
-                    for e, c in terms[x_row[h]]:
-                        vec[e] += c
-                coset_sums[x] = from_exponents(order, vec)
-            row.append(coset_sums[x])
-        rows.append(tuple(row))
-    return tuple(rows)
+def _inverse_row(table, x: int) -> tuple[int, ...]:
+    """Row of x^(-1): the column where row x holds the identity, position 0."""
+    return table[table[x].index(0)]
 
 
 def gram(n: int, cid: CharacterId, orbit: OrbitData) -> GramData:
-    """Exact Gram data for the orbital subspace of an orbit in Omega."""
+    """Exact Gram data for the orbital subspace of an orbit in Omega.
+
+    A character is a class function, so entry (i, j), the sum over
+    sigma_j * H * sigma_i^(-1), equals F(sigma_i^(-1) sigma_j H).
+    """
     chartab.validate_id(n, cid)
     char_sum = _subgroup_char_sum(n, cid, frozenset(orbit.stabilizer))
     if char_sum.is_zero:
         raise ValueError("representative is not in Omega; the orbital subspace is zero")
+    _, number, sums = _coset_sums(n, cid, orbit.stabilizer)
+    table = group.product_table(n)
+    cols = [group.element_index(n, s) for s in orbit.coset_reps]
     return GramData(
         orbit=orbit,
         character=cid,
-        entries=_gram_entries(n, cid, orbit.stabilizer, orbit.coset_reps),
+        entries=tuple(
+            tuple(sums[number[inv_row[j]]] for j in cols)
+            for inv_row in (_inverse_row(table, i) for i in cols)
+        ),
         orbital_dim=_orbital_dim(n, cid, char_sum, orbit.stabilizer_order),
     )
 
@@ -314,35 +318,28 @@ def _stabilizer_decision(
     coset representatives or None); witness members of a concrete orbit are
     recovered by acting with the representatives on its representative.
 
-    Vertices are coset representatives, in group.elements order; edges join
-    pairs whose scaled Gram entry is exactly zero.  A clique of size
-    orbital_dim is a set of nonzero, pairwise-orthogonal tensors inside the
-    orbital subspace, hence a basis of it.  The search is exhaustive, so a
-    negative answer is a proof of nonexistence.
+    Vertices are the cosets, named by their first elements x_i in
+    group.elements order; x_i and x_j are joined when the scaled Gram entry
+    F(x_i^(-1) x_j H) is exactly zero, read off one zero test per coset.  A
+    clique of size orbital_dim is a set of nonzero, pairwise-orthogonal
+    tensors inside the orbital subspace, hence a basis of it.  The search is
+    exhaustive, so a negative answer is a proof of nonexistence.
     """
-    members = sorted(stabilizer)
     char_sum = _subgroup_char_sum(n, cid, stabilizer)
-    dim = _orbital_dim(n, cid, char_sum, len(members))
+    dim = _orbital_dim(n, cid, char_sum, len(stabilizer))
 
+    firsts, number, sums = _coset_sums(n, cid, stabilizer)
+    zero = [s.is_zero for s in sums]
     table = group.product_table(n)
-    stab = [group.element_index(n, h) for h in members]
-    reps: list[SDElement] = []
-    seen: set[frozenset] = set()
-    for g, row in zip(group.elements(n), table):
-        coset = frozenset(row[h] for h in stab)
-        if coset not in seen:
-            seen.add(coset)
-            reps.append(g)
-
-    entries = _gram_entries(n, cid, members, reps)
-    neighbors = [
-        {j for j, entry in enumerate(row) if j != i and entry.is_zero}
-        for i, row in enumerate(entries)
-    ]
+    neighbors = []
+    for i, x in enumerate(firsts):
+        inv_row = _inverse_row(table, x)
+        neighbors.append({j for j, y in enumerate(firsts) if j != i and zero[number[inv_row[y]]]})
     clique = _find_clique(neighbors, dim)
     if clique is None:
         return dim, False, None
-    return dim, True, tuple(reps[v] for v in sorted(clique))
+    elements = group.elements(n)
+    return dim, True, tuple(elements[firsts[v]] for v in sorted(clique))
 
 
 @dataclass(frozen=True)
@@ -379,7 +376,7 @@ def decide_orthogonal_basis(cid: CharacterId, orbit_list: list[OrbitData]) -> Ba
     """
     n, m = orbit_list[0].n, orbit_list[0].m
     chartab.validate_id(n, cid)
-    getters = _position_getters(n)
+    moves = _action_maps(n)
 
     def judge(orbit: OrbitData) -> OrbitalOutcome | None:
         stab = frozenset(orbit.stabilizer)
@@ -388,7 +385,7 @@ def decide_orthogonal_basis(cid: CharacterId, orbit_list: list[OrbitData]) -> Ba
         dim, found, sigmas = _stabilizer_decision(n, cid, stab)
         witness = None
         if found:
-            witness = tuple(getters[s](orbit.representative) for s in sigmas)
+            witness = tuple(moves[s](orbit.representative) for s in sigmas)
         return OrbitalOutcome(
             representative=orbit.representative,
             orbit_size=orbit.size,

@@ -344,6 +344,23 @@ def test_bad_character_spec_exit_code(capsys):
     assert "error" in err
 
 
+def test_orbits_rejects_a_bad_character_before_enumerating(capsys, monkeypatch):
+    def fail(*args):
+        raise AssertionError("orbits enumerated before the character was parsed")
+
+    monkeypatch.setattr(symclass, "orbits", fail)
+    code, out, err = run_cli(capsys, "orbits", "--n", "4", "--m", "2", "--char", "chi:99")
+    assert (code, out) == (2, "")
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+def test_orbits_with_every_character_is_a_usage_error(capsys):
+    # one report carries one character's Omega flags; "all" would drop them
+    code, out, err = run_cli(capsys, "orbits", "--n", "2", "--m", "2", "--char", "all")
+    assert (code, out) == (2, "")
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["classes"])  # missing --n

@@ -4,6 +4,8 @@ import random
 import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sdtensor import chartab, dims, group, symclass
 from sdtensor.chartab import chi, index_sets, psi, zeta
@@ -159,6 +161,67 @@ def test_stabilizer_char_sum_examples():
     assert stabilizer_char_sum(2, zeta(2), (1,) * 8).is_zero
     # marked sequence: stabilizer {1, ba^2} gives zeta_2(1) + 0 = 2
     assert stabilizer_char_sum(2, zeta(2), ONE_TWO).to_int() == 2
+
+
+def test_stabilizer_char_sum_rejects_a_wrong_length():
+    for alpha in ((1,) * 9, (1, 2, 2)):
+        with pytest.raises(ValueError, match="does not match 4n"):
+            stabilizer_char_sum(2, chi(0), alpha)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_coset_sums_match_explicit_cosets(n):
+    # For every distinct stabilizer H of orbits(n, 2) and every character,
+    # the kernel's cosets are the sets {x h : h in H} built with multiply:
+    # they partition G, coset 0 is H, each is named by its first element in
+    # group.elements order, and its sum is a plain CycloInt sum of values.
+    elements = group.elements(n)
+    for stab in {frozenset(o.stabilizer) for o in orbits(n, 2)}:
+        for cid in chartab.character_ids(n):
+            firsts, number, sums = symclass._coset_sums(n, cid, stab)
+            cosets = [{group.multiply(n, elements[x], h) for h in stab} for x in firsts]
+            assert sorted(g for coset in cosets for g in coset) == list(elements)
+            assert cosets[0] == stab
+            for k, (x, coset) in enumerate(zip(firsts, cosets)):
+                positions = {group.element_index(n, g) for g in coset}
+                assert x == min(positions)
+                assert {number[p] for p in positions} == {k}
+                expected = CycloInt.zero(4 * n)
+                for g in coset:
+                    expected = expected + chartab.character_value(n, cid, g)
+                assert sums[k] == expected, (n, cid, sorted(stab), k)
+
+
+@st.composite
+def group_elements(draw, count):
+    """A group parameter n in 2..10 and count elements of SD_{8n}."""
+    n = draw(st.integers(2, 10))
+    return n, [draw(st.sampled_from(group.elements(n))) for _ in range(count)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(group_elements(2))
+def test_product_table_agrees_with_multiply(case):
+    n, (g, h) = case
+    product = group.product_table(n)[group.element_index(n, g)][group.element_index(n, h)]
+    assert group.elements(n)[product] == group.multiply(n, g, h)
+
+
+@settings(max_examples=60, deadline=None)
+@given(group_elements(1))
+def test_inverse_read_off_the_table_agrees_with_inverse(case):
+    n, (g,) = case
+    table = group.product_table(n)
+    inverse_row = symclass._inverse_row(table, group.element_index(n, g))
+    assert inverse_row == table[group.element_index(n, group.inverse(n, g))]
+
+
+@settings(max_examples=60, deadline=None)
+@given(group_elements(2), st.randoms(use_true_random=False))
+def test_act_is_a_left_action_at_random_n(case, rng):
+    n, (g, h) = case
+    alpha = tuple(rng.randint(1, 3) for _ in range(4 * n))
+    assert act(n, group.multiply(n, g, h), alpha) == act(n, g, act(n, h, alpha))
 
 
 def test_zeta_stabilizer_sums_follow_cyclic_intersection():
