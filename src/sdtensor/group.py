@@ -68,11 +68,21 @@ def element_index(n: int, g: SDElement) -> int:
 def product_table(n: int) -> tuple[tuple[int, ...], ...]:
     """Cayley table on positions in elements(n): row i, column j is the
     position of elements(n)[i] * elements(n)[j].  For inner loops over
-    elements already known to be valid; multiply checks its arguments."""
-    all_elements = elements(n)
-    return tuple(
-        tuple(element_index(n, multiply(n, g, h)) for h in all_elements) for g in all_elements
-    )
+    elements already known to be valid; multiply checks its arguments.
+
+    Built from the normal-form closed form
+    (b^s1 a^r1)(b^s2 a^r2) = b^(s1 xor s2) a^((2n-1)^s2 * r1 + r2 mod 4n),
+    so the row of b^s a^r holds b^s a^(r + r2) for r2 = 0..4n-1, then
+    b^(1-s) a^((2n-1)r + r2).  It is written independently of multiply,
+    which the test suite checks it against.
+    """
+    check_n(n)
+    m = 4 * n
+
+    def block(s: int, shift: int) -> tuple[int, ...]:
+        return tuple(s * m + (shift + r2) % m for r2 in range(m))
+
+    return tuple(block(s, r) + block(1 - s, (2 * n - 1) * r) for s in (0, 1) for r in range(m))
 
 
 def multiply(n: int, g: SDElement, h: SDElement) -> SDElement:

@@ -4,10 +4,18 @@ Each check returns (name, ok, detail).  Checks that need the alphabet size
 are skipped when m is not supplied; with m, the orbits are enumerated first,
 so an alphabet over the budget is refused before any check runs.  Everything
 asserted here is an exact identity, no tolerances anywhere.
+
+Two group-level checks read tables on element positions, the indexing of
+group.elements that symclass reads too: `class_function` reads each
+character's value table, and `embedding_homomorphism` compares the image
+tuples of T against `group.product_table`, the table behind the coset and
+Gram kernels.  `row_orthonormality` stays an element-wise sum and
+`group.conjugacy_classes` stays on `group.multiply`, as independent routes.
 """
 
 from __future__ import annotations
 
+import operator
 from collections import Counter
 from math import gcd
 
@@ -76,24 +84,28 @@ def run_checks(n: int, m: int | None, budget: int | None):
     )
 
     class_fun_ok = all(
-        chartab.character_value(n, cid, g) == chartab.character_value(n, cid, rep)
-        for cid in ids
-        for rep, members in classes.classes
-        for g in members
+        len({values[g] for g in members}) == 1
+        for values in (chartab.value_table(n, cid) for cid in ids)
+        for _, members in classes.classes
     )
     checks.append(("class_function", class_fun_ok, "values constant on conjugacy classes"))
 
-    embedded = {g: perm.embed(n, g) for g in group.elements(n)}
+    elements = group.elements(n)
+    embedded = [perm.embed(n, g) for g in elements]
     cycle_ok = all(
         perm.cycle_count_formula(n, g) == perm.cycle_decomposition(p).count
-        for g, p in embedded.items()
+        for g, p in zip(elements, embedded)
     )
     checks.append(("cycle_count_formula", cycle_ok, "closed form matches direct factorization"))
 
+    # T(g_i g_j) == T(g_i) o T(g_j), composed right factor first as
+    # perm.compose does: after[j] maps the images of p to those of p o T(g_j).
+    images = [p.images for p in embedded]
+    after = [operator.itemgetter(*(t - 1 for t in q)) for q in images]
     hom_ok = all(
-        embedded[group.multiply(n, g, h)] == perm.compose(p, q)
-        for g, p in embedded.items()
-        for h, q in embedded.items()
+        images[k] == after[j](images[i])
+        for i, row in enumerate(group.product_table(n))
+        for j, k in enumerate(row)
     )
     checks.append(("embedding_homomorphism", hom_ok, "checked on all pairs"))
 

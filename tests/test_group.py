@@ -146,3 +146,15 @@ def test_parameter_validation():
         multiply(2, a(8), a(0))
     with pytest.raises(ValueError):
         multiply(2, SDElement(2, 0), a(0))
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_product_table_is_the_multiplication_table(n):
+    # the closed-form table against the validated multiply, on every pair
+    elems = group.elements(n)
+    table = group.product_table(n)
+    identity_row = tuple(range(8 * n))
+    assert table[0] == identity_row
+    assert tuple(row[0] for row in table) == identity_row
+    for g, row in zip(elems, table):
+        assert [elems[k] for k in row] == [multiply(n, g, h) for h in elems]

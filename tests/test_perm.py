@@ -1,6 +1,8 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sdtensor import group, perm
 from sdtensor.group import SDElement
@@ -98,6 +100,21 @@ def test_embed_is_homomorphism():
         images = {g: embed(n, g) for g in elems}
         for g, h in itertools.product(elems, repeat=2):
             assert images[group.multiply(n, g, h)] == compose(images[g], images[h])
+
+
+@st.composite
+def element_pairs(draw):
+    """A group parameter n in 2..30 and two elements of SD_{8n}."""
+    n = draw(st.integers(2, 30))
+    elems = group.elements(n)
+    return n, draw(st.sampled_from(elems)), draw(st.sampled_from(elems))
+
+
+@settings(max_examples=60, deadline=None)
+@given(element_pairs())
+def test_embed_is_homomorphism_at_random_n(case):
+    n, g, h = case
+    assert embed(n, group.multiply(n, g, h)) == compose(embed(n, g), embed(n, h))
 
 
 def test_embed_is_injective():

@@ -194,8 +194,8 @@ def test_coset_sums_match_explicit_cosets(n):
 
 @st.composite
 def group_elements(draw, count):
-    """A group parameter n in 2..10 and count elements of SD_{8n}."""
-    n = draw(st.integers(2, 10))
+    """A group parameter n in 2..40 and count elements of SD_{8n}."""
+    n = draw(st.integers(2, 40))
     return n, [draw(st.sampled_from(group.elements(n))) for _ in range(count)]
 
 
@@ -397,6 +397,47 @@ def test_clique_search_against_brute_force_random_graphs():
             if found is not None:
                 assert len(found) == k
                 assert all(v in neighbors[u] for u, v in itertools.combinations(found, 2))
+
+
+@pytest.mark.parametrize("n, m", [(2, 2), (4, 2)])
+def test_decision_graph_is_the_zero_pattern_of_gram(monkeypatch, n, m):
+    # The clique graph a decision searches joins cosets v, w exactly when
+    # gram() has a zero entry at their coset representatives.  The graph
+    # differs here from one built without the inverse sigma_i^(-1).
+    graphs = []
+    find_clique = symclass._find_clique
+
+    def recording(neighbors, k):
+        graphs.append(neighbors)
+        return find_clique(neighbors, k)
+
+    monkeypatch.setattr(symclass, "_find_clique", recording)
+    symclass._stabilizer_decision.cache_clear()
+    elements = group.elements(n)
+    one_orbit_per_stabilizer = {frozenset(o.stabilizer): o for o in orbits(n, m)}
+    checked = 0
+    for stab, orbit in one_orbit_per_stabilizer.items():
+        for cid in chartab.character_ids(n):
+            if symclass._subgroup_char_sum(n, cid, stab).is_zero:
+                continue
+            graphs.clear()
+            symclass._stabilizer_decision(n, cid, stab)
+            (neighbors,) = graphs
+            firsts = symclass._coset_sums(n, cid, stab)[0]
+            # vertex v is the coset of firsts[v]; find the coset rep inside it
+            rep_of = []
+            for x in firsts:
+                coset = {group.multiply(n, elements[x], h) for h in stab}
+                (i,) = [i for i, s in enumerate(orbit.coset_reps) if s in coset]
+                rep_of.append(i)
+            assert sorted(rep_of) == list(range(orbit.size))
+            entries = gram(n, cid, orbit).entries
+            for v, w in itertools.permutations(range(len(firsts)), 2):
+                assert (w in neighbors[v]) == entries[rep_of[v]][rep_of[w]].is_zero, (
+                    n, cid, sorted(stab), v, w,
+                )
+            checked += 1
+    assert checked
 
 
 def test_decision_witness_on_one_orbit():

@@ -1,0 +1,59 @@
+"""The table-routed group checks of `verify` fail when their input is wrong."""
+
+from sdtensor import chartab, group, perm, verify
+from sdtensor.cli import main
+from sdtensor.group import SDElement
+
+
+def failing_checks(n):
+    return {name for name, ok, _ in verify.run_checks(n, None, None) if not ok}
+
+
+def test_embedding_homomorphism_catches_a_wrong_image(monkeypatch):
+    embed = perm.embed
+
+    def swapped(n, g):
+        p = embed(n, g)
+        if g != SDElement(1, 0):
+            return p
+        images = list(p.images)
+        images[0], images[1] = images[1], images[0]
+        return perm.Permutation(tuple(images))
+
+    monkeypatch.setattr(verify.perm, "embed", swapped)
+    assert "embedding_homomorphism" in failing_checks(3)
+    assert main(["verify", "--n", "3"]) == 1
+
+
+def test_class_function_catches_a_wrong_member_value(monkeypatch):
+    n = 3
+    cid = chartab.zeta(2)
+    rep, members = next(c for c in group.conjugacy_classes(n).classes if len(c[1]) > 1)
+    member = next(g for g in members if g != rep)
+    value_table = chartab.value_table
+
+    def altered(n_, cid_):
+        values = value_table(n_, cid_)
+        if (n_, cid_) != (n, cid):
+            return values
+        return {**values, member: values[member] + 1}
+
+    monkeypatch.setattr(chartab, "value_table", altered)
+    assert failing_checks(n) == {"class_function"}
+
+
+def test_group_checks_embed_each_element_once_and_compose_nothing(monkeypatch):
+    calls = []
+    embed = perm.embed
+
+    def counted(n, g):
+        calls.append(g)
+        return embed(n, g)
+
+    def fail(*args):
+        raise AssertionError("verify composed Permutation objects")
+
+    monkeypatch.setattr(verify.perm, "embed", counted)
+    monkeypatch.setattr(verify.perm, "compose", fail)
+    assert failing_checks(5) == set()
+    assert sorted(calls) == list(group.elements(5))
