@@ -449,6 +449,23 @@ def _write_json(fh, payload) -> None:
     fh.write("".join(pieces))
 
 
+def _stdout():
+    """sys.stdout, or a buffered text file on its descriptor if it is unbuffered.
+
+    Under python -u or PYTHONUNBUFFERED, sys.stdout writes straight to the
+    raw file and drops whatever a short write leaves over.  A pipe whose
+    reader closes mid-write gives such a short write, which would truncate
+    the report and still exit 0; a buffered file retries the rest and gets
+    the broken pipe instead.
+    """
+    if not isinstance(getattr(sys.stdout, "buffer", None), io.RawIOBase):
+        return contextlib.nullcontext(sys.stdout)
+    sys.stdout.flush()
+    return open(
+        sys.stdout.fileno(), "w", encoding=sys.stdout.encoding, errors=sys.stdout.errors, closefd=False
+    )
+
+
 def _emit(report: str | dict, output: str | None) -> None:
     """Write a text report, or stream a JSON payload, to stdout or to output.
 
@@ -462,7 +479,7 @@ def _emit(report: str | dict, output: str | None) -> None:
         if os.access(os.path.dirname(target), os.W_OK):
             partial = f"{target}.{os.getpid()}.tmp"
     try:
-        with open(partial or output, "w") if output else contextlib.nullcontext(sys.stdout) as fh:
+        with open(partial or output, "w") if output else _stdout() as fh:
             if isinstance(report, str):
                 fh.write(report)
             else:

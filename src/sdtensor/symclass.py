@@ -27,6 +27,7 @@ assumed equal.
 from __future__ import annotations
 
 import functools
+import itertools
 import operator
 import os
 from dataclasses import dataclass
@@ -118,25 +119,54 @@ class OrbitData:
         return len(self.stabilizer)
 
 
-def _orbit_from_representative(n: int, m: int, rep: Sequence) -> tuple[OrbitData, tuple]:
-    """The orbit of rep, and its sorted members for the caller to mark."""
-    first_map: dict[Sequence, SDElement] = {}
-    stabilizer = []
-    for g, move in _action_maps(n).items():
-        seq = move(rep)
-        if seq not in first_map:
-            first_map[seq] = g
-        if seq == rep:
-            stabilizer.append(g)
-    members = tuple(sorted(first_map))
-    if members[0] != rep or len(members) * len(stabilizer) != 8 * n:
+@functools.lru_cache(maxsize=None)
+def _code_action(n: int, m: int) -> tuple[tuple[SDElement, ...], list[Sequence], tuple]:
+    """The action on codes: the elements of _action_maps, in its order, the
+    letters of every half code, and for each g two tables with
+    code(g.alpha) = high[code // m^(2n)] + low[code % m^(2n)].
+
+    Position u of alpha moves to position T(g)(u), so its digit takes the
+    weight radix[T(g)(u)]; moves[g^(-1)] reads exactly those weights off
+    radix.  Each table sums the weights of one half's digits, built digit
+    by digit, most significant first: 16n * m^(2n) ints in all, next to
+    m^(2n) letter tuples.
+    """
+    moves = _action_maps(n)
+    elements = tuple(moves)
+    radix = [m ** (4 * n - 1 - t) for t in range(4 * n)]
+
+    def table(weights) -> list[int]:
+        sums = [0]
+        for w in weights:
+            sums = [t + d for t in sums for d in range(0, m * w, w)]
+        return sums
+
+    halves = []
+    for g in elements:
+        weights = moves[group.inverse(n, g)](radix)
+        halves.append((table(weights[: 2 * n]), table(weights[2 * n :])))
+    letters = list(itertools.product(range(1, m + 1), repeat=2 * n))
+    return elements, letters, tuple(halves)
+
+
+def _orbit_from_representative(n: int, m: int, code: int) -> tuple[OrbitData, tuple[int, ...]]:
+    """The orbit of the sequence coded by code, and its sorted member codes
+    for the caller to mark."""
+    elements, letters, halves = _code_action(n, m)
+    high, low = divmod(code, m ** (2 * n))
+    images = [hi[high] + lo[low] for hi, lo in halves]
+    # the first g sending the representative to each image
+    first = dict(zip(reversed(images), reversed(elements)))
+    members = tuple(sorted(first))
+    stabilizer = tuple(itertools.compress(elements, map(code.__eq__, images)))
+    if members[0] != code or len(members) * len(stabilizer) != 8 * n:
         raise RuntimeError("orbit construction is inconsistent")
     orbit = OrbitData(
         n=n,
         m=m,
-        representative=rep,
-        stabilizer=tuple(stabilizer),
-        coset_reps=tuple(first_map[seq] for seq in members),
+        representative=letters[high] + letters[low],
+        stabilizer=stabilizer,
+        coset_reps=tuple(map(first.__getitem__, members)),
     )
     return orbit, members
 
@@ -145,10 +175,18 @@ def orbits(n: int, m: int, budget: int | None = None) -> list[OrbitData]:
     """Partition all m^4n sequences into orbits, sorted by representative.
 
     A sequence is coded as the base-m integer of its letters minus one, so
-    code order is lexicographic order.  One pass over the codes marks every
+    code order is lexicographic order.  The group acts on codes directly:
+    an image code is one entry of a table over the code's high 2n digits
+    plus one of a table over its low 2n digits (_code_action), and the
+    tables take 16n * m^(2n) ints.  One pass over the codes marks every
     member of each orbit found; the next unmarked code is the lex-least
     member of a new orbit, because every smaller code already belongs to an
-    earlier one.  The marks take one byte per sequence; orbits store no members.
+    earlier one.  The marks take one byte per sequence; orbits store no
+    members, and only representatives are decoded into letters.
+
+    >>> result = orbits(2, 2)
+    >>> len(result), result[0].representative
+    (27, (1, 1, 1, 1, 1, 1, 1, 1))
     """
     group.check_n(n)
     if m < 1:
@@ -158,18 +196,15 @@ def orbits(n: int, m: int, budget: int | None = None) -> list[OrbitData]:
     if total > limit:
         raise BudgetExceededError(n, m, total, limit)
 
-    radix = [m ** (4 * n - 1 - t) for t in range(4 * n)]
-    offset = sum(radix)  # letters start at 1, digits at 0
     covered = bytearray(total)
     result = []
-    code = covered.find(0)
+    code = 0
     while code != -1:
-        orbit, members = _orbit_from_representative(n, m, tuple(code // r % m + 1 for r in radix))
+        orbit, members = _orbit_from_representative(n, m, code)
         for member in members:
-            member_code = sum(map(operator.mul, member, radix)) - offset
-            if covered[member_code]:
+            if covered[member]:
                 raise RuntimeError("orbit partition has overlapping orbits")
-            covered[member_code] = 1
+            covered[member] = 1
         result.append(orbit)
         code = covered.find(0, code + 1)
     return result

@@ -194,16 +194,20 @@ def run_checks(n: int, m: int | None, budget: int | None):
         )
 
         if m >= 2:
+            # A decision depends on the stabilizer alone, so each character
+            # is decided once per distinct stabilizer in Omega, not per orbit.
             disagreements = []
             for cid in ids:
                 if cid.degree != 2:
                     continue
-                decision = symclass.decide_orthogonal_basis(cid, orbit_list)
+                exists = all(
+                    symclass._stabilizer_decision(n, cid, stab)[1]
+                    for stab in stabilizer_counts
+                    if not symclass._subgroup_char_sum(n, cid, stab).is_zero
+                )
                 predicted = symclass.predicted_basis(n, cid)
-                if decision.exists != predicted:
-                    disagreements.append(
-                        f"{cid.label()} exhaustive={decision.exists} predicted={predicted}"
-                    )
+                if exists != predicted:
+                    disagreements.append(f"{cid.label()} exhaustive={exists} predicted={predicted}")
             checks.append(
                 (
                     "criterion_equivalence",

@@ -1,11 +1,16 @@
 import errno
+import fcntl
 import hashlib
 import io
 import json
+import mmap
 import os
+import struct
 import subprocess
 import sys
+import termios
 import threading
+import time
 from pathlib import Path
 
 import pytest
@@ -47,7 +52,9 @@ GOLDEN_REPORTS = [
      "a8bba20556e388bd1f67ea4b873b878dc5c3bb879819c5ff381b919e5f33a9bc"),
     ("verify --n 2 --m 2", 1, 2205,
      "fa3a0934cc4d00d4efff12664727fdad01e85e14c939cb3c35a571739fa23255"),
-    # The reports of the benchmark's verify-table and dims-large workloads.
+    # The reports of the benchmark's verify-orbits, verify-table and dims-large workloads.
+    ("verify --n 3 --m 3", 0, 2193,
+     "51a7d834eedf23dfa6890979b434bcea59384129da1fc7cf4911994c2076eb1e"),
     ("verify --n 20", 0, 1258,
      "f39aa04b99ab59c54af7d8c53079706169961d367e91f5f479770d481d2e57fd"),
     ("dims --n 48 --m 3", 0, 34445,
@@ -485,23 +492,56 @@ def test_output_to_an_inherited_pipe_path():
     assert json.loads(report)["class_count"] == 7
 
 
-def test_closed_pipe_is_an_io_error():
-    # the report (84,720 bytes) outgrows the pipe buffer, so writing it
-    # fails once the reader has gone
-    env = dict(os.environ, PYTHONPATH=str(Path(sdtensor.__file__).resolve().parents[1]))
-    proc = subprocess.Popen(
+def _spawn_basis_report(**env):
+    env = dict(os.environ, PYTHONPATH=str(Path(sdtensor.__file__).resolve().parents[1]), **env)
+    return subprocess.Popen(
         [sys.executable, "-m", "sdtensor", "basis", "--n", "2", "--m", "2", "--char", "all"],
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
         env=env,
     )
-    assert len(proc.stdout.read(100)) == 100
+
+
+def _read_exactly(fd, size):
+    # os.read, not the buffered pipe object, which would drain up to a page more
+    head = b""
+    while len(head) < size and (chunk := os.read(fd, size - len(head))):
+        head += chunk
+    return head
+
+
+def test_closed_pipe_is_an_io_error():
+    # the report (84,720 bytes) outgrows the pipe buffer, so writing it
+    # fails once the reader has gone
+    proc = _spawn_basis_report()
+    assert len(_read_exactly(proc.stdout.fileno(), 100)) == 100
     proc.stdout.close()
     err = proc.stderr.read().decode()
     assert proc.wait(timeout=60) == 4
     assert "Traceback" not in err
     assert "Exception ignored" not in err
     assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+
+def test_closed_pipe_mid_write_is_an_io_error_with_unbuffered_stdout():
+    # Unbuffered, sys.stdout drops the rest of a short write.  Reading one
+    # page frees one page of the pipe, so the child's next write puts some
+    # bytes in and blocks; closing the pipe then makes that write return
+    # short, and the report must still fail rather than end truncated with
+    # exit 0.
+    proc = _spawn_basis_report(PYTHONUNBUFFERED="1")
+    fd = proc.stdout.fileno()
+    assert len(_read_exactly(fd, mmap.PAGESIZE)) == mmap.PAGESIZE
+    waiting, previous = 0, -1
+    while waiting < 3:
+        time.sleep(0.1)
+        held = struct.unpack("i", fcntl.ioctl(fd, termios.FIONREAD, b"\0\0\0\0"))[0]
+        waiting = waiting + 1 if held == previous else 0
+        previous = held
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    assert proc.wait(timeout=60) == 4
+    assert err.startswith("error: cannot write the report: ") and len(err.splitlines()) == 1
 
 
 INTERNAL_EXCEPTIONS = [

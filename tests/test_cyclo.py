@@ -1,6 +1,9 @@
 import random
 
 import pytest
+import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sdtensor.cyclo import (
     CycloInt,
@@ -114,6 +117,57 @@ def test_conjugate_is_involutive_automorphism():
             assert (x * y).conjugate() == x.conjugate() * y.conjugate()
     assert root_power(8, 1).conjugate() == root_power(8, 7)
     assert CycloInt.one(8).conjugate() == CycloInt.one(8)
+
+
+@st.composite
+def cyclo_values(draw, count):
+    """An order in 1..80, odd orders included, and count values of it."""
+    order = draw(st.integers(1, 80))
+    coords = st.tuples(*[st.integers(-9, 9)] * euler_phi(order))
+    return [CycloInt(order, draw(coords)) for _ in range(count)]
+
+
+@settings(max_examples=80, deadline=None)
+@given(cyclo_values(3))
+def test_ring_laws_at_orders_up_to_80(values):
+    x, y, z = values
+    order = x.order
+    one, zero = CycloInt.one(order), CycloInt.zero(order)
+    assert x + y == y + x
+    assert x * y == y * x
+    assert (x + y) + z == x + (y + z)
+    assert (x * y) * z == x * (y * z)
+    assert x * (y + z) == x * y + x * z
+    assert (x + y) * z == x * z + y * z
+    assert x * one == x and one * x == x
+    assert x + zero == x and (x - x).is_zero
+
+
+@settings(max_examples=80, deadline=None)
+@given(cyclo_values(2))
+def test_conjugate_is_a_ring_automorphism_at_orders_up_to_80(values):
+    x, y = values
+    one = CycloInt.one(x.order)
+    assert x.conjugate().conjugate() == x
+    assert (x + y).conjugate() == x.conjugate() + y.conjugate()
+    assert (x * y).conjugate() == x.conjugate() * y.conjugate()
+    assert one.conjugate() == one
+
+
+@settings(max_examples=60, deadline=None)
+@given(cyclo_values(2))
+def test_product_matches_sympy_remainder(values):
+    x, y = values
+    order = x.order
+    t = sympy.Symbol("t")
+
+    def poly(v):
+        return sympy.Poly(list(reversed(v.coeffs)), t)
+
+    rem = sympy.rem(poly(x) * poly(y), sympy.Poly(sympy.cyclotomic_poly(order, t), t))
+    want = list(reversed(rem.all_coeffs())) if not rem.is_zero else []
+    want += [0] * (euler_phi(order) - len(want))
+    assert (x * y).coeffs == tuple(want)
 
 
 def test_to_complex_reference_points():

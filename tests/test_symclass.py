@@ -80,7 +80,7 @@ def test_orbit_count_is_burnside_dimension():
 
 
 def test_orbits_partition_and_representatives_minimal():
-    for n, m in ((2, 2), (2, 3), (3, 2)):
+    for n, m in ((2, 1), (2, 2), (2, 3), (2, 4), (3, 2)):
         result = orbits(n, m)
         all_members = []
         for o in result:
@@ -98,14 +98,53 @@ def test_coset_reps_map_representative_to_members():
         for o in orbits(n, m):
             for sigma, member in zip(o.coset_reps, o.members):
                 assert act(n, sigma, o.representative) == member
+            # each coset representative is the first element, in
+            # group.elements order, reaching its member
+            images = {g: act(n, g, o.representative) for g in group.elements(n)}
+            first = {}
+            for g, image in images.items():
+                first.setdefault(image, g)
+            assert o.coset_reps == tuple(first[member] for member in o.members)
+            assert o.stabilizer == tuple(g for g, image in images.items() if image == o.representative)
+
+
+def _decode(n, m, code):
+    return tuple(code // m ** (4 * n - 1 - t) % m + 1 for t in range(4 * n))
+
+
+def _encode(m, alpha):
+    code = 0
+    for letter in alpha:
+        code = code * m + letter - 1
+    return code
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 4), st.integers(1, 4), st.data())
+def test_code_action_matches_act(n, m, data):
+    code = data.draw(st.integers(0, m ** (4 * n) - 1))
+    alpha = _decode(n, m, code)
+    assert _encode(m, alpha) == code
+    elements, letters, halves = symclass._code_action(n, m)
+    assert elements == group.elements(n)
+    high, low = divmod(code, m ** (2 * n))
+    assert letters[high] + letters[low] == alpha
+    try:
+        for g, (hi, lo) in zip(elements, halves):
+            assert hi[high] + lo[low] == _encode(m, act(n, g, alpha))
+    finally:
+        if m ** (2 * n) > 4096:
+            # at (4, 4) the tables hold 4.2 M ints; do not keep them
+            symclass._code_action.cache_clear()
 
 
 def test_orbits_rejects_overlapping_orbits(monkeypatch):
     build = symclass._orbit_from_representative
 
-    def overlapping(n, m, rep):
-        orbit, members = build(n, m, rep)
-        return orbit, members + ((1,) * (4 * n),)
+    def overlapping(n, m, code):
+        orbit, members = build(n, m, code)
+        # code 0 is the sequence (1,) * 4n, the first orbit's representative
+        return orbit, members + (0,)
 
     monkeypatch.setattr(symclass, "_orbit_from_representative", overlapping)
     with pytest.raises(RuntimeError, match="overlapping"):

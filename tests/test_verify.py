@@ -1,6 +1,8 @@
 """The table-routed group checks of `verify` fail when their input is wrong."""
 
-from sdtensor import chartab, group, perm, verify
+import pytest
+
+from sdtensor import chartab, group, perm, symclass, verify
 from sdtensor.cli import main
 from sdtensor.group import SDElement
 
@@ -57,3 +59,21 @@ def test_group_checks_embed_each_element_once_and_compose_nothing(monkeypatch):
     monkeypatch.setattr(verify.perm, "compose", fail)
     assert failing_checks(5) == set()
     assert sorted(calls) == list(group.elements(5))
+
+
+@pytest.mark.parametrize("n, m", [(2, 2), (2, 3), (3, 2), (4, 2)])
+def test_criterion_equivalence_matches_the_public_decision(n, m):
+    # verify decides once per stabilizer; its verdict must be the one the
+    # per-orbit decide_orthogonal_basis gives
+    orbit_list = symclass.orbits(n, m)
+    disagreements = []
+    for cid in chartab.character_ids(n):
+        if cid.degree != 2:
+            continue
+        exists = symclass.decide_orthogonal_basis(cid, orbit_list).exists
+        predicted = symclass.predicted_basis(n, cid)
+        if exists != predicted:
+            disagreements.append(f"{cid.label()} exhaustive={exists} predicted={predicted}")
+    detail = "; ".join(disagreements) or "exhaustive search matches the prediction table"
+    checks = {name: (ok, text) for name, ok, text in verify.run_checks(n, m, None)}
+    assert checks["criterion_equivalence"] == (not disagreements, detail)
