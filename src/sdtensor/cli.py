@@ -216,7 +216,7 @@ def _orbits_payload(args) -> dict:
             "stabilizer": [group.element_name(g) for g in o.stabilizer],
         }
         if cid is not None:
-            char_sum = symclass._subgroup_char_sum(n, cid, frozenset(o.stabilizer))
+            char_sum = symclass._subgroup_char_sum(n, cid, o.stabilizer)
             entry["char_sum"] = _cyclo_json(char_sum)
             entry["in_delta_bar"] = not char_sum.is_zero
         payload["orbits"].append(entry)

@@ -2,12 +2,14 @@
 
 The group SD_{8n} acts on length-4n sequences over the alphabet {1, ..., m}
 by permuting positions through its embedding into S_{4n}, read from one
-cached action table.  Each orbit whose stabilizer character sum is nonzero
-carries an orbital subspace of the symmetry class, spanned by the
-decomposable symmetrized tensors of its members.  Inner products between
-those tensors are, up to one global positive factor, character sums F(xH)
-over left cosets of the stabilizer H, summed once per coset by one kernel;
-they live in Z[zeta] and are compared to zero exactly.
+cached action table.  An orbit is its lex-least representative and its
+stabilizer H; the left cosets xH, numbered once per H, index its members.
+Each orbit whose stabilizer character sum is nonzero carries an orbital
+subspace of the symmetry class, spanned by the decomposable symmetrized
+tensors of its members.  Inner products between those tensors are, up to
+one global positive factor, character sums F(xH) over those cosets, summed
+once per coset by one kernel; they live in Z[zeta] and are compared to zero
+exactly.
 
 The orthogonal-basis question for a symmetry class reduces to: does every
 orbital subspace contain as many pairwise-orthogonal member tensors as its
@@ -97,14 +99,20 @@ def act(n: int, g: SDElement, alpha: Sequence) -> Sequence:
 
 @dataclass(frozen=True, slots=True)
 class OrbitData:
-    """One orbit: lex-least representative, stabilizer, and one coset
-    representative per sorted member, mapping the representative to it."""
+    """One orbit: its lex-least representative and its stabilizer, one tuple
+    in group.elements order shared by the orbits of one orbits() call."""
 
     n: int
     m: int
     representative: Sequence
     stabilizer: tuple[SDElement, ...]
-    coset_reps: tuple[SDElement, ...]
+
+    @property
+    def coset_reps(self) -> tuple[SDElement, ...]:
+        """Per member, in order, the first element mapping the representative to it."""
+        elements, moves = group.elements(self.n), _action_maps(self.n)
+        reps = (elements[x] for x in _cosets(self.n, self.stabilizer)[0])
+        return tuple(sorted(reps, key=lambda s: moves[s](self.representative)))
 
     @property
     def members(self) -> tuple[Sequence, ...]:
@@ -112,7 +120,7 @@ class OrbitData:
 
     @property
     def size(self) -> int:
-        return len(self.coset_reps)
+        return 8 * self.n // len(self.stabilizer)
 
     @property
     def stabilizer_order(self) -> int:
@@ -149,26 +157,18 @@ def _code_action(n: int, m: int) -> tuple[tuple[SDElement, ...], list[Sequence],
     return elements, letters, tuple(halves)
 
 
-def _orbit_from_representative(n: int, m: int, code: int) -> tuple[OrbitData, tuple[int, ...]]:
-    """The orbit of the sequence coded by code, and its sorted member codes
-    for the caller to mark."""
+def _orbit_from_representative(n: int, m: int, code: int, interned: dict) -> tuple[OrbitData, set]:
+    """The orbit of the sequence coded by code, its stabilizer taken from
+    interned, and its member codes for the caller to mark."""
     elements, letters, halves = _code_action(n, m)
     high, low = divmod(code, m ** (2 * n))
     images = [hi[high] + lo[low] for hi, lo in halves]
-    # the first g sending the representative to each image
-    first = dict(zip(reversed(images), reversed(elements)))
-    members = tuple(sorted(first))
+    members = set(images)
     stabilizer = tuple(itertools.compress(elements, map(code.__eq__, images)))
-    if members[0] != code or len(members) * len(stabilizer) != 8 * n:
+    if min(members) != code or len(members) * len(stabilizer) != 8 * n:
         raise RuntimeError("orbit construction is inconsistent")
-    orbit = OrbitData(
-        n=n,
-        m=m,
-        representative=letters[high] + letters[low],
-        stabilizer=stabilizer,
-        coset_reps=tuple(map(first.__getitem__, members)),
-    )
-    return orbit, members
+    stabilizer = interned.setdefault(stabilizer, stabilizer)
+    return OrbitData(n, m, letters[high] + letters[low], stabilizer), members
 
 
 def orbits(n: int, m: int, budget: int | None = None) -> list[OrbitData]:
@@ -182,7 +182,7 @@ def orbits(n: int, m: int, budget: int | None = None) -> list[OrbitData]:
     member of each orbit found; the next unmarked code is the lex-least
     member of a new orbit, because every smaller code already belongs to an
     earlier one.  The marks take one byte per sequence; orbits store no
-    members, and only representatives are decoded into letters.
+    members, and orbits with equal stabilizers share one stabilizer tuple.
 
     >>> result = orbits(2, 2)
     >>> len(result), result[0].representative
@@ -197,10 +197,11 @@ def orbits(n: int, m: int, budget: int | None = None) -> list[OrbitData]:
         raise BudgetExceededError(n, m, total, limit)
 
     covered = bytearray(total)
+    interned: dict = {}
     result = []
     code = 0
     while code != -1:
-        orbit, members = _orbit_from_representative(n, m, code)
+        orbit, members = _orbit_from_representative(n, m, code, interned)
         for member in members:
             if covered[member]:
                 raise RuntimeError("orbit partition has overlapping orbits")
@@ -210,37 +211,39 @@ def orbits(n: int, m: int, budget: int | None = None) -> list[OrbitData]:
     return result
 
 
-def _coset_sums(n: int, cid: CharacterId, subgroup) -> tuple[list[int], list[int], list[CycloInt]]:
-    """The left cosets xH of a subgroup, on element positions.
-
-    Cosets are numbered in order of their first elements in group.elements
-    order.  Returns those first positions, the coset number of every
-    position, and F(xH), the character sum over each coset: one exponent
-    vector per coset, reduced once.  The identity's coset, number 0, is H.
-    """
-    order = 4 * n
-    terms = chartab.value_terms(n, cid)
+@functools.lru_cache(maxsize=None)
+def _cosets(n: int, subgroup: tuple[SDElement, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The left cosets xH of a subgroup, on element positions, numbered in
+    order of their first elements in group.elements order: those first
+    positions and the coset number of every position.  Coset 0 is H."""
     stab = [group.element_index(n, h) for h in subgroup]
     firsts: list[int] = []
-    number = [-1] * (2 * order)
-    sums = []
+    number = [-1] * (8 * n)
     for x, row in enumerate(group.product_table(n)):
-        if number[x] >= 0:
-            continue
-        vec = [0] * order
-        for h in stab:
-            number[row[h]] = len(firsts)
-            for e, c in terms[row[h]]:
-                vec[e] += c
-        firsts.append(x)
-        sums.append(from_exponents(order, vec))
-    return firsts, number, sums
+        if number[x] < 0:
+            for h in stab:
+                number[row[h]] = len(firsts)
+            firsts.append(x)
+    return tuple(firsts), tuple(number)
+
+
+def _coset_sums(n: int, cid: CharacterId, subgroup: tuple[SDElement, ...]) -> list[CycloInt]:
+    """F(xH), the character sum over each left coset numbered by _cosets:
+    one exponent vector per coset, reduced once."""
+    order = 4 * n
+    terms = chartab.value_terms(n, cid)
+    firsts, number = _cosets(n, subgroup)
+    vecs = [[0] * order for _ in firsts]
+    for x, k in enumerate(number):
+        for e, c in terms[x]:
+            vecs[k][e] += c
+    return [from_exponents(order, vec) for vec in vecs]
 
 
 @functools.lru_cache(maxsize=None)
-def _subgroup_char_sum(n: int, cid: CharacterId, subgroup: frozenset) -> CycloInt:
+def _subgroup_char_sum(n: int, cid: CharacterId, subgroup: tuple[SDElement, ...]) -> CycloInt:
     """F(H), the character sum over the subgroup: the identity's coset."""
-    return _coset_sums(n, cid, subgroup)[2][0]
+    return _coset_sums(n, cid, subgroup)[0]
 
 
 def stabilizer_char_sum(n: int, cid: CharacterId, alpha: Sequence) -> CycloInt:
@@ -251,7 +254,7 @@ def stabilizer_char_sum(n: int, cid: CharacterId, alpha: Sequence) -> CycloInt:
     """
     chartab.validate_id(n, cid)
     _check_length(n, alpha)
-    stab = frozenset(g for g, move in _action_maps(n).items() if move(alpha) == alpha)
+    stab = tuple(g for g, move in _action_maps(n).items() if move(alpha) == alpha)
     return _subgroup_char_sum(n, cid, stab)
 
 
@@ -262,7 +265,7 @@ def delta_bar(cid: CharacterId, orbit_list: list[OrbitData]) -> list[Sequence]:
     return [
         o.representative
         for o in orbit_list
-        if not _subgroup_char_sum(n, cid, frozenset(o.stabilizer)).is_zero
+        if not _subgroup_char_sum(n, cid, o.stabilizer).is_zero
     ]
 
 
@@ -281,7 +284,7 @@ class GramData:
     orbital_dim: int
 
 
-def _orbital_dim(n: int, cid: CharacterId, char_sum: CycloInt, stab_order: int) -> int:
+def _orbital_dim(cid: CharacterId, char_sum: CycloInt, stab_order: int) -> int:
     return exact_div(cid.degree * char_sum.to_int(), stab_order)
 
 
@@ -290,17 +293,18 @@ def _inverse_row(table, x: int) -> tuple[int, ...]:
     return table[table[x].index(0)]
 
 
-def gram(n: int, cid: CharacterId, orbit: OrbitData) -> GramData:
+def gram(cid: CharacterId, orbit: OrbitData) -> GramData:
     """Exact Gram data for the orbital subspace of an orbit in Omega.
 
     A character is a class function, so entry (i, j), the sum over
     sigma_j * H * sigma_i^(-1), equals F(sigma_i^(-1) sigma_j H).
     """
+    n, stab = orbit.n, orbit.stabilizer
     chartab.validate_id(n, cid)
-    char_sum = _subgroup_char_sum(n, cid, frozenset(orbit.stabilizer))
-    if char_sum.is_zero:
+    sums = _coset_sums(n, cid, stab)
+    if sums[0].is_zero:
         raise ValueError("representative is not in Omega; the orbital subspace is zero")
-    _, number, sums = _coset_sums(n, cid, orbit.stabilizer)
+    number = _cosets(n, stab)[1]
     table = group.product_table(n)
     cols = [group.element_index(n, s) for s in orbit.coset_reps]
     return GramData(
@@ -310,7 +314,7 @@ def gram(n: int, cid: CharacterId, orbit: OrbitData) -> GramData:
             tuple(sums[number[inv_row[j]]] for j in cols)
             for inv_row in (_inverse_row(table, i) for i in cols)
         ),
-        orbital_dim=_orbital_dim(n, cid, char_sum, orbit.stabilizer_order),
+        orbital_dim=_orbital_dim(cid, sums[0], len(stab)),
     )
 
 
@@ -343,7 +347,7 @@ def _find_clique(neighbors: list[set[int]], k: int) -> list[int] | None:
 
 @functools.lru_cache(maxsize=None)
 def _stabilizer_decision(
-    n: int, cid: CharacterId, stabilizer: frozenset
+    n: int, cid: CharacterId, stabilizer: tuple[SDElement, ...]
 ) -> tuple[int, bool, tuple[SDElement, ...] | None]:
     """Decide the clique question for every orbit sharing this stabilizer.
 
@@ -360,10 +364,9 @@ def _stabilizer_decision(
     tensors inside the orbital subspace, hence a basis of it.  The search is
     exhaustive, so a negative answer is a proof of nonexistence.
     """
-    char_sum = _subgroup_char_sum(n, cid, stabilizer)
-    dim = _orbital_dim(n, cid, char_sum, len(stabilizer))
-
-    firsts, number, sums = _coset_sums(n, cid, stabilizer)
+    sums = _coset_sums(n, cid, stabilizer)
+    dim = _orbital_dim(cid, sums[0], len(stabilizer))
+    firsts, number = _cosets(n, stabilizer)
     zero = [s.is_zero for s in sums]
     table = group.product_table(n)
     neighbors = []
@@ -395,7 +398,6 @@ class BasisDecision:
     m: int
     character: CharacterId
     exists: bool
-    method: str
     orbits: tuple[OrbitalOutcome, ...]
     first_failure: OrbitalOutcome | None
 
@@ -414,10 +416,9 @@ def decide_orthogonal_basis(cid: CharacterId, orbit_list: list[OrbitData]) -> Ba
     moves = _action_maps(n)
 
     def judge(orbit: OrbitData) -> OrbitalOutcome | None:
-        stab = frozenset(orbit.stabilizer)
-        if _subgroup_char_sum(n, cid, stab).is_zero:
+        if _subgroup_char_sum(n, cid, orbit.stabilizer).is_zero:
             return None
-        dim, found, sigmas = _stabilizer_decision(n, cid, stab)
+        dim, found, sigmas = _stabilizer_decision(n, cid, orbit.stabilizer)
         witness = None
         if found:
             witness = tuple(moves[s](orbit.representative) for s in sigmas)
@@ -437,7 +438,6 @@ def decide_orthogonal_basis(cid: CharacterId, orbit_list: list[OrbitData]) -> Ba
         m=m,
         character=cid,
         exists=not failures,
-        method="exhaustive",
         orbits=outcomes,
         first_failure=failures[0] if failures else None,
     )

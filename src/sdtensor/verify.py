@@ -157,7 +157,7 @@ def run_checks(n: int, m: int | None, budget: int | None):
         )
 
         # orbits sharing a stabilizer share its character sums
-        stabilizer_counts = Counter(frozenset(o.stabilizer) for o in orbit_list)
+        stabilizer_counts = Counter(o.stabilizer for o in orbit_list)
         direct_ok = True
         for cid in ids:
             dim_sum = 0
@@ -165,7 +165,7 @@ def run_checks(n: int, m: int | None, budget: int | None):
                 char_sum = symclass._subgroup_char_sum(n, cid, stab)
                 if char_sum.is_zero:
                     continue
-                dim_sum += count * symclass._orbital_dim(n, cid, char_sum, len(stab))
+                dim_sum += count * symclass._orbital_dim(cid, char_sum, len(stab))
             if dim_sum != dims.dim_general(n, m, cid):
                 direct_ok = False
         checks.append(

@@ -238,7 +238,7 @@ def test_criterion_8_orbital_direct_sum():
     for cid in character_ids(n):
         total = 0
         for rep in symclass.delta_bar(cid, orbit_list):
-            data = symclass.gram(n, cid, orbit_index[rep])
+            data = symclass.gram(cid, orbit_index[rep])
             total += data.orbital_dim
             if cid.kind == "zeta" and data.orbital_dim not in (1, 2, 4):
                 failures.append(f"{cid.label()} at {rep}: orbital dim {data.orbital_dim}")

@@ -488,7 +488,8 @@ def test_output_to_an_inherited_pipe_path():
         os.close(write_fd)
         report = reader.read()
     assert proc.wait(timeout=60) == 0
-    assert proc.stderr.read() == b""
+    with proc.stderr:
+        assert proc.stderr.read() == b""
     assert json.loads(report)["class_count"] == 7
 
 
@@ -516,7 +517,8 @@ def test_closed_pipe_is_an_io_error():
     proc = _spawn_basis_report()
     assert len(_read_exactly(proc.stdout.fileno(), 100)) == 100
     proc.stdout.close()
-    err = proc.stderr.read().decode()
+    with proc.stderr:
+        err = proc.stderr.read().decode()
     assert proc.wait(timeout=60) == 4
     assert "Traceback" not in err
     assert "Exception ignored" not in err
@@ -539,7 +541,8 @@ def test_closed_pipe_mid_write_is_an_io_error_with_unbuffered_stdout():
         waiting = waiting + 1 if held == previous else 0
         previous = held
     proc.stdout.close()
-    err = proc.stderr.read().decode()
+    with proc.stderr:
+        err = proc.stderr.read().decode()
     assert proc.wait(timeout=60) == 4
     assert err.startswith("error: cannot write the report: ") and len(err.splitlines()) == 1
 

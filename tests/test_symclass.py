@@ -141,22 +141,18 @@ def test_code_action_matches_act(n, m, data):
 def test_orbits_rejects_overlapping_orbits(monkeypatch):
     build = symclass._orbit_from_representative
 
-    def overlapping(n, m, code):
-        orbit, members = build(n, m, code)
+    def overlapping(n, m, code, interned):
+        orbit, members = build(n, m, code, interned)
         # code 0 is the sequence (1,) * 4n, the first orbit's representative
-        return orbit, members + (0,)
+        return orbit, [*members, 0]
 
     monkeypatch.setattr(symclass, "_orbit_from_representative", overlapping)
     with pytest.raises(RuntimeError, match="overlapping"):
         orbits(2, 2)
 
 
-def test_orbits_keep_no_member_tuples():
-    # an orbit is its representative, stabilizer and coset representatives;
-    # the marks of the enumeration are freed on return
-    assert "members" not in {f.name for f in dataclasses.fields(symclass.OrbitData)}
-    n, m = 4, 2
-    symclass._action_maps(n)
+def _retained_by_orbits(n, m):
+    """orbits(n, m) and the bytes still allocated after it returns."""
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
@@ -164,8 +160,30 @@ def test_orbits_keep_no_member_tuples():
         retained = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
+    return result, retained
+
+
+def test_orbits_keep_no_member_tuples():
+    # an orbit is its representative and its stabilizer; coset
+    # representatives and members are derived, and the marks of the
+    # enumeration are freed on return
+    fields = {f.name for f in dataclasses.fields(symclass.OrbitData)}
+    assert "members" not in fields and "coset_reps" not in fields
+    n, m = 4, 2
+    symclass._action_maps(n)
+    result, retained = _retained_by_orbits(n, m)
     assert len(result) == dims.dim_general(n, m, chi(0))
     assert retained < 64 * m ** (4 * n), retained / m ** (4 * n)
+
+    # orbits with equal stabilizers share one tuple, so a record costs a
+    # fixed few hundred bytes; the action tables are built beforehand
+    n, m = 3, 3
+    symclass._code_action(n, m)
+    result, retained = _retained_by_orbits(n, m)
+    interned = {}
+    for o in result:
+        assert interned.setdefault(o.stabilizer, o.stabilizer) is o.stabilizer
+    assert retained < 300 * len(result), retained / len(result)
 
 
 def test_consumers_of_an_orbit_list_do_not_enumerate(monkeypatch):
@@ -215,12 +233,13 @@ def test_coset_sums_match_explicit_cosets(n):
     # they partition G, coset 0 is H, each is named by its first element in
     # group.elements order, and its sum is a plain CycloInt sum of values.
     elements = group.elements(n)
-    for stab in {frozenset(o.stabilizer) for o in orbits(n, 2)}:
+    for stab in {o.stabilizer for o in orbits(n, 2)}:
+        firsts, number = symclass._cosets(n, stab)
         for cid in chartab.character_ids(n):
-            firsts, number, sums = symclass._coset_sums(n, cid, stab)
+            sums = symclass._coset_sums(n, cid, stab)
             cosets = [{group.multiply(n, elements[x], h) for h in stab} for x in firsts]
             assert sorted(g for coset in cosets for g in coset) == list(elements)
-            assert cosets[0] == stab
+            assert cosets[0] == set(stab)
             for k, (x, coset) in enumerate(zip(firsts, cosets)):
                 positions = {group.element_index(n, g) for g in coset}
                 assert x == min(positions)
@@ -295,14 +314,14 @@ def test_delta_bar_dimension_sum():
         for cid in chartab.character_ids(n):
             total = 0
             for rep in delta_bar(cid, orbit_list):
-                total += gram(n, cid, orbit_index[rep]).orbital_dim
+                total += gram(cid, orbit_index[rep]).orbital_dim
             assert total == dims.dim_general(n, m, cid), (n, m, cid)
 
 
 def test_gram_requires_omega_membership():
     orbit = next(o for o in orbits(2, 2) if o.representative == (1,) * 8)
     with pytest.raises(ValueError):
-        gram(2, zeta(2), orbit)
+        gram(zeta(2), orbit)
 
 
 def test_gram_structure():
@@ -311,7 +330,7 @@ def test_gram_structure():
     for cid in (zeta(2), psi(1)):
         for rep in delta_bar(cid, orbit_list)[:6]:
             orbit = orbit_index[rep]
-            data = gram(2, cid, orbit)
+            data = gram(cid, orbit)
             size = orbit.size
             diag = data.entries[0][0]
             expected_diag = stabilizer_char_sum(2, cid, rep)
@@ -325,7 +344,7 @@ def test_gram_rotation_coset_entries():
     # with stabilizer {1, ba^2}, the entry between members reached by a^i
     # and a^j is the character value at a^(i-j) (the reflection term dies)
     orbit = next(o for o in orbits(2, 2) if o.representative == ONE_TWO)
-    data = gram(2, zeta(2), orbit)
+    data = gram(zeta(2), orbit)
     for i, sig_i in enumerate(orbit.coset_reps):
         for j, sig_j in enumerate(orbit.coset_reps):
             if sig_i.s or sig_j.s:
@@ -350,7 +369,7 @@ def test_gram_reflection_cosets_vanish_for_rotation_stabilizers():
         (zeta(2), trivial_orbit),
         (psi(1), trivial_orbit),
     ):
-        data = gram(2, cid, orbit)
+        data = gram(cid, orbit)
         for i, sig_i in enumerate(orbit.coset_reps):
             for j, sig_j in enumerate(orbit.coset_reps):
                 if sig_i.s != sig_j.s:
@@ -387,7 +406,7 @@ def test_gram_matches_direct_tensor_inner_products(cid):
     orbit_index = {o.representative: o for o in orbit_list}
     for rep in delta_bar(cid, orbit_list):
         orbit = orbit_index[rep]
-        data = gram(n, cid, orbit)
+        data = gram(cid, orbit)
         vectors = [_tensor_vector(n, cid, member) for member in orbit.members]
         for i in range(orbit.size):
             for j in range(orbit.size):
@@ -406,7 +425,7 @@ def test_zeta_orbital_dims_case_analysis():
             cid = zeta(h)
             for rep in delta_bar(cid, orbit_list):
                 orbit = orbit_index[rep]
-                data = gram(n, cid, orbit)
+                data = gram(cid, orbit)
                 assert data.orbital_dim in (1, 2, 4)
                 r, proper = group.cyclic_intersection(n, set(orbit.stabilizer))
                 assert (data.orbital_dim == 4) == (not proper)
@@ -453,7 +472,7 @@ def test_decision_graph_is_the_zero_pattern_of_gram(monkeypatch, n, m):
     monkeypatch.setattr(symclass, "_find_clique", recording)
     symclass._stabilizer_decision.cache_clear()
     elements = group.elements(n)
-    one_orbit_per_stabilizer = {frozenset(o.stabilizer): o for o in orbits(n, m)}
+    one_orbit_per_stabilizer = {o.stabilizer: o for o in orbits(n, m)}
     checked = 0
     for stab, orbit in one_orbit_per_stabilizer.items():
         for cid in chartab.character_ids(n):
@@ -462,7 +481,7 @@ def test_decision_graph_is_the_zero_pattern_of_gram(monkeypatch, n, m):
             graphs.clear()
             symclass._stabilizer_decision(n, cid, stab)
             (neighbors,) = graphs
-            firsts = symclass._coset_sums(n, cid, stab)[0]
+            firsts = symclass._cosets(n, stab)[0]
             # vertex v is the coset of firsts[v]; find the coset rep inside it
             rep_of = []
             for x in firsts:
@@ -470,7 +489,7 @@ def test_decision_graph_is_the_zero_pattern_of_gram(monkeypatch, n, m):
                 (i,) = [i for i, s in enumerate(orbit.coset_reps) if s in coset]
                 rep_of.append(i)
             assert sorted(rep_of) == list(range(orbit.size))
-            entries = gram(n, cid, orbit).entries
+            entries = gram(cid, orbit).entries
             for v, w in itertools.permutations(range(len(firsts)), 2):
                 assert (w in neighbors[v]) == entries[rep_of[v]][rep_of[w]].is_zero, (
                     n, cid, sorted(stab), v, w,
@@ -554,7 +573,7 @@ def _check_witnesses(n, cid, decision, orbit_index, one_per_stabilizer=False):
     seen = set()
     for outcome in decision.orbits:
         orbit = orbit_index[outcome.representative]
-        stab = frozenset(orbit.stabilizer)
+        stab = orbit.stabilizer
         if one_per_stabilizer and stab in seen:
             continue
         seen.add(stab)
