@@ -210,13 +210,13 @@ def _orbits_payload(args) -> dict:
         payload["character"] = cid.label()
     for o in orbit_list:
         entry = {
-            "representative": list(o.representative),
+            "representative": o.representative,
             "orbit_size": o.size,
             "stabilizer_order": o.stabilizer_order,
             "stabilizer": [group.element_name(g) for g in o.stabilizer],
         }
         if cid is not None:
-            char_sum = symclass._subgroup_char_sum(n, cid, o.stabilizer)
+            char_sum = symclass._coset_sums(n, cid, o.stabilizer)[0]
             entry["char_sum"] = _cyclo_json(char_sum)
             entry["in_delta_bar"] = not char_sum.is_zero
         payload["orbits"].append(entry)
@@ -259,12 +259,12 @@ def _decision_payload(n: int, m: int, cid: CharacterId, orbit_list) -> dict:
         "agree": predicted == decision.exists,
         "orbits": [
             {
-                "representative": list(o.representative),
+                "representative": o.representative,
                 "orbit_size": o.orbit_size,
                 "stabilizer_order": o.stabilizer_order,
                 "orbital_dim": o.orbital_dim,
                 **(
-                    {"witness": [list(w) for w in o.witness]}
+                    {"witness": o.witness}
                     if o.witness is not None
                     else {"failure": "no orthogonal set of size orbital_dim exists"}
                 ),

@@ -2,13 +2,15 @@
 
 The group SD_{8n} acts on length-4n sequences over the alphabet {1, ..., m}
 by permuting positions through its embedding into S_{4n}, read from one
-cached action table.  An orbit is its lex-least representative and its
-stabilizer H; the left cosets xH, numbered once per H, index its members.
-Each orbit whose stabilizer character sum is nonzero carries an orbital
-subspace of the symmetry class, spanned by the decomposable symmetrized
-tensors of its members.  Inner products between those tensors are, up to
-one global positive factor, character sums F(xH) over those cosets, summed
-once per coset by one kernel; they live in Z[zeta] and are compared to zero
+cached action table on element positions.  An orbit is its lex-least
+representative and its stabilizer H; the left cosets xH, numbered once per
+H, index its members.  Each orbit whose stabilizer character sum F(H) is
+nonzero carries an orbital subspace of the symmetry class, spanned by the
+decomposable symmetrized tensors of its members; where F(H) is zero the
+orbital dimension is 0.  Inner products between those tensors are, up to
+one global positive factor, character sums F(x_i^(-1) x_j H): one coset
+table per H names that coset for every pair, and one cached kernel sums
+F(xH) once per coset.  The sums live in Z[zeta] and are compared to zero
 exactly.
 
 The orthogonal-basis question for a symmetry class reduces to: does every
@@ -72,17 +74,17 @@ def resolve_budget(budget: int | None) -> int:
 
 
 @functools.lru_cache(maxsize=None)
-def _action_maps(n: int) -> dict[SDElement, operator.itemgetter]:
-    """The one action table: for each g, in group.elements order, an
+def _action_maps(n: int) -> tuple[operator.itemgetter, ...]:
+    """The one action table: at the position of g in group.elements, an
     itemgetter sending alpha to g.alpha, unchecked.
 
     (g.alpha)[t] = alpha[T(g)^(-1)(t)], so the getter reads the 0-based
     inverse images.
     """
-    return {
-        g: operator.itemgetter(*(p - 1 for p in perm.inverse(perm.embed(n, g)).images))
+    return tuple(
+        operator.itemgetter(*(p - 1 for p in perm.inverse(perm.embed(n, g)).images))
         for g in group.elements(n)
-    }
+    )
 
 
 def _check_length(n: int, alpha: Sequence) -> None:
@@ -94,7 +96,7 @@ def act(n: int, g: SDElement, alpha: Sequence) -> Sequence:
     """Left action on sequences: act(gh, alpha) == act(g, act(h, alpha))."""
     _check_length(n, alpha)
     group.check_element(n, g)
-    return _action_maps(n)[g](alpha)
+    return _action_maps(n)[group.element_index(n, g)](alpha)
 
 
 @dataclass(frozen=True, slots=True)
@@ -110,9 +112,9 @@ class OrbitData:
     @property
     def coset_reps(self) -> tuple[SDElement, ...]:
         """Per member, in order, the first element mapping the representative to it."""
-        elements, moves = group.elements(self.n), _action_maps(self.n)
-        reps = (elements[x] for x in _cosets(self.n, self.stabilizer)[0])
-        return tuple(sorted(reps, key=lambda s: moves[s](self.representative)))
+        moves, firsts = _action_maps(self.n), _cosets(self.n, self.stabilizer)[0]
+        by_member = sorted(firsts, key=lambda x: moves[x](self.representative))
+        return tuple(group.elements(self.n)[x] for x in by_member)
 
     @property
     def members(self) -> tuple[Sequence, ...]:
@@ -129,18 +131,17 @@ class OrbitData:
 
 @functools.lru_cache(maxsize=None)
 def _code_action(n: int, m: int) -> tuple[tuple[SDElement, ...], list[Sequence], tuple]:
-    """The action on codes: the elements of _action_maps, in its order, the
-    letters of every half code, and for each g two tables with
+    """The action on codes: group.elements, the letters of every half code,
+    and for each g, in that order, two tables with
     code(g.alpha) = high[code // m^(2n)] + low[code % m^(2n)].
 
     Position u of alpha moves to position T(g)(u), so its digit takes the
-    weight radix[T(g)(u)]; moves[g^(-1)] reads exactly those weights off
-    radix.  Each table sums the weights of one half's digits, built digit
+    weight radix[T(g)(u)]; the getter of g^(-1) reads exactly those weights
+    off radix.  Each table sums the weights of one half's digits, built digit
     by digit, most significant first: 16n * m^(2n) ints in all, next to
     m^(2n) letter tuples.
     """
     moves = _action_maps(n)
-    elements = tuple(moves)
     radix = [m ** (4 * n - 1 - t) for t in range(4 * n)]
 
     def table(weights) -> list[int]:
@@ -150,11 +151,12 @@ def _code_action(n: int, m: int) -> tuple[tuple[SDElement, ...], list[Sequence],
         return sums
 
     halves = []
-    for g in elements:
-        weights = moves[group.inverse(n, g)](radix)
+    for row in group.product_table(n):
+        # g^(-1) is the column where the row of g holds the identity
+        weights = moves[row.index(0)](radix)
         halves.append((table(weights[: 2 * n]), table(weights[2 * n :])))
     letters = list(itertools.product(range(1, m + 1), repeat=2 * n))
-    return elements, letters, tuple(halves)
+    return group.elements(n), letters, tuple(halves)
 
 
 def _orbit_from_representative(n: int, m: int, code: int, interned: dict) -> tuple[OrbitData, set]:
@@ -212,38 +214,41 @@ def orbits(n: int, m: int, budget: int | None = None) -> list[OrbitData]:
 
 
 @functools.lru_cache(maxsize=None)
-def _cosets(n: int, subgroup: tuple[SDElement, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+def _cosets(
+    n: int, subgroup: tuple[SDElement, ...]
+) -> tuple[tuple[int, ...], tuple[int, ...], tuple[tuple[int, ...], ...]]:
     """The left cosets xH of a subgroup, on element positions, numbered in
-    order of their first elements in group.elements order: those first
-    positions and the coset number of every position.  Coset 0 is H."""
+    order of their first elements x_i in group.elements order: those first
+    positions, the coset number of every position, and the quotient table,
+    whose entry (i, j) numbers x_i^(-1) x_j H.  Coset 0 is H."""
+    table = group.product_table(n)
     stab = [group.element_index(n, h) for h in subgroup]
     firsts: list[int] = []
     number = [-1] * (8 * n)
-    for x, row in enumerate(group.product_table(n)):
+    for x, row in enumerate(table):
         if number[x] < 0:
             for h in stab:
                 number[row[h]] = len(firsts)
             firsts.append(x)
-    return tuple(firsts), tuple(number)
+    # the row of x^(-1) is named by the column where the row of x holds the identity
+    quotient = tuple(
+        tuple(number[row[y]] for y in firsts) for row in (table[table[x].index(0)] for x in firsts)
+    )
+    return tuple(firsts), tuple(number), quotient
 
 
-def _coset_sums(n: int, cid: CharacterId, subgroup: tuple[SDElement, ...]) -> list[CycloInt]:
+@functools.lru_cache(maxsize=None)
+def _coset_sums(n: int, cid: CharacterId, subgroup: tuple[SDElement, ...]) -> tuple[CycloInt, ...]:
     """F(xH), the character sum over each left coset numbered by _cosets:
-    one exponent vector per coset, reduced once."""
+    one exponent vector per coset, reduced once.  Entry 0 is F(H)."""
     order = 4 * n
     terms = chartab.value_terms(n, cid)
-    firsts, number = _cosets(n, subgroup)
+    firsts, number, _ = _cosets(n, subgroup)
     vecs = [[0] * order for _ in firsts]
     for x, k in enumerate(number):
         for e, c in terms[x]:
             vecs[k][e] += c
-    return [from_exponents(order, vec) for vec in vecs]
-
-
-@functools.lru_cache(maxsize=None)
-def _subgroup_char_sum(n: int, cid: CharacterId, subgroup: tuple[SDElement, ...]) -> CycloInt:
-    """F(H), the character sum over the subgroup: the identity's coset."""
-    return _coset_sums(n, cid, subgroup)[0]
+    return tuple(from_exponents(order, vec) for vec in vecs)
 
 
 def stabilizer_char_sum(n: int, cid: CharacterId, alpha: Sequence) -> CycloInt:
@@ -254,8 +259,8 @@ def stabilizer_char_sum(n: int, cid: CharacterId, alpha: Sequence) -> CycloInt:
     """
     chartab.validate_id(n, cid)
     _check_length(n, alpha)
-    stab = tuple(g for g, move in _action_maps(n).items() if move(alpha) == alpha)
-    return _subgroup_char_sum(n, cid, stab)
+    fixes = (move(alpha) == alpha for move in _action_maps(n))
+    return _coset_sums(n, cid, tuple(itertools.compress(group.elements(n), fixes)))[0]
 
 
 def delta_bar(cid: CharacterId, orbit_list: list[OrbitData]) -> list[Sequence]:
@@ -265,7 +270,7 @@ def delta_bar(cid: CharacterId, orbit_list: list[OrbitData]) -> list[Sequence]:
     return [
         o.representative
         for o in orbit_list
-        if not _subgroup_char_sum(n, cid, o.stabilizer).is_zero
+        if not _coset_sums(n, cid, o.stabilizer)[0].is_zero
     ]
 
 
@@ -288,32 +293,24 @@ def _orbital_dim(cid: CharacterId, char_sum: CycloInt, stab_order: int) -> int:
     return exact_div(cid.degree * char_sum.to_int(), stab_order)
 
 
-def _inverse_row(table, x: int) -> tuple[int, ...]:
-    """Row of x^(-1): the column where row x holds the identity, position 0."""
-    return table[table[x].index(0)]
-
-
 def gram(cid: CharacterId, orbit: OrbitData) -> GramData:
     """Exact Gram data for the orbital subspace of an orbit in Omega.
 
     A character is a class function, so entry (i, j), the sum over
-    sigma_j * H * sigma_i^(-1), equals F(sigma_i^(-1) sigma_j H).
+    sigma_j * H * sigma_i^(-1), equals F(sigma_i^(-1) sigma_j H), which the
+    quotient table names for the cosets of sigma_i and sigma_j.
     """
     n, stab = orbit.n, orbit.stabilizer
     chartab.validate_id(n, cid)
     sums = _coset_sums(n, cid, stab)
     if sums[0].is_zero:
         raise ValueError("representative is not in Omega; the orbital subspace is zero")
-    number = _cosets(n, stab)[1]
-    table = group.product_table(n)
-    cols = [group.element_index(n, s) for s in orbit.coset_reps]
+    _, number, quotient = _cosets(n, stab)
+    cosets = [number[group.element_index(n, s)] for s in orbit.coset_reps]
     return GramData(
         orbit=orbit,
         character=cid,
-        entries=tuple(
-            tuple(sums[number[inv_row[j]]] for j in cols)
-            for inv_row in (_inverse_row(table, i) for i in cols)
-        ),
+        entries=tuple(tuple(sums[quotient[i][j]] for j in cosets) for i in cosets),
         orbital_dim=_orbital_dim(cid, sums[0], len(stab)),
     )
 
@@ -348,36 +345,34 @@ def _find_clique(neighbors: list[set[int]], k: int) -> list[int] | None:
 @functools.lru_cache(maxsize=None)
 def _stabilizer_decision(
     n: int, cid: CharacterId, stabilizer: tuple[SDElement, ...]
-) -> tuple[int, bool, tuple[SDElement, ...] | None]:
+) -> tuple[int, bool, tuple[int, ...] | None]:
     """Decide the clique question for every orbit sharing this stabilizer.
 
     The scaled Gram entries depend only on the stabilizer subgroup and the
     coset pair, never on the particular orbit, so one decision serves all
     orbits with the same stabilizer.  Returns (orbital_dim, found, witness
-    coset representatives or None); witness members of a concrete orbit are
-    recovered by acting with the representatives on its representative.
+    coset representatives as element positions, or None); acting with them
+    on an orbit's representative gives its witness members.  Outside Omega
+    F(H) = 0, so the dimension is 0 and the empty clique is found.
 
-    Vertices are the cosets, named by their first elements x_i in
-    group.elements order; x_i and x_j are joined when the scaled Gram entry
-    F(x_i^(-1) x_j H) is exactly zero, read off one zero test per coset.  A
-    clique of size orbital_dim is a set of nonzero, pairwise-orthogonal
-    tensors inside the orbital subspace, hence a basis of it.  The search is
-    exhaustive, so a negative answer is a proof of nonexistence.
+    Vertices are the cosets x_i H of _cosets; x_i and x_j are joined when
+    the scaled Gram entry F(x_i^(-1) x_j H), named by the quotient table,
+    is exactly zero, one zero test per coset.  A clique of size orbital_dim
+    is a set of nonzero, pairwise-orthogonal tensors inside the orbital
+    subspace, hence a basis of it.  The search is exhaustive, so a negative
+    answer is a proof of nonexistence.
     """
     sums = _coset_sums(n, cid, stabilizer)
     dim = _orbital_dim(cid, sums[0], len(stabilizer))
-    firsts, number = _cosets(n, stabilizer)
+    firsts, _, quotient = _cosets(n, stabilizer)
     zero = [s.is_zero for s in sums]
-    table = group.product_table(n)
-    neighbors = []
-    for i, x in enumerate(firsts):
-        inv_row = _inverse_row(table, x)
-        neighbors.append({j for j, y in enumerate(firsts) if j != i and zero[number[inv_row[y]]]})
+    neighbors = [
+        {j for j, k in enumerate(row) if j != i and zero[k]} for i, row in enumerate(quotient)
+    ]
     clique = _find_clique(neighbors, dim)
     if clique is None:
         return dim, False, None
-    elements = group.elements(n)
-    return dim, True, tuple(elements[firsts[v]] for v in sorted(clique))
+    return dim, True, tuple(firsts[v] for v in sorted(clique))
 
 
 @dataclass(frozen=True)
@@ -408,20 +403,21 @@ def decide_orthogonal_basis(cid: CharacterId, orbit_list: list[OrbitData]) -> Ba
 
     The symmetry class is the orthogonal direct sum of the orbital
     subspaces over representatives in Omega, so a basis exists exactly when
-    every such orbital subspace admits one.  n and m are those of the
-    orbits, so callers sweeping several characters enumerate only once.
+    every such orbital subspace admits one; orbits whose orbital dimension
+    is 0 are left out.  n and m are those of the orbits, so callers
+    sweeping several characters enumerate only once.
     """
     n, m = orbit_list[0].n, orbit_list[0].m
     chartab.validate_id(n, cid)
     moves = _action_maps(n)
 
     def judge(orbit: OrbitData) -> OrbitalOutcome | None:
-        if _subgroup_char_sum(n, cid, orbit.stabilizer).is_zero:
-            return None
         dim, found, sigmas = _stabilizer_decision(n, cid, orbit.stabilizer)
+        if dim == 0:
+            return None
         witness = None
         if found:
-            witness = tuple(moves[s](orbit.representative) for s in sigmas)
+            witness = tuple(moves[x](orbit.representative) for x in sigmas)
         return OrbitalOutcome(
             representative=orbit.representative,
             orbit_size=orbit.size,

@@ -151,23 +151,22 @@ def run_checks(n: int, m: int | None, budget: int | None):
         checks.append(
             (
                 "orbit_stabilizer",
-                all(o.size * o.stabilizer_order == 8 * n for o in orbit_list),
+                all(o.size * o.stabilizer_order == 8 * n for o in orbit_list)
+                and sum(o.size for o in orbit_list) == m ** (4 * n),
                 "orbit size times stabilizer order equals 8n",
             )
         )
 
-        # orbits sharing a stabilizer share its character sums
+        # orbits sharing a stabilizer share its character sums; outside
+        # Omega, F(H) = 0 and so is the orbital dimension
         stabilizer_counts = Counter(o.stabilizer for o in orbit_list)
         direct_ok = True
         for cid in ids:
-            dim_sum = 0
-            for stab, count in stabilizer_counts.items():
-                char_sum = symclass._subgroup_char_sum(n, cid, stab)
-                if char_sum.is_zero:
-                    continue
-                dim_sum += count * symclass._orbital_dim(cid, char_sum, len(stab))
-            if dim_sum != dims.dim_general(n, m, cid):
-                direct_ok = False
+            dim_sum = sum(
+                count * symclass._orbital_dim(cid, symclass._coset_sums(n, cid, stab)[0], len(stab))
+                for stab, count in stabilizer_counts.items()
+            )
+            direct_ok &= dim_sum == dims.dim_general(n, m, cid)
         checks.append(
             (
                 "orbital_direct_sum",
@@ -182,7 +181,7 @@ def run_checks(n: int, m: int | None, budget: int | None):
             r, _ = group.cyclic_intersection(n, stab)
             l = 4 * n // gcd(4 * n, r) if r else 1
             for cid in zetas:
-                char_sum = symclass._subgroup_char_sum(n, cid, stab)
+                char_sum = symclass._coset_sums(n, cid, stab)[0]
                 expected = 2 * l if (r * cid.param) % (4 * n) == 0 else 0
                 zeta_ok &= (char_sum - expected).is_zero
         checks.append(
@@ -195,15 +194,14 @@ def run_checks(n: int, m: int | None, budget: int | None):
 
         if m >= 2:
             # A decision depends on the stabilizer alone, so each character
-            # is decided once per distinct stabilizer in Omega, not per orbit.
+            # is decided once per distinct stabilizer, not per orbit; outside
+            # Omega the dimension is 0 and the empty set is found.
             disagreements = []
             for cid in ids:
                 if cid.degree != 2:
                     continue
                 exists = all(
-                    symclass._stabilizer_decision(n, cid, stab)[1]
-                    for stab in stabilizer_counts
-                    if not symclass._subgroup_char_sum(n, cid, stab).is_zero
+                    symclass._stabilizer_decision(n, cid, stab)[1] for stab in stabilizer_counts
                 )
                 predicted = symclass.predicted_basis(n, cid)
                 if exists != predicted:

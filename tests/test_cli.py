@@ -59,6 +59,9 @@ GOLDEN_REPORTS = [
      "f39aa04b99ab59c54af7d8c53079706169961d367e91f5f479770d481d2e57fd"),
     ("dims --n 48 --m 3", 0, 34445,
      "f63ca841ecc13d1b2f225d20b6ed74864e5d90ffd58a1fab0d2185be0b534df8"),
+    # The report of the benchmark's basis-all workload.
+    ("basis --n 4 --m 2 --char all", 0, 29641613,
+     "8ac0819428263b67796f9971e502eba6999355608035c94d102f183bd555a897"),
 ]
 
 

@@ -232,22 +232,31 @@ def test_coset_sums_match_explicit_cosets(n):
     # the kernel's cosets are the sets {x h : h in H} built with multiply:
     # they partition G, coset 0 is H, each is named by its first element in
     # group.elements order, and its sum is a plain CycloInt sum of values.
+    # The quotient table names the coset holding x_i^(-1) x_j, built with
+    # inverse and multiply, and a decision has dimension 0 exactly when
+    # F(H) is zero.
     elements = group.elements(n)
     for stab in {o.stabilizer for o in orbits(n, 2)}:
-        firsts, number = symclass._cosets(n, stab)
+        firsts, number, quotient = symclass._cosets(n, stab)
+        cosets = [{group.multiply(n, elements[x], h) for h in stab} for x in firsts]
+        assert sorted(g for coset in cosets for g in coset) == list(elements)
+        assert cosets[0] == set(stab)
+        for k, (x, coset) in enumerate(zip(firsts, cosets)):
+            positions = {group.element_index(n, g) for g in coset}
+            assert x == min(positions)
+            assert {number[p] for p in positions} == {k}
+        for i, x in enumerate(firsts):
+            inverse = group.inverse(n, elements[x])
+            for j, y in enumerate(firsts):
+                assert group.multiply(n, inverse, elements[y]) in cosets[quotient[i][j]]
         for cid in chartab.character_ids(n):
             sums = symclass._coset_sums(n, cid, stab)
-            cosets = [{group.multiply(n, elements[x], h) for h in stab} for x in firsts]
-            assert sorted(g for coset in cosets for g in coset) == list(elements)
-            assert cosets[0] == set(stab)
-            for k, (x, coset) in enumerate(zip(firsts, cosets)):
-                positions = {group.element_index(n, g) for g in coset}
-                assert x == min(positions)
-                assert {number[p] for p in positions} == {k}
+            for k, coset in enumerate(cosets):
                 expected = CycloInt.zero(4 * n)
                 for g in coset:
                     expected = expected + chartab.character_value(n, cid, g)
                 assert sums[k] == expected, (n, cid, sorted(stab), k)
+            assert (symclass._stabilizer_decision(n, cid, stab)[0] == 0) == sums[0].is_zero
 
 
 @st.composite
@@ -263,15 +272,6 @@ def test_product_table_agrees_with_multiply(case):
     n, (g, h) = case
     product = group.product_table(n)[group.element_index(n, g)][group.element_index(n, h)]
     assert group.elements(n)[product] == group.multiply(n, g, h)
-
-
-@settings(max_examples=60, deadline=None)
-@given(group_elements(1))
-def test_inverse_read_off_the_table_agrees_with_inverse(case):
-    n, (g,) = case
-    table = group.product_table(n)
-    inverse_row = symclass._inverse_row(table, group.element_index(n, g))
-    assert inverse_row == table[group.element_index(n, group.inverse(n, g))]
 
 
 @settings(max_examples=60, deadline=None)
@@ -460,8 +460,9 @@ def test_clique_search_against_brute_force_random_graphs():
 @pytest.mark.parametrize("n, m", [(2, 2), (4, 2)])
 def test_decision_graph_is_the_zero_pattern_of_gram(monkeypatch, n, m):
     # The clique graph a decision searches joins cosets v, w exactly when
-    # gram() has a zero entry at their coset representatives.  The graph
-    # differs here from one built without the inverse sigma_i^(-1).
+    # gram() has a zero entry at their coset representatives.  Both read
+    # the quotient table of _cosets, which test_coset_sums_match_explicit_cosets
+    # checks against inverse and multiply.
     graphs = []
     find_clique = symclass._find_clique
 
@@ -476,7 +477,7 @@ def test_decision_graph_is_the_zero_pattern_of_gram(monkeypatch, n, m):
     checked = 0
     for stab, orbit in one_orbit_per_stabilizer.items():
         for cid in chartab.character_ids(n):
-            if symclass._subgroup_char_sum(n, cid, stab).is_zero:
+            if symclass._coset_sums(n, cid, stab)[0].is_zero:
                 continue
             graphs.clear()
             symclass._stabilizer_decision(n, cid, stab)

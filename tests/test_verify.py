@@ -1,5 +1,7 @@
 """The table-routed group checks of `verify` fail when their input is wrong."""
 
+import dataclasses
+
 import pytest
 
 from sdtensor import chartab, group, perm, symclass, verify
@@ -77,3 +79,15 @@ def test_criterion_equivalence_matches_the_public_decision(n, m):
     detail = "; ".join(disagreements) or "exhaustive search matches the prediction table"
     checks = {name: (ok, text) for name, ok, text in verify.run_checks(n, m, None)}
     assert checks["criterion_equivalence"] == (not disagreements, detail)
+
+
+def test_orbit_stabilizer_catches_a_wrong_stabilizer(monkeypatch):
+    # <a^4> is a real subgroup of order 2, so size * |H| is still 8n for the
+    # altered orbit; only the orbit sizes, no longer summing to m^(4n), tell
+    orbit_list = symclass.orbits(2, 2)
+    k = next(k for k, o in enumerate(orbit_list) if o.stabilizer_order == 1)
+    altered = list(orbit_list)
+    altered[k] = dataclasses.replace(altered[k], stabilizer=(SDElement(0, 0), SDElement(0, 4)))
+    monkeypatch.setattr(symclass, "orbits", lambda n, m, budget: altered)
+    checks = {name: ok for name, ok, _ in verify.run_checks(2, 2, None)}
+    assert checks["orbit_stabilizer"] is False
