@@ -60,11 +60,9 @@ def _element_json(g: SDElement) -> dict:
 def _trig_str(n: int, cid: CharacterId, g: SDElement) -> str:
     """Human-readable exact form of a character value."""
     if cid.kind == "chi":
-        value = chartab.character_value(n, cid, g)
-        z = value.to_complex()
-        if abs(z.imag) < 1e-9:
-            return str(int(round(z.real)))
-        return "i" if z.imag > 0 else "-i"
+        # one term c * zeta^e, with e a multiple of n and zeta^n = i
+        ((e, c),) = chartab.value_terms(n, cid)[group.element_index(n, g)]
+        return ("1", "i", "-1", "-i")[(e // n + 2 * (c < 0)) % 4]
     if g.s:
         return "0"
     h = cid.param

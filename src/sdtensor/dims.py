@@ -183,6 +183,11 @@ _NON_INTEGRAL_NOTE = (
 )
 
 
+def known_defect(n: int, cid: CharacterId) -> bool:
+    """Whether cid's closed form is a catalogued defect: psi, and chi:3 at odd n."""
+    return cid.kind == "psi" or (cid == chartab.chi(3) and n % 2 == 1)
+
+
 def dim_report(n: int, m: int) -> DimReport:
     """Both computations for every character, with agreement flags.
 
@@ -204,10 +209,8 @@ def dim_report(n: int, m: int) -> DimReport:
         if not agree:
             if closed is None:
                 note = _NON_INTEGRAL_NOTE
-            elif cid.kind == "psi":
-                note = _PSI_NOTE
-            elif cid == chartab.chi(3) and n % 2 == 1:
-                note = _CHI3_NOTE
+            elif known_defect(n, cid):
+                note = _PSI_NOTE if cid.kind == "psi" else _CHI3_NOTE
             else:
                 note = "closed-form variant disagrees; trace value is authoritative"
         entries.append(DimEntry(cid, general, closed, agree, note))

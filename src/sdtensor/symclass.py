@@ -1,8 +1,8 @@
 """Orbits, stabilizers, exact Gram matrices, and orthogonal-basis decisions.
 
 The group SD_{8n} acts on length-4n sequences over the alphabet {1, ..., m}
-by permuting positions through its embedding into S_{4n}, read from one
-cached action table on element positions.  An orbit is its lex-least
+by permuting positions through its embedding T into S_{4n}; orbits() reads
+T into code tables that it frees on return.  An orbit is its lex-least
 representative and its stabilizer H; the left cosets xH, numbered once per
 H, index its members.  Each orbit whose stabilizer character sum F(H) is
 nonzero carries an orbital subspace of the symmetry class, spanned by the
@@ -118,7 +118,8 @@ class OrbitData:
 
     @property
     def members(self) -> tuple[Sequence, ...]:
-        return tuple(act(self.n, s, self.representative) for s in self.coset_reps)
+        moves, firsts = _action_maps(self.n), _cosets(self.n, self.stabilizer)[0]
+        return tuple(sorted(moves[x](self.representative) for x in firsts))
 
     @property
     def size(self) -> int:
@@ -129,19 +130,16 @@ class OrbitData:
         return len(self.stabilizer)
 
 
-@functools.lru_cache(maxsize=None)
-def _code_action(n: int, m: int) -> tuple[tuple[SDElement, ...], list[Sequence], tuple]:
+def _code_tables(n: int, m: int) -> tuple[tuple[SDElement, ...], list[Sequence], tuple]:
     """The action on codes: group.elements, the letters of every half code,
     and for each g, in that order, two tables with
     code(g.alpha) = high[code // m^(2n)] + low[code % m^(2n)].
 
     Position u of alpha moves to position T(g)(u), so its digit takes the
-    weight radix[T(g)(u)]; the getter of g^(-1) reads exactly those weights
-    off radix.  Each table sums the weights of one half's digits, built digit
-    by digit, most significant first: 16n * m^(2n) ints in all, next to
-    m^(2n) letter tuples.
+    weight radix[T(g)(u)], read off perm.embed.  Each table sums the weights
+    of one half's digits, built digit by digit, most significant first:
+    16n * m^(2n) ints in all, next to m^(2n) letter tuples.
     """
-    moves = _action_maps(n)
     radix = [m ** (4 * n - 1 - t) for t in range(4 * n)]
 
     def table(weights) -> list[int]:
@@ -151,19 +149,20 @@ def _code_action(n: int, m: int) -> tuple[tuple[SDElement, ...], list[Sequence],
         return sums
 
     halves = []
-    for row in group.product_table(n):
-        # g^(-1) is the column where the row of g holds the identity
-        weights = moves[row.index(0)](radix)
+    for g in group.elements(n):
+        weights = [radix[t - 1] for t in perm.embed(n, g).images]
         halves.append((table(weights[: 2 * n]), table(weights[2 * n :])))
     letters = list(itertools.product(range(1, m + 1), repeat=2 * n))
     return group.elements(n), letters, tuple(halves)
 
 
-def _orbit_from_representative(n: int, m: int, code: int, interned: dict) -> tuple[OrbitData, set]:
+def _orbit_from_representative(
+    n: int, m: int, code: int, interned: dict, tables: tuple
+) -> tuple[OrbitData, set]:
     """The orbit of the sequence coded by code, its stabilizer taken from
     interned, and its member codes for the caller to mark."""
-    elements, letters, halves = _code_action(n, m)
-    high, low = divmod(code, m ** (2 * n))
+    elements, letters, halves = tables
+    high, low = divmod(code, len(letters))
     images = [hi[high] + lo[low] for hi, lo in halves]
     members = set(images)
     stabilizer = tuple(itertools.compress(elements, map(code.__eq__, images)))
@@ -179,12 +178,12 @@ def orbits(n: int, m: int, budget: int | None = None) -> list[OrbitData]:
     A sequence is coded as the base-m integer of its letters minus one, so
     code order is lexicographic order.  The group acts on codes directly:
     an image code is one entry of a table over the code's high 2n digits
-    plus one of a table over its low 2n digits (_code_action), and the
-    tables take 16n * m^(2n) ints.  One pass over the codes marks every
-    member of each orbit found; the next unmarked code is the lex-least
-    member of a new orbit, because every smaller code already belongs to an
-    earlier one.  The marks take one byte per sequence; orbits store no
-    members, and orbits with equal stabilizers share one stabilizer tuple.
+    plus one of a table over its low 2n digits (_code_tables), built once
+    per call from the embedding and freed on return.  One pass over the
+    codes marks every member of each orbit found; the next unmarked code is
+    the lex-least member of a new orbit, because every smaller code already
+    belongs to an earlier one.  The marks take one byte per sequence; orbits
+    store no members, and orbits with equal stabilizers share one tuple.
 
     >>> result = orbits(2, 2)
     >>> len(result), result[0].representative
@@ -199,11 +198,12 @@ def orbits(n: int, m: int, budget: int | None = None) -> list[OrbitData]:
         raise BudgetExceededError(n, m, total, limit)
 
     covered = bytearray(total)
+    tables = _code_tables(n, m)
     interned: dict = {}
     result = []
     code = 0
     while code != -1:
-        orbit, members = _orbit_from_representative(n, m, code, interned)
+        orbit, members = _orbit_from_representative(n, m, code, interned, tables)
         for member in members:
             if covered[member]:
                 raise RuntimeError("orbit partition has overlapping orbits")

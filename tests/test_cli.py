@@ -18,8 +18,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sdtensor
-from sdtensor import cli, symclass, verify
+from sdtensor import chartab, cli, group, symclass, verify
 from sdtensor.cli import main
+from sdtensor.cyclo import root_power
 
 # (arguments, exit code, byte length, sha256) of reports, pinned so
 # that any change to their bytes, witness order included, is caught.
@@ -62,6 +63,12 @@ GOLDEN_REPORTS = [
     # The report of the benchmark's basis-all workload.
     ("basis --n 4 --m 2 --char all", 0, 29641613,
      "8ac0819428263b67796f9971e502eba6999355608035c94d102f183bd555a897"),
+    # The chi:3 note at odd n, whose closed form is integral at (3, 6), and
+    # the in-delta-bar suffix of the pretty orbits report.
+    ("dims --n 3 --m 6", 0, 1907,
+     "abcf059430caf83205ea427308298b4aa8c78ff8f19ebdf8a913aaa0f4c109fe"),
+    ("orbits --n 2 --m 2 --char psi:1 --format pretty", 0, 1070,
+     "868ab6d44252a90dd7c21bf157a67efd4f7ea39d28c2a291b347dc6ee40c6fc5"),
 ]
 
 
@@ -191,6 +198,18 @@ def test_table_csv(capsys):
     assert lines[1].startswith("chi:0,")
     # exact coordinates and a float rendering share each cell
     assert "(1;0;0;0) +1.000000+0.000000i" in lines[1]
+
+
+def test_linear_character_text_is_the_exact_value():
+    for n in range(2, 9):
+        i = root_power(4 * n, n)
+        exact = {"1": 1, "i": i, "-1": -1, "-i": -i}
+        for cid in chartab.character_ids(n):
+            if cid.kind != "chi":
+                continue
+            for g in group.elements(n):
+                text = cli._trig_str(n, cid, g)
+                assert (chartab.character_value(n, cid, g) - exact[text]).is_zero, (n, cid, g)
 
 
 def test_table_json_entries(capsys):

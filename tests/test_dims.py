@@ -142,6 +142,10 @@ def test_chi3_odd_run_on_term_never_validates():
             )
             assert not entry.agree
             assert entry.general == dim_general(n, m, chi(3))
+    # at (3, 6) the defective form is an integer, and wrong: the chi:3 note
+    entry = next(e for e in dim_report(3, 6).entries if e.character == chi(3))
+    assert (entry.closed_form, entry.general) == (90484221, 90485570)
+    assert entry.note == dims._CHI3_NOTE
 
 
 def test_monotone_in_m():

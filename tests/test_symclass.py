@@ -121,28 +121,23 @@ def _encode(m, alpha):
 
 @settings(max_examples=60, deadline=None)
 @given(st.integers(2, 4), st.integers(1, 4), st.data())
-def test_code_action_matches_act(n, m, data):
+def test_code_tables_match_act(n, m, data):
     code = data.draw(st.integers(0, m ** (4 * n) - 1))
     alpha = _decode(n, m, code)
     assert _encode(m, alpha) == code
-    elements, letters, halves = symclass._code_action(n, m)
+    elements, letters, halves = symclass._code_tables(n, m)
     assert elements == group.elements(n)
     high, low = divmod(code, m ** (2 * n))
     assert letters[high] + letters[low] == alpha
-    try:
-        for g, (hi, lo) in zip(elements, halves):
-            assert hi[high] + lo[low] == _encode(m, act(n, g, alpha))
-    finally:
-        if m ** (2 * n) > 4096:
-            # at (4, 4) the tables hold 4.2 M ints; do not keep them
-            symclass._code_action.cache_clear()
+    for g, (hi, lo) in zip(elements, halves):
+        assert hi[high] + lo[low] == _encode(m, act(n, g, alpha))
 
 
 def test_orbits_rejects_overlapping_orbits(monkeypatch):
     build = symclass._orbit_from_representative
 
-    def overlapping(n, m, code, interned):
-        orbit, members = build(n, m, code, interned)
+    def overlapping(n, m, code, interned, tables):
+        orbit, members = build(n, m, code, interned, tables)
         # code 0 is the sequence (1,) * 4n, the first orbit's representative
         return orbit, [*members, 0]
 
@@ -170,20 +165,32 @@ def test_orbits_keep_no_member_tuples():
     fields = {f.name for f in dataclasses.fields(symclass.OrbitData)}
     assert "members" not in fields and "coset_reps" not in fields
     n, m = 4, 2
-    symclass._action_maps(n)
     result, retained = _retained_by_orbits(n, m)
     assert len(result) == dims.dim_general(n, m, chi(0))
     assert retained < 64 * m ** (4 * n), retained / m ** (4 * n)
 
     # orbits with equal stabilizers share one tuple, so a record costs a
-    # fixed few hundred bytes; the action tables are built beforehand
+    # fixed few hundred bytes; the code tables are freed on return
     n, m = 3, 3
-    symclass._code_action(n, m)
     result, retained = _retained_by_orbits(n, m)
     interned = {}
     for o in result:
         assert interned.setdefault(o.stabilizer, o.stabilizer) is o.stabilizer
     assert retained < 300 * len(result), retained / len(result)
+
+
+def test_orbits_read_the_action_off_the_embedding(monkeypatch):
+    def fail(*args):
+        raise AssertionError("action read off another table")
+
+    # the code tables come from perm.embed, not from the product table
+    monkeypatch.setattr(group, "product_table", fail)
+    result = orbits(2, 2)
+    monkeypatch.undo()
+    # members are the images under the coset firsts, with no validating act
+    monkeypatch.setattr(symclass, "act", fail)
+    for o in result:
+        assert len(o.members) == o.size and list(o.members) == sorted(set(o.members))
 
 
 def test_consumers_of_an_orbit_list_do_not_enumerate(monkeypatch):
