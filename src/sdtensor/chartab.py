@@ -14,8 +14,11 @@ So every value is 0, +-zeta^e, or zeta^(hr) + zeta^((2n-1)hr), and
 symmetrizer traces, stabilizer and coset sums) are accumulated as integer
 lists indexed by exponent, where a product adds exponents and a conjugate
 negates them, and each result is reduced modulo the cyclotomic polynomial
-once by `cyclo.from_exponents`.  `value_table` holds the reduced CycloInt
-values, which are what every public function returns.
+once by `cyclo.from_exponents`.  A single value is reduced the same way,
+from its own terms, when `character_value` is asked for it.
+
+`character_ids` is the one list of characters; `validate_id` tests
+membership in it.
 
 Character families and their parameter ranges:
   chi:i   linear; i in 0..3 for even n, 0..7 for odd n
@@ -120,6 +123,7 @@ def psi_range(n: int) -> tuple[int, ...]:
     return tuple(h for h in sets.C_odd_23 if h not in (n, 3 * n))
 
 
+@functools.lru_cache(maxsize=None)
 def character_ids(n: int) -> tuple[CharacterId, ...]:
     """All irreducible characters, in table order: linears, zetas, psis."""
     check_n(n)
@@ -130,16 +134,8 @@ def character_ids(n: int) -> tuple[CharacterId, ...]:
 
 
 def validate_id(n: int, cid: CharacterId) -> None:
-    check_n(n)
-    if cid.kind == "chi":
-        if cid.param not in linear_range(n):
-            raise ValueError(f"{cid.label()} is not a character of SD_{8 * n}")
-    elif cid.kind == "zeta":
-        if cid.param not in index_sets(n).Cdag_even:
-            raise ValueError(f"{cid.label()} is not a character of SD_{8 * n}")
-    else:
-        if cid.param not in psi_range(n):
-            raise ValueError(f"{cid.label()} is not a character of SD_{8 * n}")
+    if cid not in character_ids(n):
+        raise ValueError(f"{cid.label()} is not a character of SD_{8 * n}")
 
 
 # chi_i is determined by (chi(a), chi(b)); chi(a) is recorded as a multiple
@@ -153,7 +149,11 @@ _CHI_B_SIGN = {0: 1, 1: -1, 2: 1, 3: -1, 4: 1, 5: -1, 6: 1, 7: -1}
 def character_value(n: int, cid: CharacterId, g: SDElement) -> CycloInt:
     """Exact value of the character at a group element."""
     group.check_element(n, g)
-    return value_table(n, cid)[g]
+    order = 4 * n
+    vec = [0] * order
+    for e, c in value_terms(n, cid)[group.element_index(n, g)]:
+        vec[e] += c
+    return from_exponents(order, vec)
 
 
 @functools.lru_cache(maxsize=None)
@@ -181,24 +181,6 @@ def value_terms(n: int, cid: CharacterId) -> tuple[tuple[tuple[int, int], ...], 
     return rotations + ((),) * order
 
 
-@functools.lru_cache(maxsize=None)
-def value_table(n: int, cid: CharacterId) -> dict[SDElement, CycloInt]:
-    """Character values at every group element, reduced from value_terms.
-
-    Equal values share one CycloInt object.
-    """
-    order = 4 * n
-    distinct: dict[CycloInt, CycloInt] = {}
-    table = {}
-    for g, terms in zip(group.elements(n), value_terms(n, cid)):
-        vec = [0] * order
-        for e, c in terms:
-            vec[e] += c
-        value = from_exponents(order, vec)
-        table[g] = distinct.setdefault(value, value)
-    return table
-
-
 @dataclass(frozen=True)
 class CharacterTable:
     """Square table of exact character values on conjugacy class representatives."""
@@ -208,9 +190,6 @@ class CharacterTable:
     class_reps: tuple[SDElement, ...]
     classes: group.ConjClassReport
     entries: tuple[tuple[CycloInt, ...], ...]  # entries[row][col]
-
-    def value(self, cid: CharacterId, rep: SDElement) -> CycloInt:
-        return self.entries[self.ids.index(cid)][self.class_reps.index(rep)]
 
 
 def character_table(n: int) -> CharacterTable:

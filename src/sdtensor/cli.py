@@ -11,9 +11,9 @@ json.dump(payload, indent=2, sort_keys=True) plus a newline.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 budget
 refusal, 4 the report could not be written (an unwritable --output, or a
-reader that closed the pipe), 5 internal error (a broken invariant, an
-arithmetic failure or exhausted memory).  Diagnostics go to standard error,
-never as a traceback.
+reader that closed the pipe), 5 internal error (any other exception, such as
+a broken invariant, an arithmetic failure or exhausted memory).  Diagnostics
+go to standard error as one line, never as a traceback.
 """
 
 from __future__ import annotations
@@ -38,10 +38,6 @@ VERIFY_ERROR = 1
 BUDGET_ERROR = 3
 IO_ERROR = 4
 INTERNAL_ERROR = 5
-
-# What a computation raises when the program, not the request, is at fault.
-# BudgetExceededError is a RuntimeError too, so it must be caught first.
-INTERNAL_FAILURES = (RuntimeError, ArithmeticError, MemoryError)
 
 
 def _cyclo_json(x: CycloInt) -> dict:
@@ -515,7 +511,8 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
-    except INTERNAL_FAILURES as exc:
+    except Exception as exc:
+        # The program, not the request, is at fault.
         return _internal_error(exc)
     try:
         _emit(report, args.output)
@@ -526,7 +523,7 @@ def main(argv=None) -> int:
             os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         print(f"error: cannot write the report: {exc}", file=sys.stderr)
         return IO_ERROR
-    except INTERNAL_FAILURES as exc:
+    except Exception as exc:
         return _internal_error(exc)
     # Only verify payloads carry "ok".
     return VERIFY_ERROR if payload.get("ok") is False else 0

@@ -5,12 +5,15 @@ are skipped when m is not supplied; with m, the orbits are enumerated first,
 so an alphabet over the budget is refused before any check runs.  Everything
 asserted here is an exact identity, no tolerances anywhere.
 
-Two group-level checks read tables on element positions, the indexing of
-group.elements that symclass reads too: `class_function` reads each
-character's value table, and `embedding_homomorphism` compares the image
-tuples of T against `group.product_table`, the table behind the coset and
-Gram kernels.  `row_orthonormality` stays an element-wise sum and
-`group.conjugacy_classes` stays on `group.multiply`, as independent routes.
+Three group-level checks read `group.product_table`, the table on element
+positions behind the coset and Gram kernels: `class_count` and
+`class_equation` find the classes again on it, as the orbits of x -> g x g^(-1),
+and compare them with `group.conjugacy_classes`, which stays on
+`group.multiply`; `embedding_homomorphism` compares the image tuples of T
+against it.  Character sums are exponent vectors reduced once, as in
+`chartab`: `column_relation` reduces one per class, `row_orthonormality`
+stays an element-wise sum, and `class_function` reads `character_value` at
+every class member.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from collections import Counter
 from math import gcd
 
 from . import chartab, dims, group, perm, symclass
-from .cyclo import CycloInt, root_power
+from .cyclo import from_exponents
 
 
 def run_checks(n: int, m: int | None, budget: int | None):
@@ -28,19 +31,30 @@ def run_checks(n: int, m: int | None, budget: int | None):
     checks = []
 
     classes = group.conjugacy_classes(n)
+    sizes = [len(ms) for _, ms in classes.classes]
+    # the same classes on table positions: x ~ g x g^(-1), where g^(-1) is
+    # the column in which row g holds the identity, position 0
+    table = group.product_table(n)
+    inverses = [row.index(0) for row in table]
+    table_classes = {
+        frozenset(table[row[x]][inv] for row, inv in zip(table, inverses)) for x in range(8 * n)
+    }
+    table_sizes = [len(c) for c in sorted(table_classes, key=min)]
     expected = 2 * n + 3 if n % 2 == 0 else 2 * n + 6
     checks.append(
         (
             "class_count",
-            classes.count == expected,
+            len(table_classes) == expected == classes.count,
             f"{classes.count} classes (expected {expected})",
         )
     )
     checks.append(
         (
             "class_equation",
-            sum(len(ms) for _, ms in classes.classes) == 8 * n,
-            f"class sizes sum to {sum(len(ms) for _, ms in classes.classes)}",
+            sum(table_sizes) == 8 * n
+            and all(8 * n % size == 0 for size in table_sizes)
+            and table_sizes == sizes,
+            f"class sizes sum to {sum(sizes)}",
         )
     )
 
@@ -73,19 +87,21 @@ def run_checks(n: int, m: int | None, budget: int | None):
 
     column_ok = True
     for rep in classes.representatives:
-        acc = CycloInt.zero(4 * n)
+        vec = [0] * (4 * n)
+        position = group.element_index(n, rep)
         for cid in ids:
-            acc = acc + cid.degree * chartab.character_value(n, cid, rep)
-        want = 8 * n if rep == group.identity() else 0
-        if not (acc - want).is_zero:
-            column_ok = False
+            for e, c in chartab.value_terms(n, cid)[position]:
+                vec[e] += cid.degree * c
+        if rep == group.identity():
+            vec[0] -= 8 * n
+        column_ok &= from_exponents(4 * n, vec).is_zero
     checks.append(
         ("column_relation", column_ok, "degree-weighted column sums vanish off the identity")
     )
 
     class_fun_ok = all(
-        len({values[g] for g in members}) == 1
-        for values in (chartab.value_table(n, cid) for cid in ids)
+        len({chartab.character_value(n, cid, g) for g in members}) == 1
+        for cid in ids
         for _, members in classes.classes
     )
     checks.append(("class_function", class_fun_ok, "values constant on conjugacy classes"))
@@ -174,7 +190,7 @@ def run_checks(n: int, m: int | None, budget: int | None):
         )
 
         zeta_ok = True
-        zetas = [chartab.zeta(h) for h in chartab.index_sets(n).Cdag_even]
+        zetas = [cid for cid in ids if cid.kind == "zeta"]
         for stab in stabilizer_counts:
             r, _ = group.cyclic_intersection(n, stab)
             l = 4 * n // gcd(4 * n, r) if r else 1

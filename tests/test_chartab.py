@@ -101,7 +101,9 @@ def test_invalid_ids_rejected():
     with pytest.raises(ValueError):
         character_value(2, zeta(0), SDElement(0, 0))
     with pytest.raises(ValueError):
-        chartab.value_table(2, zeta(1))
+        chartab.validate_id(2, zeta(1))
+    with pytest.raises(ValueError):
+        chartab.validate_id(2.0, chi(0))  # equal to the cached n=2, but not an int
     with pytest.raises(ValueError):
         chartab.value_terms(2, psi(2))  # psi parameter must be odd
     with pytest.raises(ValueError):
@@ -163,7 +165,9 @@ def test_table_shape():
         assert len(table.ids) == len(table.class_reps)
         assert len(table.entries) == len(table.ids)
         assert all(len(row) == len(table.class_reps) for row in table.entries)
-        assert table.value(chi(0), group.identity()).to_int() == 1
+        assert table.ids[0] == chi(0) and table.class_reps[0] == group.identity()
+        assert table.entries[0][0] == character_value(n, chi(0), group.identity())
+        assert table.entries[0][0].to_int() == 1
 
 
 def test_degree_two_values_are_trig_forms():

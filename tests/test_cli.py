@@ -69,6 +69,14 @@ GOLDEN_REPORTS = [
      "abcf059430caf83205ea427308298b4aa8c78ff8f19ebdf8a913aaa0f4c109fe"),
     ("orbits --n 2 --m 2 --char psi:1 --format pretty", 0, 1070,
      "868ab6d44252a90dd7c21bf157a67efd4f7ea39d28c2a291b347dc6ee40c6fc5"),
+    # Character tables at odd n in JSON (chi:4..7), at n=4 in CSV and at
+    # n=5 in pretty form, each value reduced from its exponent terms.
+    ("table --n 3", 0, 34053,
+     "050197c52eea9d312f252e61c8fedbea47420ec3f0c6690acf432be24c46f653"),
+    ("table --n 4 --format csv", 0, 4768,
+     "c92e1aada4b97f5ae3f5fc0ed56c45bedf96f0b92b7d8ff12d5193148a13ad37"),
+    ("table --n 5 --format pretty", 0, 8704,
+     "57bf484f1d9ecad662744ceb2be43d1ec451d10e8c67743e87b443ba18109252"),
 ]
 
 
@@ -573,6 +581,11 @@ INTERNAL_EXCEPTIONS = [
     RuntimeError("orbit construction is inconsistent"),
     ZeroDivisionError("exact_div by zero"),
     MemoryError(),
+    IndexError("tuple index out of range"),
+    KeyError("zeta:2"),
+    TypeError("Object of type set is not JSON serializable"),
+    AttributeError("'NoneType' object has no attribute 'stabilizer'"),
+    AssertionError(),
 ]
 
 

@@ -386,11 +386,10 @@ def test_gram_reflection_cosets_vanish_for_rotation_stabilizers():
 def _tensor_vector(n, cid, member):
     """Coefficients of sum over g of chi(g) e_{g.member}, an exact scalar
     multiple of the decomposable symmetrized tensor of `member`."""
-    values = chartab.value_table(n, cid)
     coeffs = {}
     for g in group.elements(n):
         key = act(n, g, member)
-        coeffs[key] = coeffs.get(key, CycloInt.zero(4 * n)) + values[g]
+        coeffs[key] = coeffs.get(key, CycloInt.zero(4 * n)) + chartab.character_value(n, cid, g)
     return coeffs
 
 

@@ -29,20 +29,27 @@ def test_embedding_homomorphism_catches_a_wrong_image(monkeypatch):
     assert main(["verify", "--n", "3"]) == 1
 
 
+def test_class_checks_catch_a_wrong_product_table(monkeypatch):
+    # the Cayley table of the cyclic group of order 8n: every class a point
+    n = 3
+    order = 8 * n
+    cyclic = tuple(tuple((i + j) % order for j in range(order)) for i in range(order))
+    monkeypatch.setattr(verify.group, "product_table", lambda n_: cyclic)
+    assert failing_checks(n) == {"class_count", "class_equation", "embedding_homomorphism"}
+
+
 def test_class_function_catches_a_wrong_member_value(monkeypatch):
     n = 3
     cid = chartab.zeta(2)
     rep, members = next(c for c in group.conjugacy_classes(n).classes if len(c[1]) > 1)
     member = next(g for g in members if g != rep)
-    value_table = chartab.value_table
+    character_value = chartab.character_value
 
-    def altered(n_, cid_):
-        values = value_table(n_, cid_)
-        if (n_, cid_) != (n, cid):
-            return values
-        return {**values, member: values[member] + 1}
+    def altered(n_, cid_, g):
+        value = character_value(n_, cid_, g)
+        return value + 1 if (n_, cid_, g) == (n, cid, member) else value
 
-    monkeypatch.setattr(chartab, "value_table", altered)
+    monkeypatch.setattr(chartab, "character_value", altered)
     assert failing_checks(n) == {"class_function"}
 
 
