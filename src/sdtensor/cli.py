@@ -22,7 +22,9 @@ import argparse
 import contextlib
 import csv
 import io
+import itertools
 import json
+import operator
 import os
 import sys
 from fractions import Fraction
@@ -137,16 +139,17 @@ def _table_csv(payload: dict) -> str:
 
 
 def _table_pretty(payload: dict) -> str:
+    """The table of the payload, its characters and class representatives
+    read back from their labels, so the table is built once per request."""
     n = payload["n"]
-    table = chartab.character_table(n)
+    by_name = {group.element_name(g): g for g in group.elements(n)}
+    reps = [by_name[label] for label in payload["class_labels"]]
     rows = [["character"] + payload["class_labels"]]
-    for cid, row in zip(table.ids, payload["rows"]):
+    for row in payload["rows"]:
+        (cid,) = chartab.parse_character_spec(n, row["character"])
         rows.append(
             [row["character"]]
-            + [
-                f"{_trig_str(n, cid, rep)} ({_coeffs_str(v)})"
-                for rep, v in zip(table.class_reps, row["values"])
-            ]
+            + [f"{_trig_str(n, cid, rep)} ({_coeffs_str(v)})" for rep, v in zip(reps, row["values"])]
         )
     widths = [max(len(r[c]) for r in rows) for c in range(len(rows[0]))]
     return "".join("  ".join(s.ljust(w) for s, w in zip(r, widths)) + "\n" for r in rows)
@@ -234,25 +237,20 @@ def _orbits_pretty(payload: dict) -> str:
 
 
 def _basis_payload(args) -> dict:
-    """One decision, or {"decisions": [...]} when the spec names several."""
-    cids = chartab.parse_character_spec(args.n, args.char)
-    orbit_list = symclass.orbits(args.n, args.m, args.budget)
-    decisions = [_decision_payload(args.n, args.m, cid, orbit_list) for cid in cids]
-    return decisions[0] if len(decisions) == 1 else {"decisions": decisions}
+    """One decision, or {"decisions": [...]} when the spec names several.
 
+    All characters are decided in one pass; characters that share an
+    orbit's outcome share its report entry, one dict per distinct outcome
+    object (keyed by id, not by the outcomes' value equality).
+    """
+    n, m = args.n, args.m
+    cids = chartab.parse_character_spec(n, args.char)
+    entries: dict[int, dict] = {}
 
-def _decision_payload(n: int, m: int, cid: CharacterId, orbit_list) -> dict:
-    decision = symclass.decide_orthogonal_basis(cid, orbit_list)
-    predicted = symclass.predicted_basis(n, cid)
-    return {
-        "n": n,
-        "m": m,
-        "character": cid.label(),
-        "predicted": predicted,
-        "exhaustive": decision.exists,
-        "agree": predicted == decision.exists,
-        "orbits": [
-            {
+    def entry(o: symclass.OrbitalOutcome) -> dict:
+        found = entries.get(id(o))
+        if found is None:
+            found = entries[id(o)] = {
                 "representative": o.representative,
                 "orbit_size": o.orbit_size,
                 "stabilizer_order": o.stabilizer_order,
@@ -263,9 +261,23 @@ def _decision_payload(n: int, m: int, cid: CharacterId, orbit_list) -> dict:
                     else {"failure": "no orthogonal set of size orbital_dim exists"}
                 ),
             }
-            for o in decision.orbits
-        ],
-    }
+        return found
+
+    decisions = []
+    for decision in symclass.decide_orthogonal_bases(cids, symclass.orbits(n, m, args.budget)):
+        predicted = symclass.predicted_basis(n, decision.character)
+        decisions.append(
+            {
+                "n": n,
+                "m": m,
+                "character": decision.character.label(),
+                "predicted": predicted,
+                "exhaustive": decision.exists,
+                "agree": predicted == decision.exists,
+                "orbits": list(map(entry, decision.orbits)),
+            }
+        )
+    return decisions[0] if len(decisions) == 1 else {"decisions": decisions}
 
 
 def _basis_pretty(payload: dict) -> str:
@@ -366,9 +378,11 @@ def _write_json(fh, payload) -> None:
     sort_keys=True) followed by a newline would, in writes of at most
     _WRITE_CHARS characters (unless one string or int list is longer).
 
-    A list of plain ints is rendered by one join.  Anything that is not a
-    str, int, bool, None, or a non-empty list, tuple or str-keyed dict goes
-    to json.dumps, so floats match and an unserializable value raises
+    A list of plain ints is rendered by one % on a template cached per
+    (indent, length); the strings, ints and int lists inside a list or dict
+    are rendered in its loop, with no call per item.  Anything that is not
+    a str, int, bool, None, or a non-empty list, tuple or str-keyed dict
+    goes to json.dumps, so floats match and an unserializable value raises
     TypeError.
 
     >>> import io
@@ -402,6 +416,33 @@ def _write_json(fh, payload) -> None:
         pieces.append(piece)
         held += len(piece)
 
+    templates: dict[tuple[str, int], str] = {}
+
+    def ints(value, indent: str) -> str:
+        """The text of a non-empty list of plain ints: one % on a template
+        per (indent, length).  For an exact int, "%d" % x == int.__repr__(x)."""
+        template = templates.get((indent, len(value)))
+        if template is None:
+            inner = indent + "  "
+            template = templates[indent, len(value)] = (
+                "[\n" + inner + (",\n" + inner).join(["%d"] * len(value)) + "\n" + indent + "]"
+            )
+        return template % tuple(value)
+
+    def children(leads, items, indent: str) -> None:
+        """Render each item after its lead; strings, exact ints and int lists,
+        the bulk of a report, are rendered here without a call to render."""
+        for lead, item in zip(leads, items):
+            kind = type(item)
+            if kind is str:
+                put(lead + encode(item))
+            elif kind is int:
+                put(lead + int.__repr__(item))
+            elif (kind is tuple or kind is list) and item and {*map(type, item)} == {int}:
+                put(lead + ints(item, indent))
+            else:
+                render(item, indent, lead)
+
     def render(value, indent: str, lead: str) -> None:
         """Render value after lead, the separator and key that precede it."""
         # The order of these tests is json.encoder's: bool before int.
@@ -416,22 +457,20 @@ def _write_json(fh, payload) -> None:
         elif isinstance(value, int):
             put(lead + int.__repr__(value))
         elif isinstance(value, (list, tuple)) and value:
-            inner = indent + "  "
+            # The type test keeps bools and int subclasses off the template.
             if {*map(type, value)} == {int}:
-                items = (",\n" + inner).join(map(str, value))
-                put(lead + "[\n" + inner + items + "\n" + indent + "]")
+                put(lead + ints(value, indent))
                 return
-            sep = lead + "[\n" + inner
-            for item in value:
-                render(item, inner, sep)
-                sep = ",\n" + inner
+            inner = indent + "  "
+            leads = itertools.chain((lead + "[\n" + inner,), itertools.repeat(",\n" + inner))
+            children(leads, value, inner)
             put("\n" + indent + "]")
         elif isinstance(value, dict) and value and all(isinstance(key, str) for key in value):
             inner = indent + "  "
-            sep = lead + "{\n" + inner
-            for key in sorted(value):
-                render(value[key], inner, sep + encode(key) + ": ")
-                sep = ",\n" + inner
+            keys = sorted(value)
+            seps = itertools.chain((lead + "{\n" + inner,), itertools.repeat(",\n" + inner))
+            leads = map(operator.add, seps, (encode(key) + ": " for key in keys))
+            children(leads, map(value.__getitem__, keys), inner)
             put("\n" + indent + "}")
         else:
             # Empty containers, floats and the rest.  JSON strings hold no

@@ -19,7 +19,10 @@ dimension?  That is a clique problem on at most 8n vertices per orbit and
 is decided here by exhaustive branch-and-bound, with no heuristic shortcut
 on the negative side.  Because the Gram matrix of an orbit depends only on
 its stabilizer subgroup, decisions are cached per (character, stabilizer)
-and reused across orbits.
+and reused across orbits.  decide_orthogonal_bases decides any number of
+characters in one pass over the orbits: characters that reach the same
+decision on an orbit share one OrbitalOutcome, and its witness members are
+built once per orbit.
 
 A separate, much cheaper prediction is also provided: linear characters
 always admit a basis; zeta characters admit one exactly when the 2-adic
@@ -397,46 +400,70 @@ class BasisDecision:
     first_failure: OrbitalOutcome | None
 
 
-def decide_orthogonal_basis(cid: CharacterId, orbit_list: list[OrbitData]) -> BasisDecision:
-    """Exhaustively decide whether V_chi has an orthogonal basis of
-    decomposable symmetrized tensors, with per-orbit witnesses.
+def decide_orthogonal_bases(cids, orbit_list: list[OrbitData]) -> list[BasisDecision]:
+    """Exhaustively decide, for each character of cids, whether V_chi has an
+    orthogonal basis of decomposable symmetrized tensors, with per-orbit
+    witnesses, in one pass over the orbits.
 
     The symmetry class is the orthogonal direct sum of the orbital
     subspaces over representatives in Omega, so a basis exists exactly when
     every such orbital subspace admits one; orbits whose orbital dimension
-    is 0 are left out.  n and m are those of the orbits, so callers
-    sweeping several characters enumerate only once.
+    is 0 are left out.  n and m are those of the orbits.
+
+    A decision depends on the orbit only through its stabilizer, so the
+    characters are grouped once per distinct stabilizer by their
+    _stabilizer_decision.  Each orbit then gets one OrbitalOutcome per
+    group, shared by the decisions of its characters, and the witness
+    members of an orbit are built once per coset representative.
     """
+    cids = list(cids)
     n, m = orbit_list[0].n, orbit_list[0].m
-    chartab.validate_id(n, cid)
+    for cid in cids:
+        chartab.validate_id(n, cid)
     moves = _action_maps(n)
-
-    def judge(orbit: OrbitData) -> OrbitalOutcome | None:
-        dim, found, sigmas = _stabilizer_decision(n, cid, orbit.stabilizer)
-        if dim == 0:
-            return None
-        witness = None
-        if found:
-            witness = tuple(moves[x](orbit.representative) for x in sigmas)
-        return OrbitalOutcome(
-            representative=orbit.representative,
-            orbit_size=orbit.size,
-            stabilizer_order=orbit.stabilizer_order,
-            orbital_dim=dim,
-            found=found,
-            witness=witness,
+    plans: dict[int, list] = {}  # id(stabilizer) -> [(decision, its characters' lists)]
+    outcomes: list[list[OrbitalOutcome]] = [[] for _ in cids]
+    for orbit in orbit_list:
+        stab = orbit.stabilizer
+        plan = plans.get(id(stab))
+        if plan is None:
+            groups: dict[tuple, list[list]] = {}
+            for k, cid in enumerate(cids):
+                decision = _stabilizer_decision(n, cid, stab)
+                if decision[0]:
+                    groups.setdefault(decision, []).append(outcomes[k])
+            # the orbit list holds stab, so its id is not reused during the pass
+            plan = plans[id(stab)] = list(groups.items())
+        rep, members = orbit.representative, {}
+        for (dim, found, sigmas), targets in plan:
+            witness = None
+            if found:
+                for x in sigmas:
+                    if x not in members:
+                        members[x] = moves[x](rep)
+                witness = tuple(map(members.__getitem__, sigmas))
+            outcome = OrbitalOutcome(rep, orbit.size, len(stab), dim, found, witness)
+            for target in targets:
+                target.append(outcome)
+    return [
+        BasisDecision(
+            n=n,
+            m=m,
+            character=cid,
+            exists=all(o.found for o in kept),
+            orbits=tuple(kept),
+            first_failure=next((o for o in kept if not o.found), None),
         )
+        for cid, kept in zip(cids, outcomes)
+    ]
 
-    outcomes = tuple(o for o in map(judge, orbit_list) if o is not None)
-    failures = [o for o in outcomes if not o.found]
-    return BasisDecision(
-        n=n,
-        m=m,
-        character=cid,
-        exists=not failures,
-        orbits=outcomes,
-        first_failure=failures[0] if failures else None,
-    )
+
+def decide_orthogonal_basis(cid: CharacterId, orbit_list: list[OrbitData]) -> BasisDecision:
+    """Exhaustively decide whether V_chi has an orthogonal basis of
+    decomposable symmetrized tensors, with per-orbit witnesses: the one
+    decision of decide_orthogonal_bases([cid], orbit_list).
+    """
+    return decide_orthogonal_bases([cid], orbit_list)[0]
 
 
 def nu2(num: int, den: int) -> int:

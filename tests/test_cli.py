@@ -1,3 +1,4 @@
+import enum
 import errno
 import fcntl
 import hashlib
@@ -11,6 +12,7 @@ import sys
 import termios
 import threading
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -116,6 +118,8 @@ JSON_SCALARS = (
     | st.floats()
     | JSON_KEYS
     | st.lists(st.integers() | st.booleans())
+    | st.lists(st.integers() | st.booleans()).map(tuple)
+    | st.lists(st.lists(st.integers()) | st.lists(st.integers()).map(tuple))
 )
 JSON_VALUES = st.recursive(
     JSON_SCALARS,
@@ -132,6 +136,30 @@ JSON_VALUES = st.recursive(
 @settings(max_examples=300, deadline=None)
 @given(JSON_VALUES)
 def test_json_writer_matches_json_dumps(payload):
+    assert written_json(payload) == dumped_json(payload)
+
+
+class Level(enum.IntEnum):
+    LOW = 1
+    HIGH = 2**70
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        (True, 1),
+        (1, True),
+        [[1], [True]],
+        [2**80, -3],
+        [Level.LOW, 3],
+        [Level.HIGH],
+        {"a": [Level.LOW], "b": (5, 6), "c": [[1, 2], (3,)]},
+        [[[-(2**80)]], [[0, 1], []]],
+    ],
+    ids=repr,
+)
+def test_json_writer_int_lists_match_json_dumps(payload):
+    # bools and int subclasses must not take the template of plain ints
     assert written_json(payload) == dumped_json(payload)
 
 
@@ -230,6 +258,20 @@ def test_table_json_entries(capsys):
     assert all(v["exact"]["coeffs"] == [1, 0, 0, 0] for v in chi0)
 
 
+def test_pretty_table_builds_the_table_once(capsys, monkeypatch):
+    calls = []
+    build = chartab.character_table
+
+    def counted(n):
+        calls.append(n)
+        return build(n)
+
+    monkeypatch.setattr(chartab, "character_table", counted)
+    (golden,) = [g for g in GOLDEN_REPORTS if g[0] == "table --n 5 --format pretty"]
+    assert_golden(capsys, *golden)
+    assert calls == [5]
+
+
 def test_dims_m1(capsys):
     code, out, _ = run_cli(capsys, "dims", "--n", "2", "--m", "1")
     assert code == 0
@@ -283,6 +325,23 @@ def test_basis_decision_disagreeing_case(capsys):
     assert payload["exhaustive"] is True
     assert payload["agree"] is False
     assert all("witness" in o for o in payload["orbits"])
+
+
+def test_basis_report_shares_entries_between_characters():
+    # characters with the same outcome on an orbit share one report entry;
+    # with the caches warm, the payload at (4, 2) keeps under 10 MiB
+    args = cli.build_parser().parse_args("basis --n 4 --m 2 --char all".split())
+    cli._basis_payload(args)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        payload = cli._basis_payload(args)
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    entries = [o for d in payload["decisions"] for o in d["orbits"]]
+    assert (len(entries), len({id(o) for o in entries})) == (23425, 8721)
+    assert retained < 10 * 2**20, retained / 2**20
 
 
 def test_budget_refusal_exit_code(capsys):

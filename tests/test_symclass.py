@@ -16,6 +16,7 @@ from sdtensor.symclass import (
     act,
     cosine_vanishing_exists,
     decide_orthogonal_basis,
+    decide_orthogonal_bases,
     delta_bar,
     gram,
     nu2,
@@ -626,6 +627,60 @@ def test_psi_witnesses_at_n4_match_tensor_oracle():
         assert decision.exists is True
         assert predicted_basis(4, cid) is False
         assert len(_check_witnesses(4, cid, decision, orbit_index, True)) == 9
+
+
+def _decision_per_orbit(cid, orbit_list):
+    """The decision for one character, built orbit by orbit with act from
+    the cached stabilizer decision, sharing nothing."""
+    n, m = orbit_list[0].n, orbit_list[0].m
+    outcomes = []
+    for orbit in orbit_list:
+        dim, found, sigmas = symclass._stabilizer_decision(n, cid, orbit.stabilizer)
+        if dim == 0:
+            continue
+        witness = None
+        if found:
+            witness = tuple(act(n, group.elements(n)[x], orbit.representative) for x in sigmas)
+        outcomes.append(
+            symclass.OrbitalOutcome(
+                orbit.representative, orbit.size, len(orbit.stabilizer), dim, found, witness
+            )
+        )
+    failures = [o for o in outcomes if not o.found]
+    return symclass.BasisDecision(
+        n, m, cid, not failures, tuple(outcomes), failures[0] if failures else None
+    )
+
+
+@pytest.mark.parametrize("n, m", [(2, 2), (3, 2), (4, 2)])
+def test_one_pass_decisions_match_per_character_decisions(n, m):
+    orbit_list = orbits(n, m)
+    cids = chartab.character_ids(n)
+    decisions = decide_orthogonal_bases(cids, orbit_list)
+    assert [d.character for d in decisions] == list(cids)
+    for cid, decision in zip(cids, decisions):
+        single = decide_orthogonal_basis(cid, orbit_list)
+        reference = _decision_per_orbit(cid, orbit_list)
+        for field in dataclasses.fields(symclass.BasisDecision):
+            got = getattr(decision, field.name)
+            assert got == getattr(single, field.name) == getattr(reference, field.name), (
+                cid,
+                field.name,
+            )
+
+
+def test_characters_share_outcomes_and_witness_members():
+    # at (4, 2) the 11 characters reach 8,721 distinct (orbit, decision)
+    # pairs; each is one OrbitalOutcome object, and each witness member of
+    # an orbit one tuple
+    decisions = decide_orthogonal_bases(chartab.character_ids(4), orbits(4, 2))
+    outcomes = [o for d in decisions for o in d.orbits]
+    assert (len(outcomes), len({id(o) for o in outcomes})) == (23425, 8721)
+    members = [w for o in outcomes if o.found for w in o.witness]
+    assert (len(members), len({id(w) for w in members}), len(set(members))) == (65536, 16419, 16419)
+    # shared objects keep value equality
+    o = outcomes[-1]
+    assert dataclasses.replace(o) == o and dataclasses.replace(o) is not o
 
 
 def test_exhaustive_decisions_small_cases():
