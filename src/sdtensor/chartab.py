@@ -1,14 +1,14 @@
 """Irreducible characters of SD_{8n} as exact cyclotomic-integer functions.
 
 All character values live in Z[zeta] with zeta = e^(i*pi/2n), the primitive
-4n-th root of unity.  Linear characters send a to one of 1, -1, i, -i
-(powers of zeta^n) and b to +-1.  The degree-2 characters are traces of the
-two-dimensional representations a^r -> diag(zeta^(hr), zeta^((2n-1)hr)),
-which vanish on every reflection; the familiar 2cos / 2isin expressions for
-their rotation values are consequences checked by the test suite, not the
-definition used here.
+4n-th root of unity.  With k = group.twist(n), a linear character sends b to
++-1 and a to a solution of chi(a)^(k-1) = 1 (1, -1, and for odd n i, -i);
+the degree-2 characters are traces of the representations
+a^r -> diag(zeta^(hr), zeta^(khr)), which vanish on every reflection; the
+familiar 2cos / 2isin expressions for their rotation values are
+consequences checked by the test suite, not the definition used here.
 
-So every value is 0, +-zeta^e, or zeta^(hr) + zeta^((2n-1)hr), and
+So every value is 0, +-zeta^e, or zeta^(hr) + zeta^(khr), and
 `value_terms` stores it as that list of signed exponent terms (e, c) with
 0 <= e < 4n.  Sums of values and of their products (inner products,
 symmetrizer traces, stabilizer and coset sums) are accumulated as integer
@@ -112,8 +112,14 @@ def psi(h: int) -> CharacterId:
     return CharacterId("psi", h)
 
 
+def _linear_a_exponents(n: int) -> tuple[int, ...]:
+    """The e with chi(a) = zeta^e: those in (0, 2n, n, 3n) with (k-1)e = 0 mod 4n."""
+    k1 = group.twist(n) - 1
+    return tuple(e for e in (0, 2 * n, n, 3 * n) if k1 * e % (4 * n) == 0)
+
+
 def linear_range(n: int) -> range:
-    return range(4) if n % 2 == 0 else range(8)
+    return range(2 * len(_linear_a_exponents(n)))
 
 
 def psi_range(n: int) -> tuple[int, ...]:
@@ -138,14 +144,6 @@ def validate_id(n: int, cid: CharacterId) -> None:
         raise ValueError(f"{cid.label()} is not a character of SD_{8 * n}")
 
 
-# chi_i is determined by (chi(a), chi(b)); chi(a) is recorded as a multiple
-# of n in the exponent of zeta: zeta^0 = 1, zeta^n = i, zeta^2n = -1,
-# zeta^3n = -i.  Entries 4..7 exist only for odd n, where chi(a)^(2n-2) = 1
-# admits chi(a) = +-i.
-_CHI_A_EXPONENT = {0: 0, 1: 0, 2: 2, 3: 2, 4: 1, 5: 1, 6: 3, 7: 3}
-_CHI_B_SIGN = {0: 1, 1: -1, 2: 1, 3: -1, 4: 1, 5: -1, 6: 1, 7: -1}
-
-
 def character_value(n: int, cid: CharacterId, g: SDElement) -> CycloInt:
     """Exact value of the character at a group element."""
     group.check_element(n, g)
@@ -163,21 +161,19 @@ def value_terms(n: int, cid: CharacterId) -> tuple[tuple[tuple[int, int], ...], 
 
     Entry i belongs to group.elements(n)[i]; the value there is the sum of
     c * zeta^e over its pairs (e, c), with 0 <= e < 4n.  A linear character
-    has one term per element.  A degree-2 character has the two terms
-    zeta^(hr) and zeta^((2n-1)hr) at a^r and none on the reflections.
+    chi:i has one term, chi(a)^r (-1)^(is) at b^s a^r.  A degree-2 character
+    has the two terms zeta^(hr) and zeta^(khr) at a^r, none on reflections.
     """
     validate_id(n, cid)
     order = 4 * n
     if cid.kind == "chi":
-        exp_a = _CHI_A_EXPONENT[cid.param] * n  # chi(a) = zeta^(exp_a)
-        sign_b = _CHI_B_SIGN[cid.param]
+        exp_a = _linear_a_exponents(n)[cid.param // 2]  # chi(a) = zeta^(exp_a)
+        sign_b = (-1) ** cid.param
         return tuple(
             ((exp_a * g.r % order, sign_b if g.s else 1),) for g in group.elements(n)
         )
-    h = cid.param
-    rotations = tuple(
-        ((h * r % order, 1), ((2 * n - 1) * h * r % order, 1)) for r in range(order)
-    )
+    h, kh = cid.param, group.twist(n) * cid.param
+    rotations = tuple(((h * r % order, 1), (kh * r % order, 1)) for r in range(order))
     return rotations + ((),) * order
 
 

@@ -533,6 +533,8 @@ def _internal_error(exc: BaseException) -> int:
 
 
 def main(argv=None) -> int:
+    if hasattr(sys, "set_int_max_str_digits"):  # reports print integers of any length
+        sys.set_int_max_str_digits(0)
     parser = build_parser()
     args = parser.parse_args(argv)
     build, renderers = COMMANDS[args.command]

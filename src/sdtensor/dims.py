@@ -31,10 +31,10 @@ from .chartab import CharacterId, index_sets
 from .cyclo import CycloInt, ExactDivisionError, exact_div, from_exponents
 
 
-def _bar(n: int, ks) -> tuple[int, ...]:
-    """Image of an exponent set under k -> (2n-1)k mod 4n."""
-    m = 4 * n
-    return tuple(sorted((2 * n - 1) * k % m for k in ks))
+def _bar(n: int, xs) -> tuple[int, ...]:
+    """Image of an exponent set under x -> kx mod 4n, k = group.twist(n)."""
+    k = group.twist(n)
+    return tuple(sorted(k * x % (4 * n) for x in xs))
 
 
 def dim_general(n: int, m: int, cid: CharacterId) -> int:

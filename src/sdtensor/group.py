@@ -1,8 +1,8 @@
-"""The semi-dihedral group SD_{8n} = <a, b | a^(4n) = b^2 = 1, bab = a^(2n-1)>.
-
-Elements are kept in the normal form b^s a^r with s in {0, 1} and
-0 <= r < 4n, which is unique.  All operations are pure functions taking the
-group parameter n explicitly; values are immutable and hashable.
+"""The semi-dihedral group SD_{8n} = <a, b | a^(4n) = b^2 = 1, bab = a^k>,
+with k = 2n-1 written only in `twist`, which every table derived from the group
+reads.  Elements are kept in the unique normal form b^s a^r, s in {0, 1} and
+0 <= r < 4n.  All operations are pure functions taking the group parameter n
+explicitly; values are immutable and hashable.
 """
 
 from __future__ import annotations
@@ -44,8 +44,13 @@ def check_n(n: int) -> None:
         raise ValueError(f"group parameter n must be an integer >= 2, got {n}")
 
 
+def twist(n: int) -> int:
+    """The multiplier k = 2n-1 of the relation b a b = a^k."""
+    return 2 * n - 1
+
+
 def check_element(n: int, g: SDElement) -> None:
-    if g.s not in (0, 1) or not 0 <= g.r < 4 * n:
+    if not (isinstance(g.s, int) and isinstance(g.r, int) and g.s in (0, 1) and 0 <= g.r < 4 * n):
         raise ValueError(f"{g} is not a valid element of SD_{8 * n}")
 
 
@@ -71,42 +76,39 @@ def product_table(n: int) -> tuple[tuple[int, ...], ...]:
     elements already known to be valid; multiply checks its arguments.
 
     Built from the normal-form closed form
-    (b^s1 a^r1)(b^s2 a^r2) = b^(s1 xor s2) a^((2n-1)^s2 * r1 + r2 mod 4n),
+    (b^s1 a^r1)(b^s2 a^r2) = b^(s1 xor s2) a^(k^s2 * r1 + r2 mod 4n),
     so the row of b^s a^r holds b^s a^(r + r2) for r2 = 0..4n-1, then
-    b^(1-s) a^((2n-1)r + r2).  It is written independently of multiply,
+    b^(1-s) a^(kr + r2).  It is written independently of multiply,
     which the test suite checks it against.
     """
     check_n(n)
     m = 4 * n
+    k = twist(n)
 
     def block(s: int, shift: int) -> tuple[int, ...]:
         return tuple(s * m + (shift + r2) % m for r2 in range(m))
 
-    return tuple(block(s, r) + block(1 - s, (2 * n - 1) * r) for s in (0, 1) for r in range(m))
+    return tuple(block(s, r) + block(1 - s, k * r) for s in (0, 1) for r in range(m))
 
 
 def multiply(n: int, g: SDElement, h: SDElement) -> SDElement:
     """Normal-form product.
 
-    Pushing a^r past b uses a^k b = b a^((2n-1)k), so
-    (b^s1 a^r1)(b^s2 a^r2) = b^(s1 xor s2) a^((2n-1)^s2 * r1 + r2).
+    Pushing a^r past b uses a^r b = b a^(kr), so
+    (b^s1 a^r1)(b^s2 a^r2) = b^(s1 xor s2) a^(k^s2 * r1 + r2).
     """
     check_n(n)
     check_element(n, g)
     check_element(n, h)
-    m = 4 * n
-    r1 = (2 * n - 1) * g.r % m if h.s else g.r
-    return SDElement(g.s ^ h.s, (r1 + h.r) % m)
+    r1 = twist(n) * g.r if h.s else g.r
+    return SDElement(g.s ^ h.s, (r1 + h.r) % (4 * n))
 
 
 def inverse(n: int, g: SDElement) -> SDElement:
-    """(a^r)^(-1) = a^(4n-r) and (b a^r)^(-1) = b a^((2n+1)r)."""
+    """(b^s a^r)^(-1) = a^(-r) b^s = b^s a^(-k^s r)."""
     check_n(n)
     check_element(n, g)
-    m = 4 * n
-    if g.s == 0:
-        return SDElement(0, (m - g.r) % m)
-    return SDElement(1, (2 * n + 1) * g.r % m)
+    return SDElement(g.s, -(twist(n) ** g.s) * g.r % (4 * n))
 
 
 def power(n: int, g: SDElement, k: int) -> SDElement:

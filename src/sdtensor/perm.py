@@ -2,7 +2,7 @@
 
 Points are 1-based: the residue class of 0 modulo 4n is represented by the
 point 4n, so the rotation generator acts literally as t -> t+1 and the
-reflection generator as t -> (2n-1)t modulo 4n.
+reflection generator as t -> kt modulo 4n, with k = group.twist(n).
 """
 
 from __future__ import annotations
@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
-from .group import SDElement, check_element, check_n
+from .group import SDElement, check_element, check_n, twist
 
 
 @dataclass(frozen=True)
@@ -87,15 +87,15 @@ def cycle_decomposition(p: Permutation) -> CycleDecomposition:
 def embed(n: int, g: SDElement) -> Permutation:
     """The permutation of {1, ..., 4n} representing b^s a^r.
 
-    The generators act by t -> t+1 and t -> (2n-1)t; the word b^s a^r applies
-    the rotation part first, so t -> (2n-1)^s (t + r) modulo 4n, with residue
+    The generators act by t -> t+1 and t -> kt; the word b^s a^r applies
+    the rotation part first, so t -> k^s (t + r) modulo 4n, with residue
     0 written as 4n.  This makes the map a homomorphism for `compose`, which
     also applies its right factor first.
     """
     check_n(n)
     check_element(n, g)
     m = 4 * n
-    factor = (2 * n - 1) if g.s else 1
+    factor = twist(n) ** g.s
     images = []
     for t in range(1, m + 1):
         v = factor * (t + g.r) % m

@@ -199,6 +199,50 @@ def test_zeta_equals_even_h_cosine_on_all_rotations():
                 assert value == want
 
 
+def clifford_characters(n):
+    """The irreducible characters of Z_4n x|_k C_2, k = 2n-1, by Clifford theory.
+
+    Each is the tuple of its per-element exponent terms over b^s a^r in
+    (s, r) order: an h fixed by h -> kh extends in two ways, b -> +-1; a
+    2-orbit {h, kh} induces one degree-2 character, zeta^(hr) + zeta^(khr)
+    at a^r and 0 off <a>.  Written from the literal k, apart from the group
+    module.
+    """
+    order = 4 * n
+    k = 2 * n - 1
+    chars = []
+    for h in range(order):
+        kh = k * h % order
+        if kh == h:
+            for sign in (1, -1):
+                chars.append(tuple(
+                    ((h * r % order, sign**s),) for s in (0, 1) for r in range(order)
+                ))
+        elif h < kh:
+            rotations = tuple(((h * r % order, 1), (kh * r % order, 1)) for r in range(order))
+            chars.append(rotations + ((),) * order)
+    return chars
+
+
+@pytest.mark.parametrize("n", range(2, 17))
+def test_characters_are_those_of_the_twisted_product(n):
+    # the same characters as a multiset, whatever their labels and order
+    table = [chartab.value_terms(n, cid) for cid in character_ids(n)]
+    assert sorted(table) == sorted(clifford_characters(n))
+
+
+@pytest.mark.parametrize("n", range(2, 17))
+def test_degree_two_zeros_follow_the_congruence(n):
+    # zeta^(hu) + zeta^(khu) = 0 exactly when zeta^((k-1)hu) = -1
+    order, k = 4 * n, 2 * n - 1
+    for cid in character_ids(n)[len(chartab.linear_range(n)):]:
+        zeros = [u for u in range(order) if character_value(n, cid, SDElement(0, u)).is_zero]
+        assert zeros == [u for u in range(order) if (k - 1) * cid.param * u % order == 2 * n]
+        if cid.kind == "psi":
+            # each psi character vanishes on some rotation at even n only
+            assert bool(zeros) == (n % 2 == 0)
+
+
 def test_parse_character_spec():
     assert parse_character_spec(2, "chi:0") == [chi(0)]
     assert parse_character_spec(2, "zeta:2") == [zeta(2)]

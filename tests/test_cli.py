@@ -79,6 +79,11 @@ GOLDEN_REPORTS = [
      "c92e1aada4b97f5ae3f5fc0ed56c45bedf96f0b92b7d8ff12d5193148a13ad37"),
     ("table --n 5 --format pretty", 0, 8704,
      "57bf484f1d9ecad662744ceb2be43d1ec451d10e8c67743e87b443ba18109252"),
+    # Larger tables: 35 characters at n=16, and chi:4..7 at n=7 in CSV.
+    ("table --n 16", 0, 865828,
+     "d04978ce2d94d2c217db1178eaaa3769bfcd96c7910e52d45de9b494494a40bb"),
+    ("table --n 7 --format csv", 0, 18927,
+     "0a5291b831712b070cee488c364c5889648117afe4fb4705160b1c9757df9b46"),
 ]
 
 
@@ -671,6 +676,25 @@ def test_internal_failure_while_emitting_exits_5(capsys, monkeypatch, exc):
     assert code == 5
     assert out == ""
     assert err.startswith("error: internal error: ") and len(err.splitlines()) == 1
+
+
+def test_integers_past_the_str_digit_cap_keep_their_exit_codes():
+    # m^8 at m = 10^600 has 4,801 digits, past CPython's default cap of 4,300
+    # on int-to-str conversion; a child process runs it, so this one keeps
+    # its cap, and the total is compared as digits, never converted here.
+    env = dict(os.environ, PYTHONPATH=str(Path(sdtensor.__file__).resolve().parents[1]))
+    m = "1" + "0" * 600
+
+    def run(*args):
+        argv = [sys.executable, "-m", "sdtensor", *args, "--n", "2", "--m", m]
+        return subprocess.run(argv, capture_output=True, env=env, timeout=60)
+
+    reports = {fmt: run("dims", "--format", fmt) for fmt in ("json", "pretty")}
+    assert {(p.returncode, p.stderr) for p in reports.values()} == {(0, b"")}
+    assert json.loads(reports["json"].stdout, parse_int=str)["total"] == "1" + "0" * 4800
+    proc = run("orbits")
+    assert proc.returncode == 3
+    assert proc.stderr.startswith(b"refused: ") and len(proc.stderr.splitlines()) == 1
 
 
 def test_cli_import_leaves_numpy_out():

@@ -4,6 +4,7 @@ import random
 import pytest
 
 from sdtensor import group
+from sdtensor.chartab import character_value, chi
 from sdtensor.group import SDElement, conjugacy_classes, cyclic_intersection, inverse, multiply
 
 
@@ -146,6 +147,13 @@ def test_parameter_validation():
         multiply(2, a(8), a(0))
     with pytest.raises(ValueError):
         multiply(2, SDElement(2, 0), a(0))
+    # exponents that are not integers, even integral floats
+    with pytest.raises(ValueError):
+        multiply(2, SDElement(0, 1.5), SDElement(0, 0))
+    with pytest.raises(ValueError):
+        inverse(2, SDElement(1, 2.0))
+    with pytest.raises(ValueError):
+        character_value(2, chi(0), SDElement(0, 1.5))
 
 
 @pytest.mark.parametrize("n", range(2, 13))
