@@ -227,6 +227,8 @@ def parse_character_spec(n: int, spec: str) -> list[CharacterId]:
         raise ValueError(f"bad character spec {spec!r}; expected chi:<i>, zeta:<h>, psi:<h> or all")
     try:
         param = int(parts[1])
+        if str(param) != parts[1]:  # int() also reads signs, spaces, "_" and non-ASCII digits
+            raise ValueError
     except ValueError:
         raise ValueError(f"bad character parameter in {spec!r}") from None
     cid = CharacterId(parts[0], param)

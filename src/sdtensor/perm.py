@@ -45,10 +45,6 @@ class CycleDecomposition:
         return len(self.cycles)
 
 
-def identity(degree: int) -> Permutation:
-    return Permutation(tuple(range(1, degree + 1)))
-
-
 def compose(p: Permutation, q: Permutation) -> Permutation:
     """The product applying q first: (p o q)(t) = p(q(t))."""
     if p.degree != q.degree:

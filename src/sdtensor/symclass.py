@@ -1,17 +1,17 @@
 """Orbits, stabilizers, exact Gram matrices, and orthogonal-basis decisions.
 
 The group SD_{8n} acts on length-4n sequences over the alphabet {1, ..., m}
-by permuting positions through its embedding T into S_{4n}; orbits() reads
-T into code tables that it frees on return.  An orbit is its lex-least
-representative and its stabilizer H; the left cosets xH, numbered once per
-H, index its members.  Each orbit whose stabilizer character sum F(H) is
-nonzero carries an orbital subspace of the symmetry class, spanned by the
-decomposable symmetrized tensors of its members; where F(H) is zero the
-orbital dimension is 0.  Inner products between those tensors are, up to
-one global positive factor, character sums F(x_i^(-1) x_j H): one coset
-table per H names that coset for every pair, and one cached kernel sums
-F(xH) once per coset.  The sums live in Z[zeta] and are compared to zero
-exactly.
+by permuting positions through its embedding T into S_{4n}; orbits() lists
+the orbit representatives as necklaces, with no table over the sequences.
+An orbit is its lex-least representative and its stabilizer H; the left
+cosets xH, numbered once per H, index its members.  Each orbit whose
+stabilizer character sum F(H) is nonzero carries an orbital subspace of
+the symmetry class, spanned by the decomposable symmetrized tensors of its
+members; where F(H) is zero the orbital dimension is 0.  Inner products
+between those tensors are, up to one global positive factor, character
+sums F(x_i^(-1) x_j H): one coset table per H names that coset for every
+pair, and one cached kernel sums F(xH) once per coset.  The sums live in
+Z[zeta] and are compared to zero exactly.
 
 The orthogonal-basis question for a symmetry class reduces to: does every
 orbital subspace contain as many pairwise-orthogonal member tensors as its
@@ -133,60 +133,21 @@ class OrbitData:
         return len(self.stabilizer)
 
 
-def _code_tables(n: int, m: int) -> tuple[tuple[SDElement, ...], list[Sequence], tuple]:
-    """The action on codes: group.elements, the letters of every half code,
-    and for each g, in that order, two tables with
-    code(g.alpha) = high[code // m^(2n)] + low[code % m^(2n)].
-
-    Position u of alpha moves to position T(g)(u), so its digit takes the
-    weight radix[T(g)(u)], read off perm.embed.  Each table sums the weights
-    of one half's digits, built digit by digit, most significant first:
-    16n * m^(2n) ints in all, next to m^(2n) letter tuples.
-    """
-    radix = [m ** (4 * n - 1 - t) for t in range(4 * n)]
-
-    def table(weights) -> list[int]:
-        sums = [0]
-        for w in weights:
-            sums = [t + d for t in sums for d in range(0, m * w, w)]
-        return sums
-
-    halves = []
-    for g in group.elements(n):
-        weights = [radix[t - 1] for t in perm.embed(n, g).images]
-        halves.append((table(weights[: 2 * n]), table(weights[2 * n :])))
-    letters = list(itertools.product(range(1, m + 1), repeat=2 * n))
-    return group.elements(n), letters, tuple(halves)
-
-
-def _orbit_from_representative(
-    n: int, m: int, code: int, interned: dict, tables: tuple
-) -> tuple[OrbitData, set]:
-    """The orbit of the sequence coded by code, its stabilizer taken from
-    interned, and its member codes for the caller to mark."""
-    elements, letters, halves = tables
-    high, low = divmod(code, len(letters))
-    images = [hi[high] + lo[low] for hi, lo in halves]
-    members = set(images)
-    stabilizer = tuple(itertools.compress(elements, map(code.__eq__, images)))
-    if min(members) != code or len(members) * len(stabilizer) != 8 * n:
-        raise RuntimeError("orbit construction is inconsistent")
-    stabilizer = interned.setdefault(stabilizer, stabilizer)
-    return OrbitData(n, m, letters[high] + letters[low], stabilizer), members
-
-
 def orbits(n: int, m: int, budget: int | None = None) -> list[OrbitData]:
     """Partition all m^4n sequences into orbits, sorted by representative.
 
-    A sequence is coded as the base-m integer of its letters minus one, so
-    code order is lexicographic order.  The group acts on codes directly:
-    an image code is one entry of a table over the code's high 2n digits
-    plus one of a table over its low 2n digits (_code_tables), built once
-    per call from the embedding and freed on return.  One pass over the
-    codes marks every member of each orbit found; the next unmarked code is
-    the lex-least member of a new orbit, because every smaller code already
-    belongs to an earlier one.  The marks take one byte per sequence; orbits
-    store no members, and orbits with equal stabilizers share one tuple.
+    <a> acts by cyclic shift and b a^r = a^(kr) b, so the orbit of alpha is
+    the rotations of alpha and of b.alpha, and its lex-least member is a
+    necklace (least among its rotations) at most every rotation of b.alpha.
+    The Fredricksen-Kessler-Maiorana successor lists the prenecklaces in lex
+    order: raise the last letter below m and repeat the prefix up to it,
+    whose length p is the period; the word is a necklace exactly when p
+    divides 4n.  A reflection b a^r fixes alpha only if b.alpha is a
+    rotation of alpha, so an aperiodic representative whose b-image rotates
+    to a larger least word has the trivial stabilizer; every other
+    stabilizer is tested on all 8n action maps.  Orbits store no members,
+    orbits with equal stabilizers share one tuple, and the orbit sizes must
+    sum to m^4n.
 
     >>> result = orbits(2, 2)
     >>> len(result), result[0].representative
@@ -200,19 +161,39 @@ def orbits(n: int, m: int, budget: int | None = None) -> list[OrbitData]:
     if total > limit:
         raise BudgetExceededError(n, m, total, limit)
 
-    covered = bytearray(total)
-    tables = _code_tables(n, m)
-    interned: dict = {}
+    length = 4 * n
+    elements, moves = group.elements(n), _action_maps(n)
+    reflect = moves[length]  # b follows the 4n rotations
+    windows = [slice(t, t + length) for t in range(length)]
+    trivial = elements[:1]
+    interned = {trivial: trivial}
     result = []
-    code = 0
-    while code != -1:
-        orbit, members = _orbit_from_representative(n, m, code, interned, tables)
-        for member in members:
-            if covered[member]:
-                raise RuntimeError("orbit partition has overlapping orbits")
-            covered[member] = 1
-        result.append(orbit)
-        code = covered.find(0, code + 1)
+    covered = 0
+    word, period = [1] * length, 1
+    while True:
+        if length % period == 0:
+            alpha = tuple(word)
+            image = reflect(alpha)
+            least = min(map((image + image).__getitem__, windows))
+            if alpha <= least:
+                if period == length and least != alpha:
+                    stabilizer = trivial
+                else:
+                    fixes = (move(alpha) == alpha for move in moves)
+                    stabilizer = tuple(itertools.compress(elements, fixes))
+                    stabilizer = interned.setdefault(stabilizer, stabilizer)
+                covered += 8 * n // len(stabilizer)
+                result.append(OrbitData(n, m, alpha, stabilizer))
+        last = length - 1
+        while last >= 0 and word[last] == m:
+            last -= 1
+        if last < 0:
+            break
+        word[last] += 1
+        period = last + 1
+        word[period:] = (word[:period] * (length // period))[: length - period]
+    if covered != total:
+        raise RuntimeError(f"orbit sizes sum to {covered}, not m^4n = {total}")
     return result
 
 

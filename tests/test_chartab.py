@@ -254,3 +254,7 @@ def test_parse_character_spec():
         parse_character_spec(2, "sigma:2")
     with pytest.raises(ValueError):
         parse_character_spec(2, "chi:x")
+    # only canonical decimals: no sign, space, underscore, leading zero or non-ASCII digit
+    for spec in ("chi:+1", "chi: 1", "chi:1_0", "chi:\u0663", "chi:01"):
+        with pytest.raises(ValueError, match="bad character parameter"):
+            parse_character_spec(2, spec)

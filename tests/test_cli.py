@@ -84,6 +84,12 @@ GOLDEN_REPORTS = [
      "d04978ce2d94d2c217db1178eaaa3769bfcd96c7910e52d45de9b494494a40bb"),
     ("table --n 7 --format csv", 0, 18927,
      "0a5291b831712b070cee488c364c5889648117afe4fb4705160b1c9757df9b46"),
+    # Every orbit and stabilizer at (3, 3), 23,102 orbits with all 19
+    # stabilizers named, and at (2, 4).
+    ("orbits --n 3 --m 3", 0, 6362867,
+     "fd89f3f8c1e5c1458b6970c94c15831a7bcee3a2652cabeefde3c94f72bd624c"),
+    ("orbits --n 2 --m 4", 0, 1016200,
+     "3d71ef9f7eb7686f613b8f6b7db09cdee673c8f94b887a76aa29d9fb5bbb29c6"),
 ]
 
 

@@ -12,9 +12,12 @@ from sdtensor.perm import (
     cycle_count_formula,
     cycle_decomposition,
     embed,
-    identity,
     inverse,
 )
+
+
+def identity(degree):
+    return Permutation(tuple(range(1, degree + 1)))
 
 
 def test_permutation_validation():

@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import operator
 import random
 import tracemalloc
 
@@ -81,7 +82,7 @@ def test_orbit_count_is_burnside_dimension():
 
 
 def test_orbits_partition_and_representatives_minimal():
-    for n, m in ((2, 1), (2, 2), (2, 3), (2, 4), (3, 2)):
+    for n, m in ((2, 1), (2, 2), (2, 3), (2, 4), (2, 5), (3, 2), (4, 2)):
         result = orbits(n, m)
         all_members = []
         for o in result:
@@ -109,41 +110,12 @@ def test_coset_reps_map_representative_to_members():
             assert o.stabilizer == tuple(g for g, image in images.items() if image == o.representative)
 
 
-def _decode(n, m, code):
-    return tuple(code // m ** (4 * n - 1 - t) % m + 1 for t in range(4 * n))
-
-
-def _encode(m, alpha):
-    code = 0
-    for letter in alpha:
-        code = code * m + letter - 1
-    return code
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.integers(2, 4), st.integers(1, 4), st.data())
-def test_code_tables_match_act(n, m, data):
-    code = data.draw(st.integers(0, m ** (4 * n) - 1))
-    alpha = _decode(n, m, code)
-    assert _encode(m, alpha) == code
-    elements, letters, halves = symclass._code_tables(n, m)
-    assert elements == group.elements(n)
-    high, low = divmod(code, m ** (2 * n))
-    assert letters[high] + letters[low] == alpha
-    for g, (hi, lo) in zip(elements, halves):
-        assert hi[high] + lo[low] == _encode(m, act(n, g, alpha))
-
-
-def test_orbits_rejects_overlapping_orbits(monkeypatch):
-    build = symclass._orbit_from_representative
-
-    def overlapping(n, m, code, interned, tables):
-        orbit, members = build(n, m, code, interned, tables)
-        # code 0 is the sequence (1,) * 4n, the first orbit's representative
-        return orbit, [*members, 0]
-
-    monkeypatch.setattr(symclass, "_orbit_from_representative", overlapping)
-    with pytest.raises(RuntimeError, match="overlapping"):
+def test_orbits_check_that_orbit_sizes_sum_to_m_to_the_4n(monkeypatch):
+    moves = symclass._action_maps(2)
+    # b acting as the identity keeps every necklace as a representative
+    broken = moves[:8] + (operator.itemgetter(*range(8)),) + moves[9:]
+    monkeypatch.setattr(symclass, "_action_maps", lambda n: broken)
+    with pytest.raises(RuntimeError, match="orbit sizes"):
         orbits(2, 2)
 
 
@@ -161,8 +133,8 @@ def _retained_by_orbits(n, m):
 
 def test_orbits_keep_no_member_tuples():
     # an orbit is its representative and its stabilizer; coset
-    # representatives and members are derived, and the marks of the
-    # enumeration are freed on return
+    # representatives and members are derived, and the enumeration keeps
+    # nothing per sequence
     fields = {f.name for f in dataclasses.fields(symclass.OrbitData)}
     assert "members" not in fields and "coset_reps" not in fields
     n, m = 4, 2
@@ -171,7 +143,7 @@ def test_orbits_keep_no_member_tuples():
     assert retained < 64 * m ** (4 * n), retained / m ** (4 * n)
 
     # orbits with equal stabilizers share one tuple, so a record costs a
-    # fixed few hundred bytes; the code tables are freed on return
+    # fixed few hundred bytes
     n, m = 3, 3
     result, retained = _retained_by_orbits(n, m)
     interned = {}
@@ -184,7 +156,7 @@ def test_orbits_read_the_action_off_the_embedding(monkeypatch):
     def fail(*args):
         raise AssertionError("action read off another table")
 
-    # the code tables come from perm.embed, not from the product table
+    # the action maps come from perm.embed, not from the product table
     monkeypatch.setattr(group, "product_table", fail)
     result = orbits(2, 2)
     monkeypatch.undo()
