@@ -205,12 +205,13 @@ def _orbits_payload(args) -> dict:
     }
     if cid is not None:
         payload["character"] = cid.label()
+    names = [group.element_name(g) for g in group.elements(n)]
     for o in orbit_list:
         entry = {
             "representative": o.representative,
             "orbit_size": o.size,
             "stabilizer_order": o.stabilizer_order,
-            "stabilizer": [group.element_name(g) for g in o.stabilizer],
+            "stabilizer": [names[x] for x in o.stabilizer],
         }
         if cid is not None:
             char_sum = symclass._coset_sums(n, cid, o.stabilizer)[0]

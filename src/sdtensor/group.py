@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from math import gcd
 
 
 @dataclass(frozen=True, order=True)
@@ -164,43 +163,3 @@ def conjugacy_classes(n: int) -> ConjClassReport:
     if report.count != expected_count or sizes != _class_size_profile(n):
         raise RuntimeError(f"conjugacy class structure of SD_{8 * n} is inconsistent")
     return report
-
-
-def is_subgroup(n: int, subset) -> bool:
-    """Closure test for an explicit element set."""
-    members = set(subset)
-    if identity() not in members:
-        return False
-    for g in members:
-        check_element(n, g)
-        if inverse(n, g) not in members:
-            return False
-        for h in members:
-            if multiply(n, g, h) not in members:
-                return False
-    return True
-
-
-def cyclic_intersection(n: int, subgroup) -> tuple[int, bool]:
-    """Describe H intersect <a> for a subgroup H.
-
-    Returns (r, proper) where the intersection equals <a^r>.  The trivial
-    intersection {1} is encoded as r = 0; any r >= 1 is the least positive
-    exponent generating the intersection, i.e. the gcd of the rotation
-    exponents occurring in H together with 4n.  The proper flag is set when
-    <a^r> is strictly smaller than H.
-    """
-    check_n(n)
-    members = set(subgroup)
-    if not is_subgroup(n, members):
-        raise ValueError("input set is not closed under multiplication and inverse")
-    exponents = [g.r for g in members if g.s == 0 and g.r != 0]
-    if not exponents:
-        return 0, len(members) > 1
-    m = 4 * n
-    r = 0
-    for e in exponents:
-        r = gcd(r, e)
-    r = gcd(r, m)
-    cyclic_size = m // gcd(m, r)
-    return r, cyclic_size < len(members)

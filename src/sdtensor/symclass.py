@@ -3,8 +3,9 @@
 The group SD_{8n} acts on length-4n sequences over the alphabet {1, ..., m}
 by permuting positions through its embedding T into S_{4n}; orbits() lists
 the orbit representatives as necklaces, with no table over the sequences.
-An orbit is its lex-least representative and its stabilizer H; the left
-cosets xH, numbered once per H, index its members.  Each orbit whose
+An orbit is its lex-least representative and its stabilizer H, an
+ascending tuple of positions in group.elements(n); the left cosets xH,
+numbered once per H, index its members.  Each orbit whose
 stabilizer character sum F(H) is nonzero carries an orbital subspace of
 the symmetry class, spanned by the decomposable symmetrized tensors of its
 members; where F(H) is zero the orbital dimension is 0.  Inner products
@@ -104,20 +105,21 @@ def act(n: int, g: SDElement, alpha: Sequence) -> Sequence:
 
 @dataclass(frozen=True, slots=True)
 class OrbitData:
-    """One orbit: its lex-least representative and its stabilizer, one tuple
-    in group.elements order shared by the orbits of one orbits() call."""
+    """One orbit: its lex-least representative and its stabilizer, the
+    ascending positions in group.elements(n) of the elements fixing it, one
+    tuple shared by the orbits of one orbits() call."""
 
     n: int
     m: int
     representative: Sequence
-    stabilizer: tuple[SDElement, ...]
+    stabilizer: tuple[int, ...]
 
     @property
-    def coset_reps(self) -> tuple[SDElement, ...]:
-        """Per member, in order, the first element mapping the representative to it."""
+    def coset_reps(self) -> tuple[int, ...]:
+        """Per member, in order, the position of the first element mapping
+        the representative to it."""
         moves, firsts = _action_maps(self.n), _cosets(self.n, self.stabilizer)[0]
-        by_member = sorted(firsts, key=lambda x: moves[x](self.representative))
-        return tuple(group.elements(self.n)[x] for x in by_member)
+        return tuple(sorted(firsts, key=lambda x: moves[x](self.representative)))
 
     @property
     def members(self) -> tuple[Sequence, ...]:
@@ -162,10 +164,10 @@ def orbits(n: int, m: int, budget: int | None = None) -> list[OrbitData]:
         raise BudgetExceededError(n, m, total, limit)
 
     length = 4 * n
-    elements, moves = group.elements(n), _action_maps(n)
+    moves = _action_maps(n)
     reflect = moves[length]  # b follows the 4n rotations
     windows = [slice(t, t + length) for t in range(length)]
-    trivial = elements[:1]
+    trivial = (0,)
     interned = {trivial: trivial}
     result = []
     covered = 0
@@ -180,7 +182,7 @@ def orbits(n: int, m: int, budget: int | None = None) -> list[OrbitData]:
                     stabilizer = trivial
                 else:
                     fixes = (move(alpha) == alpha for move in moves)
-                    stabilizer = tuple(itertools.compress(elements, fixes))
+                    stabilizer = tuple(itertools.compress(range(8 * n), fixes))
                     stabilizer = interned.setdefault(stabilizer, stabilizer)
                 covered += 8 * n // len(stabilizer)
                 result.append(OrbitData(n, m, alpha, stabilizer))
@@ -199,19 +201,18 @@ def orbits(n: int, m: int, budget: int | None = None) -> list[OrbitData]:
 
 @functools.lru_cache(maxsize=None)
 def _cosets(
-    n: int, subgroup: tuple[SDElement, ...]
+    n: int, subgroup: tuple[int, ...]
 ) -> tuple[tuple[int, ...], tuple[int, ...], tuple[tuple[int, ...], ...]]:
-    """The left cosets xH of a subgroup, on element positions, numbered in
-    order of their first elements x_i in group.elements order: those first
-    positions, the coset number of every position, and the quotient table,
-    whose entry (i, j) numbers x_i^(-1) x_j H.  Coset 0 is H."""
+    """The left cosets xH of a subgroup of element positions, numbered in
+    order of their first elements x_i: those first positions, the coset
+    number of every position, and the quotient table, whose entry (i, j)
+    numbers x_i^(-1) x_j H.  Coset 0 is H."""
     table = group.product_table(n)
-    stab = [group.element_index(n, h) for h in subgroup]
     firsts: list[int] = []
     number = [-1] * (8 * n)
     for x, row in enumerate(table):
         if number[x] < 0:
-            for h in stab:
+            for h in subgroup:
                 number[row[h]] = len(firsts)
             firsts.append(x)
     # the row of x^(-1) is named by the column where the row of x holds the identity
@@ -222,7 +223,7 @@ def _cosets(
 
 
 @functools.lru_cache(maxsize=None)
-def _coset_sums(n: int, cid: CharacterId, subgroup: tuple[SDElement, ...]) -> tuple[CycloInt, ...]:
+def _coset_sums(n: int, cid: CharacterId, subgroup: tuple[int, ...]) -> tuple[CycloInt, ...]:
     """F(xH), the character sum over each left coset numbered by _cosets:
     one exponent vector per coset, reduced once.  Entry 0 is F(H)."""
     order = 4 * n
@@ -244,7 +245,7 @@ def stabilizer_char_sum(n: int, cid: CharacterId, alpha: Sequence) -> CycloInt:
     chartab.validate_id(n, cid)
     _check_length(n, alpha)
     fixes = (move(alpha) == alpha for move in _action_maps(n))
-    return _coset_sums(n, cid, tuple(itertools.compress(group.elements(n), fixes)))[0]
+    return _coset_sums(n, cid, tuple(itertools.compress(range(8 * n), fixes)))[0]
 
 
 def delta_bar(cid: CharacterId, orbit_list: list[OrbitData]) -> list[Sequence]:
@@ -290,7 +291,7 @@ def gram(cid: CharacterId, orbit: OrbitData) -> GramData:
     if sums[0].is_zero:
         raise ValueError("representative is not in Omega; the orbital subspace is zero")
     _, number, quotient = _cosets(n, stab)
-    cosets = [number[group.element_index(n, s)] for s in orbit.coset_reps]
+    cosets = [number[x] for x in orbit.coset_reps]
     return GramData(
         orbit=orbit,
         character=cid,
@@ -328,7 +329,7 @@ def _find_clique(neighbors: list[set[int]], k: int) -> list[int] | None:
 
 @functools.lru_cache(maxsize=None)
 def _stabilizer_decision(
-    n: int, cid: CharacterId, stabilizer: tuple[SDElement, ...]
+    n: int, cid: CharacterId, stabilizer: tuple[int, ...]
 ) -> tuple[int, bool, tuple[int, ...] | None]:
     """Decide the clique question for every orbit sharing this stabilizer.
 
@@ -402,19 +403,18 @@ def decide_orthogonal_bases(cids, orbit_list: list[OrbitData]) -> list[BasisDeci
     for cid in cids:
         chartab.validate_id(n, cid)
     moves = _action_maps(n)
-    plans: dict[int, list] = {}  # id(stabilizer) -> [(decision, its characters' lists)]
+    plans: dict[tuple[int, ...], list] = {}  # stabilizer -> [(decision, its characters' lists)]
     outcomes: list[list[OrbitalOutcome]] = [[] for _ in cids]
     for orbit in orbit_list:
         stab = orbit.stabilizer
-        plan = plans.get(id(stab))
+        plan = plans.get(stab)
         if plan is None:
             groups: dict[tuple, list[list]] = {}
             for k, cid in enumerate(cids):
                 decision = _stabilizer_decision(n, cid, stab)
                 if decision[0]:
                     groups.setdefault(decision, []).append(outcomes[k])
-            # the orbit list holds stab, so its id is not reused during the pass
-            plan = plans[id(stab)] = list(groups.items())
+            plan = plans[stab] = list(groups.items())
         rep, members = orbit.representative, {}
         for (dim, found, sigmas), targets in plan:
             witness = None

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import operator
 from collections import Counter
-from math import gcd
 
 from . import chartab, dims, group, perm, symclass
 from .cyclo import from_exponents
@@ -162,10 +161,15 @@ def run_checks(n: int, m: int | None, budget: int | None):
                 f"{len(orbit_list)} orbits vs dim for {chi0.label()}",
             )
         )
+        # each stabilizer fixes its representative, and the first orbit of
+        # each stabilizer H has 8n/|H| images under the whole group
+        moves = symclass._action_maps(n)
+        firsts = {o.stabilizer: o.representative for o in reversed(orbit_list)}
         checks.append(
             (
                 "orbit_stabilizer",
-                all(o.size * o.stabilizer_order == 8 * n for o in orbit_list)
+                all(moves[x](o.representative) == o.representative for o in orbit_list for x in o.stabilizer)
+                and all(len({move(rep) for move in moves}) * len(stab) == 8 * n for stab, rep in firsts.items())
                 and sum(o.size for o in orbit_list) == m ** (4 * n),
                 "orbit size times stabilizer order equals 8n",
             )
@@ -192,11 +196,12 @@ def run_checks(n: int, m: int | None, budget: int | None):
         zeta_ok = True
         zetas = [cid for cid in ids if cid.kind == "zeta"]
         for stab in stabilizer_counts:
-            r, _ = group.cyclic_intersection(n, stab)
-            l = 4 * n // gcd(4 * n, r) if r else 1
+            # H meets <a> in the l positions below 4n, generated by a^(4n/l),
+            # whose h-th power is 1 exactly when l divides h
+            l = sum(x < 4 * n for x in stab)
             for cid in zetas:
                 char_sum = symclass._coset_sums(n, cid, stab)[0]
-                expected = 2 * l if (r * cid.param) % (4 * n) == 0 else 0
+                expected = 2 * l if cid.param % l == 0 else 0
                 zeta_ok &= (char_sum - expected).is_zero
         checks.append(
             (

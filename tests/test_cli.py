@@ -90,6 +90,9 @@ GOLDEN_REPORTS = [
      "fd89f3f8c1e5c1458b6970c94c15831a7bcee3a2652cabeefde3c94f72bd624c"),
     ("orbits --n 2 --m 4", 0, 1016200,
      "3d71ef9f7eb7686f613b8f6b7db09cdee673c8f94b887a76aa29d9fb5bbb29c6"),
+    # Every stabilizer at (4, 2) named, with its character sum F(H) for psi:1.
+    ("orbits --n 4 --m 2 --char psi:1", 0, 1164893,
+     "c65cfca40fe4de344315836567d65887f49c5aab1401135e619675eb90f7e8e2"),
 ]
 
 

@@ -5,7 +5,7 @@ import pytest
 
 from sdtensor import group
 from sdtensor.chartab import character_value, chi
-from sdtensor.group import SDElement, conjugacy_classes, cyclic_intersection, inverse, multiply
+from sdtensor.group import SDElement, conjugacy_classes, inverse, multiply
 
 
 def a(r):
@@ -106,29 +106,6 @@ def test_classes_partition_group():
     for n in (2, 3, 4):
         seen = [g for _, ms in conjugacy_classes(n).classes for g in ms]
         assert sorted(seen) == sorted(group.elements(n))
-
-
-def test_cyclic_intersection_cyclic_subgroup():
-    n = 2
-    H = {a(0), a(2), a(4), a(6)}
-    assert cyclic_intersection(n, H) == (2, False)
-
-
-def test_cyclic_intersection_whole_group():
-    n = 2
-    assert cyclic_intersection(n, set(group.elements(n))) == (1, True)
-
-
-def test_cyclic_intersection_trivial():
-    # {1, ba^2} meets <a> trivially; encoded as r = 0
-    assert cyclic_intersection(2, {a(0), ba(2)}) == (0, True)
-
-
-def test_cyclic_intersection_rejects_non_subgroup():
-    with pytest.raises(ValueError):
-        cyclic_intersection(2, {a(0), a(1)})
-    with pytest.raises(ValueError):
-        cyclic_intersection(2, {a(1)})
 
 
 def test_element_names():

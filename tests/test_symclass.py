@@ -60,13 +60,14 @@ def test_act_length_mismatch():
 def test_orbits_single_letter():
     result = orbits(2, 1)
     assert len(result) == 1
-    assert result[0].stabilizer == group.elements(2)
+    assert result[0].stabilizer == tuple(range(16))
 
 
 def test_orbit_of_marked_sequence():
     orbit = next(o for o in orbits(2, 2) if o.representative == ONE_TWO)
     assert orbit.size == 8
-    assert orbit.stabilizer == (group.identity(), SDElement(1, 2))
+    # positions in group.elements(2): 1 and ba^2
+    assert orbit.stabilizer == (0, 10)
 
 
 def test_orbit_stabilizer_products():
@@ -97,17 +98,18 @@ def test_orbits_partition_and_representatives_minimal():
 
 def test_coset_reps_map_representative_to_members():
     for n, m in ((2, 2), (2, 3), (3, 2)):
+        elements = group.elements(n)
         for o in orbits(n, m):
             for sigma, member in zip(o.coset_reps, o.members):
-                assert act(n, sigma, o.representative) == member
-            # each coset representative is the first element, in
-            # group.elements order, reaching its member
-            images = {g: act(n, g, o.representative) for g in group.elements(n)}
+                assert act(n, elements[sigma], o.representative) == member
+            # each coset representative is the position of the first
+            # element, in group.elements order, reaching its member
+            images = {x: act(n, g, o.representative) for x, g in enumerate(elements)}
             first = {}
-            for g, image in images.items():
-                first.setdefault(image, g)
+            for x, image in images.items():
+                first.setdefault(image, x)
             assert o.coset_reps == tuple(first[member] for member in o.members)
-            assert o.stabilizer == tuple(g for g, image in images.items() if image == o.representative)
+            assert o.stabilizer == tuple(x for x, image in images.items() if image == o.representative)
 
 
 def test_orbits_check_that_orbit_sizes_sum_to_m_to_the_4n(monkeypatch):
@@ -218,9 +220,9 @@ def test_coset_sums_match_explicit_cosets(n):
     elements = group.elements(n)
     for stab in {o.stabilizer for o in orbits(n, 2)}:
         firsts, number, quotient = symclass._cosets(n, stab)
-        cosets = [{group.multiply(n, elements[x], h) for h in stab} for x in firsts]
+        cosets = [{group.multiply(n, elements[x], elements[h]) for h in stab} for x in firsts]
         assert sorted(g for coset in cosets for g in coset) == list(elements)
-        assert cosets[0] == set(stab)
+        assert cosets[0] == {elements[h] for h in stab}
         for k, (x, coset) in enumerate(zip(firsts, cosets)):
             positions = {group.element_index(n, g) for g in coset}
             assert x == min(positions)
@@ -262,7 +264,15 @@ def test_act_is_a_left_action_at_random_n(case, rng):
     assert act(n, group.multiply(n, g, h), alpha) == act(n, g, act(n, h, alpha))
 
 
-def test_zeta_stabilizer_sums_follow_cyclic_intersection():
+@pytest.mark.parametrize("n, m", [(2, 3), (3, 2), (4, 2)])
+def test_every_stabilizer_is_a_subgroup(n, m):
+    table = group.product_table(n)
+    for stab in {o.stabilizer for o in orbits(n, m)}:
+        assert 0 in stab
+        assert all(table[x][y] in stab for x in stab for y in stab)
+
+
+def test_zeta_stabilizer_sums_follow_the_rotation_gcd():
     from math import gcd
 
     for n, m in ((2, 2), (3, 2)):
@@ -270,8 +280,9 @@ def test_zeta_stabilizer_sums_follow_cyclic_intersection():
             cid = zeta(h)
             for o in orbits(n, m):
                 total = stabilizer_char_sum(n, cid, o.representative)
-                r, _ = group.cyclic_intersection(n, set(o.stabilizer))
-                l = 4 * n // gcd(4 * n, r) if r else 1
+                # H meets <a> in <a^r>, r the gcd of 4n and the rotations in H
+                r = gcd(4 * n, *(x for x in o.stabilizer if x < 4 * n))
+                l = 4 * n // r
                 if (r * h) % (4 * n) == 0:
                     assert (total - 2 * l).is_zero
                 else:
@@ -327,9 +338,9 @@ def test_gram_rotation_coset_entries():
     data = gram(zeta(2), orbit)
     for i, sig_i in enumerate(orbit.coset_reps):
         for j, sig_j in enumerate(orbit.coset_reps):
-            if sig_i.s or sig_j.s:
+            if sig_i >= 8 or sig_j >= 8:
                 continue
-            want = chartab.character_value(2, zeta(2), SDElement(0, (sig_j.r - sig_i.r) % 8))
+            want = chartab.character_value(2, zeta(2), SDElement(0, (sig_j - sig_i) % 8))
             assert data.entries[i][j] == want
 
 
@@ -342,7 +353,7 @@ def test_gram_reflection_cosets_vanish_for_rotation_stabilizers():
     cyclic_orbit = next(
         o for o in all_orbits if o.representative == (1, 2, 3, 3, 1, 2, 3, 3)
     )
-    assert set(cyclic_orbit.stabilizer) == {group.identity(), SDElement(0, 4)}
+    assert cyclic_orbit.stabilizer == (0, 4)
     trivial_orbit = next(o for o in all_orbits if o.stabilizer_order == 1)
     for cid, orbit in (
         (zeta(2), cyclic_orbit),
@@ -352,7 +363,7 @@ def test_gram_reflection_cosets_vanish_for_rotation_stabilizers():
         data = gram(cid, orbit)
         for i, sig_i in enumerate(orbit.coset_reps):
             for j, sig_j in enumerate(orbit.coset_reps):
-                if sig_i.s != sig_j.s:
+                if (sig_i < 8) != (sig_j < 8):
                     assert data.entries[i][j].is_zero
 
 
@@ -406,8 +417,8 @@ def test_zeta_orbital_dims_case_analysis():
                 orbit = orbit_index[rep]
                 data = gram(cid, orbit)
                 assert data.orbital_dim in (1, 2, 4)
-                r, proper = group.cyclic_intersection(n, set(orbit.stabilizer))
-                assert (data.orbital_dim == 4) == (not proper)
+                reflections = [x for x in orbit.stabilizer if x >= 4 * n]
+                assert (data.orbital_dim == 4) == (not reflections)
 
 
 def _brute_force_has_clique(neighbors, k):
@@ -465,8 +476,8 @@ def test_decision_graph_is_the_zero_pattern_of_gram(monkeypatch, n, m):
             # vertex v is the coset of firsts[v]; find the coset rep inside it
             rep_of = []
             for x in firsts:
-                coset = {group.multiply(n, elements[x], h) for h in stab}
-                (i,) = [i for i, s in enumerate(orbit.coset_reps) if s in coset]
+                coset = {group.multiply(n, elements[x], elements[h]) for h in stab}
+                (i,) = [i for i, s in enumerate(orbit.coset_reps) if elements[s] in coset]
                 rep_of.append(i)
             assert sorted(rep_of) == list(range(orbit.size))
             entries = gram(cid, orbit).entries

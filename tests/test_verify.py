@@ -94,7 +94,20 @@ def test_orbit_stabilizer_catches_a_wrong_stabilizer(monkeypatch):
     orbit_list = symclass.orbits(2, 2)
     k = next(k for k, o in enumerate(orbit_list) if o.stabilizer_order == 1)
     altered = list(orbit_list)
-    altered[k] = dataclasses.replace(altered[k], stabilizer=(SDElement(0, 0), SDElement(0, 4)))
+    altered[k] = dataclasses.replace(altered[k], stabilizer=(0, 4))
+    monkeypatch.setattr(symclass, "orbits", lambda n, m, budget: altered)
+    checks = {name: ok for name, ok, _ in verify.run_checks(2, 2, None)}
+    assert checks["orbit_stabilizer"] is False
+
+
+def test_orbit_stabilizer_catches_a_stabilizer_of_the_right_order(monkeypatch):
+    # {1, a^4} in place of {1, ba^2}: the size and the orbit-size sum are
+    # unchanged, but a^4 moves the representative
+    orbit_list = symclass.orbits(2, 2)
+    k = next(k for k, o in enumerate(orbit_list) if o.representative == (1, 2, 2, 2, 2, 2, 2, 2))
+    assert orbit_list[k].stabilizer == (0, 10)
+    altered = list(orbit_list)
+    altered[k] = dataclasses.replace(altered[k], stabilizer=(0, 4))
     monkeypatch.setattr(symclass, "orbits", lambda n, m, budget: altered)
     checks = {name: ok for name, ok, _ in verify.run_checks(2, 2, None)}
     assert checks["orbit_stabilizer"] is False
