@@ -1,7 +1,7 @@
 """Exact computations for symmetry classes of tensors over the
 semi-dihedral groups of order 8n."""
 
-from .chartab import CharacterId, character_table, character_value, chi, index_sets, psi, zeta
+from .chartab import CharacterId, character_table, character_value, chi, psi, zeta
 from .cyclo import CycloInt, cyclotomic_polynomial, root_power
 from .dims import dim_closed_form, dim_general, dim_report
 from .group import SDElement, conjugacy_classes, elements, inverse, multiply

@@ -20,11 +20,11 @@ from its own terms, when `character_value` is asked for it.
 `character_ids` is the one list of characters; `validate_id` tests
 membership in it.
 
-Character families and their parameter ranges:
-  chi:i   linear; i in 0..3 for even n, 0..7 for odd n
-  zeta:h  degree 2, h even, h in C1 minus {0, 2n}
-  psi:h   degree 2, h odd; for even n h in C2_even union C3_even,
-          for odd n h in (C2_odd union C3_odd) minus {n, 3n}
+Character families, all read from k (Clifford theory on Z_4n x|_k C_2):
+  chi:i   linear, a -> zeta^e for each e fixed by x -> kx, in the order
+          0, 2n, n, 3n, then b -> +-1; i in 0..3 for even n, 0..7 for odd n
+  zeta:h  degree 2, one per 2-orbit {h, kh} of x -> kx on Z_4n, named
+  psi:h   by its least member h: zeta when h is even, psi when h is odd
 """
 
 from __future__ import annotations
@@ -35,47 +35,6 @@ from dataclasses import dataclass
 from . import group
 from .cyclo import CycloInt, from_exponents
 from .group import SDElement, check_n
-
-
-@dataclass(frozen=True)
-class IndexSets:
-    """The exponent sets that index conjugacy classes and characters."""
-
-    n: int
-    C1: tuple[int, ...]
-    C2_even: tuple[int, ...]
-    C3_even: tuple[int, ...]
-    C2_odd: tuple[int, ...]
-    C3_odd: tuple[int, ...]
-    Cdag_even: tuple[int, ...]
-    Cdag_odd: tuple[int, ...]
-    C_odd_23: tuple[int, ...]
-    Cstar_even: tuple[int, ...]
-    Cstar_odd: tuple[int, ...]
-
-
-def index_sets(n: int) -> IndexSets:
-    check_n(n)
-    c1 = tuple(range(0, 2 * n + 1, 2))
-    c2_even = tuple(range(1, n, 2))
-    c3_even = tuple(range(2 * n + 1, 3 * n, 2))
-    c2_odd = tuple(range(1, n + 1, 2))
-    c3_odd = tuple(range(2 * n + 1, 3 * n + 1, 2))
-    c_even = sorted(set(c1) | set(c2_even) | set(c3_even))
-    c_odd = sorted(set(c1) | set(c2_odd) | set(c3_odd))
-    return IndexSets(
-        n=n,
-        C1=c1,
-        C2_even=c2_even,
-        C3_even=c3_even,
-        C2_odd=c2_odd,
-        C3_odd=c3_odd,
-        Cdag_even=tuple(k for k in c1 if k not in (0, 2 * n)),
-        Cdag_odd=tuple(sorted(set(c2_even) | set(c3_even))),
-        C_odd_23=tuple(sorted(set(c2_odd) | set(c3_odd))),
-        Cstar_even=tuple(k for k in c_even if k not in (0, 2 * n)),
-        Cstar_odd=tuple(k for k in c_odd if k not in (0, n, 2 * n, 3 * n)),
-    )
 
 
 @dataclass(frozen=True, order=True)
@@ -122,20 +81,19 @@ def linear_range(n: int) -> range:
     return range(2 * len(_linear_a_exponents(n)))
 
 
-def psi_range(n: int) -> tuple[int, ...]:
-    sets = index_sets(n)
-    if n % 2 == 0:
-        return sets.Cdag_odd
-    return tuple(h for h in sets.C_odd_23 if h not in (n, 3 * n))
-
-
 @functools.lru_cache(maxsize=None)
 def character_ids(n: int) -> tuple[CharacterId, ...]:
-    """All irreducible characters, in table order: linears, zetas, psis."""
+    """All irreducible characters, in table order: linears, zetas, psis.
+
+    A degree-2 character is a 2-orbit {h, kh} of x -> kx on Z_4n, named by
+    its least member h.
+    """
     check_n(n)
+    order, k = 4 * n, group.twist(n)
+    least = [h for h in range(order) if h < k * h % order]
     ids = [chi(i) for i in linear_range(n)]
-    ids += [zeta(h) for h in index_sets(n).Cdag_even]
-    ids += [psi(h) for h in psi_range(n)]
+    ids += [zeta(h) for h in least if h % 2 == 0]
+    ids += [psi(h) for h in least if h % 2]
     return tuple(ids)
 
 

@@ -56,18 +56,19 @@ def _element_json(g: SDElement) -> dict:
 
 
 def _trig_str(n: int, cid: CharacterId, g: SDElement) -> str:
-    """Human-readable exact form of a character value."""
+    """Human-readable exact form of a character value, read from its first
+    exponent term (e, c)."""
+    terms = chartab.value_terms(n, cid)[group.element_index(n, g)]
+    if not terms:
+        return "0"
+    e, c = terms[0]
     if cid.kind == "chi":
         # one term c * zeta^e, with e a multiple of n and zeta^n = i
-        ((e, c),) = chartab.value_terms(n, cid)[group.element_index(n, g)]
         return ("1", "i", "-1", "-i")[(e // n + 2 * (c < 0)) % 4]
-    if g.s:
-        return "0"
-    h = cid.param
-    frac = Fraction(h * g.r, 2 * n) % 2
-    if h % 2 == 0 or g.r % 2 == 0:
-        return f"2cos({frac}*pi)" if frac else "2"
-    # odd h at an odd rotation exponent: purely imaginary sine value
+    # zeta^e + zeta^(ke), where ke = 2ne - e mod 4n makes zeta^(ke) = (-1)^e zeta^(-e)
+    frac = Fraction(e, 2 * n)
+    if e % 2 == 0:
+        return f"2cos({frac}*pi)" if e else "2"
     return f"2i*sin({frac}*pi)"
 
 

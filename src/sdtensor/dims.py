@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from math import gcd
 
 from . import chartab, group, perm
-from .chartab import CharacterId, index_sets
+from .chartab import CharacterId
 from .cyclo import CycloInt, ExactDivisionError, exact_div, from_exponents
 
 
@@ -53,7 +53,7 @@ def dim_general(n: int, m: int, cid: CharacterId) -> int:
 
 
 def _gcd_power_sum(n: int, m: int, ks) -> int:
-    return sum(m ** (gcd(4 * n, k) if k else 4 * n) for k in ks)
+    return sum(m ** gcd(4 * n, k) for k in ks)
 
 
 def _cos_sum_doubled(n: int, m: int, h: int, ks) -> CycloInt:
@@ -61,7 +61,7 @@ def _cos_sum_doubled(n: int, m: int, h: int, ks) -> CycloInt:
     order = 4 * n
     vec = [0] * order
     for k in ks:
-        weight = m ** (gcd(order, k) if k else order)
+        weight = m ** gcd(order, k)
         vec[h * k % order] += weight
         vec[-h * k % order] += weight
     return from_exponents(order, vec)
@@ -76,7 +76,10 @@ def dim_closed_form(n: int, m: int, cid: CharacterId) -> int:
     chartab.validate_id(n, cid)
     if m < 1:
         raise ValueError(f"alphabet size m must be >= 1, got {m}")
-    sets = index_sets(n)
+    # The zeta and psi parameters: the least members of the 2-orbits of x -> kx.
+    ids = chartab.character_ids(n)
+    zetas = tuple(c.param for c in ids if c.kind == "zeta")
+    psis = tuple(c.param for c in ids if c.kind == "psi")
     order = 4 * n
     full = _gcd_power_sum(n, m, range(order))
     even_n = n % 2 == 0
@@ -88,10 +91,10 @@ def dim_closed_form(n: int, m: int, cid: CharacterId) -> int:
         return exact_div(total, order)
 
     if cid.kind == "psi":
-        # (1/4n) [ m^4n - m^2n + 4 * sum over Cdag_even of m^gcd cos(h'k pi/2n) ]
-        # as written; the leading two terms are known to be half the value the
-        # trace formula produces.
-        cos_part = _cos_sum_doubled(n, m, cid.param, sets.Cdag_even) * 2
+        # (1/4n) [ m^4n - m^2n + 4 * sum over the zeta parameters k of
+        # m^gcd(4n,k) cos(hk pi/2n) ] as written; the leading two terms are
+        # known to be half the value the trace formula produces.
+        cos_part = _cos_sum_doubled(n, m, cid.param, zetas) * 2
         total = (cos_part + (m**order - m ** (2 * n))).to_int()
         return exact_div(total, order)
 
@@ -103,11 +106,11 @@ def dim_closed_form(n: int, m: int, cid: CharacterId) -> int:
         if i == 1:
             return exact_div(-refl + full, 8 * n)
         # chi:2 and chi:3 share their rotation part.
-        odd_block = set(sets.Cdag_odd) | set(_bar(n, sets.Cdag_odd))
+        odd_block = set(psis) | set(_bar(n, psis))
         rot = (
             m**order
             + m ** (2 * n)
-            + 2 * _gcd_power_sum(n, m, sets.Cdag_even)
+            + 2 * _gcd_power_sum(n, m, zetas)
             - _gcd_power_sum(n, m, odd_block)
         )
         sign = 1 if i == 2 else -1
@@ -120,12 +123,12 @@ def dim_closed_form(n: int, m: int, cid: CharacterId) -> int:
     if i == 1:
         return exact_div(-refl + full, 8 * n)
     if i in (2, 3):
-        odd_block = set(sets.Cdag_odd) | set(_bar(n, sets.Cdag_odd))
+        odd_block = set(psis) | set(_bar(n, psis))
         rot = (
             m**order
             + m ** (2 * n)
             - 2 * m**n
-            + 2 * _gcd_power_sum(n, m, sets.Cdag_even)
+            + 2 * _gcd_power_sum(n, m, zetas)
         )
         if i == 2:
             rot -= _gcd_power_sum(n, m, odd_block)
@@ -134,14 +137,12 @@ def dim_closed_form(n: int, m: int, cid: CharacterId) -> int:
             )
         # chi:3 as catalogued: the subtracted sum runs over terms
         # m^gcd(4n,k) * 2n * m^n (run-on product), then -n m^2n - n m^(2n+2).
-        run_on = sum(
-            (m ** (gcd(order, k) if k else order)) * 2 * n * m**n for k in odd_block
-        )
+        run_on = sum(m ** gcd(order, k) * 2 * n * m**n for k in odd_block)
         return exact_div(
             rot - run_on - n * m ** (2 * n) - n * m ** (2 * n + 2), 8 * n
         )
     # chi:4 .. chi:7, odd n only
-    even_block = tuple(sets.Cdag_even) + _bar(n, sets.Cdag_even)
+    even_block = zetas + _bar(n, zetas)
     alt = sum(
         (-1) ** (k // 2 % 2) * m ** gcd(order, k) for k in even_block
     )

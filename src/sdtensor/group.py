@@ -110,16 +110,6 @@ def inverse(n: int, g: SDElement) -> SDElement:
     return SDElement(g.s, -(twist(n) ** g.s) * g.r % (4 * n))
 
 
-def power(n: int, g: SDElement, k: int) -> SDElement:
-    """g^k by repeated multiplication (group order is tiny)."""
-    if k < 0:
-        return power(n, inverse(n, g), -k)
-    acc = identity()
-    for _ in range(k):
-        acc = multiply(n, acc, g)
-    return acc
-
-
 def element_name(g: SDElement) -> str:
     """Conventional name: 1, a, a^2, ..., b, ba, ba^2, ..."""
     if g.s == 0:

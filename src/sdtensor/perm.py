@@ -112,7 +112,7 @@ def cycle_count_formula(n: int, g: SDElement) -> int:
     check_element(n, g)
     m = 4 * n
     if g.s == 0:
-        return gcd(m, g.r) if g.r else m
+        return gcd(m, g.r)
     if g.r % 2 == 1:
         return n
     if n % 2 == 0:

@@ -25,7 +25,7 @@ import time
 from math import gcd
 
 from sdtensor import chartab, dims, group, perm, symclass
-from sdtensor.chartab import character_ids, chi, index_sets
+from sdtensor.chartab import character_ids, chi
 from sdtensor.cyclo import CycloInt
 
 

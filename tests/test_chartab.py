@@ -7,7 +7,6 @@ from sdtensor.chartab import (
     character_table,
     character_value,
     chi,
-    index_sets,
     parse_character_spec,
     psi,
     zeta,
@@ -16,26 +15,34 @@ from sdtensor.cyclo import CycloInt, root_power
 from sdtensor.group import SDElement
 
 
-def test_index_sets_n2():
-    sets = index_sets(2)
-    assert sets.C1 == (0, 2, 4)
-    assert sets.Cdag_even == (2,)
-    assert sets.C2_even == (1,)
-    assert sets.C3_even == (5,)
-    assert sets.Cdag_odd == (1, 5)
-    assert sets.Cstar_even == (1, 2, 5)
+def paper_index_sets(n):
+    """The paper's C1, C2 and C3 for the parity of n, written out literally."""
+    c1 = set(range(0, 2 * n + 1, 2))
+    if n % 2 == 0:
+        c2, c3 = set(range(1, n, 2)), set(range(2 * n + 1, 3 * n, 2))
+    else:
+        c2, c3 = set(range(1, n + 1, 2)), set(range(2 * n + 1, 3 * n + 1, 2))
+    return c1, c2, c3
 
 
-def test_index_sets_n3():
-    sets = index_sets(3)
-    assert sets.C_odd_23 == (1, 3, 7, 9)
-    assert tuple(h for h in sets.C_odd_23 if h not in (3, 9)) == (1, 7)
-    assert sets.Cstar_odd == (1, 2, 4, 7)
+def degree_two_params(n):
+    ids = character_ids(n)
+    return (
+        tuple(c.param for c in ids if c.kind == "zeta"),
+        tuple(c.param for c in ids if c.kind == "psi"),
+    )
 
 
-def test_cdag_even_count():
-    for n in range(2, 10):
-        assert len(index_sets(n).Cdag_even) == n - 1
+def test_degree_two_characters_are_the_papers_index_sets():
+    # zeta:h for h in C1 - {0, 2n}, psi:h for h in (C2 u C3) - {n, 3n}
+    for n in range(2, 65):
+        c1, c2, c3 = paper_index_sets(n)
+        zetas, psis = degree_two_params(n)
+        assert zetas == tuple(sorted(c1 - {0, 2 * n})), n
+        assert psis == tuple(sorted((c2 | c3) - {n, 3 * n})), n
+        assert len(zetas) == n - 1
+    assert degree_two_params(2) == ((2,), (1, 5))
+    assert degree_two_params(3) == ((2, 4), (1, 7))
 
 
 def test_character_counts_match_class_counts():
@@ -175,14 +182,13 @@ def test_degree_two_values_are_trig_forms():
     # odd exponents for odd-h characters give 2i*sin = zeta^(hr) - zeta^(-hr)
     for n in (2, 3, 4):
         order = 4 * n
-        sets = index_sets(n)
-        deg2 = [zeta(h) for h in sets.Cdag_even] + [psi(h) for h in chartab.psi_range(n)]
+        deg2 = [c for c in character_ids(n) if c.degree == 2]
         for cid in deg2:
             h = cid.param
             for r in range(0, order, 2):
                 want = root_power(order, h * r) + root_power(order, -h * r)
                 assert character_value(n, cid, SDElement(0, r)) == want
-        for cid in (psi(h) for h in chartab.psi_range(n)):
+        for cid in (c for c in deg2 if c.kind == "psi"):
             h = cid.param
             for r in range(1, order, 2):
                 want = root_power(order, h * r) - root_power(order, -h * r)
@@ -192,9 +198,10 @@ def test_degree_two_values_are_trig_forms():
 def test_zeta_equals_even_h_cosine_on_all_rotations():
     # even h makes (2n-1)h = -h mod 4n, so the trace is a cosine everywhere
     for n in (2, 3, 4):
-        for h in index_sets(n).Cdag_even:
+        for cid in (c for c in character_ids(n) if c.kind == "zeta"):
+            h = cid.param
             for r in range(4 * n):
-                value = character_value(n, zeta(h), SDElement(0, r))
+                value = character_value(n, cid, SDElement(0, r))
                 want = root_power(4 * n, h * r) + root_power(4 * n, -h * r)
                 assert value == want
 

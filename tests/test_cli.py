@@ -13,6 +13,7 @@ import termios
 import threading
 import time
 import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -93,6 +94,11 @@ GOLDEN_REPORTS = [
     # Every stabilizer at (4, 2) named, with its character sum F(H) for psi:1.
     ("orbits --n 4 --m 2 --char psi:1", 0, 1164893,
      "c65cfca40fe4de344315836567d65887f49c5aab1401135e619675eb90f7e8e2"),
+    # The pretty table at an even n, and the odd-n closed forms for chi:4..7 and psi.
+    ("table --n 6 --format pretty", 0, 7936,
+     "77eee13dc8b9d11faf38474defe9eb6b8e7fd0271cda99ef4188248ce82c9ba9"),
+    ("dims --n 5 --m 3", 0, 2441,
+     "ed2ccb166711d4d3f17d35f4711c53a5744a7bd4437014fb8f066ee2e23cbbbd"),
 ]
 
 
@@ -250,16 +256,28 @@ def test_table_csv(capsys):
     assert "(1;0;0;0) +1.000000+0.000000i" in lines[1]
 
 
-def test_linear_character_text_is_the_exact_value():
+def trig_text_value(n, text):
+    """The exact value of a pretty-table text: 2cos(x*pi) is zeta^(2nx) + zeta^(-2nx),
+    2i*sin(x*pi) is zeta^(2nx) - zeta^(-2nx), with zeta = e^(i*pi/2n)."""
+    order = 4 * n
+    i = root_power(order, n)
+    exact = {"0": 0, "1": 1, "2": 2, "i": i, "-1": -1, "-i": -i}
+    if text in exact:
+        return exact[text]
+    kind, x = text[:-len("*pi)")].split("(")
+    e = Fraction(x) * 2 * n
+    assert e.denominator == 1, text
+    e = int(e)
+    sign = {"2cos": 1, "2i*sin": -1}[kind]
+    return root_power(order, e) + sign * root_power(order, -e)
+
+
+def test_character_text_is_the_exact_value():
     for n in range(2, 9):
-        i = root_power(4 * n, n)
-        exact = {"1": 1, "i": i, "-1": -1, "-i": -i}
         for cid in chartab.character_ids(n):
-            if cid.kind != "chi":
-                continue
             for g in group.elements(n):
-                text = cli._trig_str(n, cid, g)
-                assert (chartab.character_value(n, cid, g) - exact[text]).is_zero, (n, cid, g)
+                want = trig_text_value(n, cli._trig_str(n, cid, g))
+                assert (chartab.character_value(n, cid, g) - want).is_zero, (n, cid, g)
 
 
 def test_table_json_entries(capsys):

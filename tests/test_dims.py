@@ -4,7 +4,7 @@ from math import gcd
 import pytest
 
 from sdtensor import chartab, dims, group, perm
-from sdtensor.chartab import chi, index_sets, psi, zeta
+from sdtensor.chartab import chi, psi, zeta
 from sdtensor.cyclo import CycloInt, root_power
 from sdtensor.dims import dim_closed_form, dim_general, dim_report
 
@@ -160,11 +160,9 @@ def test_imaginary_parts_cancel():
     # which is why the psi dimension only involves cosine terms
     for n in (2, 3, 4):
         order = 4 * n
-        sets = index_sets(n)
-        odd_block = set(sets.Cdag_odd) | {
-            (2 * n - 1) * k % order for k in sets.Cdag_odd
-        }
-        for h in chartab.psi_range(n):
+        psis = [c.param for c in chartab.character_ids(n) if c.kind == "psi"]
+        odd_block = set(psis) | {(2 * n - 1) * k % order for k in psis}
+        for h in psis:
             for m in (2, 3):
                 acc = CycloInt.zero(order)
                 for k in odd_block:

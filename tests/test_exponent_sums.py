@@ -148,9 +148,9 @@ def test_dim_general_matches_the_reference_loop(n):
 @pytest.mark.parametrize("n", range(2, 13))
 def test_cos_sum_doubled_matches_the_reference_loop(n):
     order = 4 * n
-    sets = chartab.index_sets(n)
+    zetas = [c.param for c in chartab.character_ids(n) if c.kind == "zeta"]
     for h in range(1, 2 * n):
-        for ks in (range(order), sets.Cdag_even):
+        for ks in (range(order), zetas):
             for m in (2, 3):
                 acc = CycloInt.zero(order)
                 for k in ks:

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sdtensor import chartab, dims, group, symclass
-from sdtensor.chartab import chi, index_sets, psi, zeta
+from sdtensor.chartab import chi, psi, zeta
 from sdtensor.cyclo import CycloInt
 from sdtensor.group import SDElement
 from sdtensor.symclass import (
@@ -276,8 +276,8 @@ def test_zeta_stabilizer_sums_follow_the_rotation_gcd():
     from math import gcd
 
     for n, m in ((2, 2), (3, 2)):
-        for h in index_sets(n).Cdag_even:
-            cid = zeta(h)
+        for cid in (c for c in chartab.character_ids(n) if c.kind == "zeta"):
+            h = cid.param
             for o in orbits(n, m):
                 total = stabilizer_char_sum(n, cid, o.representative)
                 # H meets <a> in <a^r>, r the gcd of 4n and the rotations in H
@@ -411,8 +411,7 @@ def test_zeta_orbital_dims_case_analysis():
     for n, m in ((2, 2), (2, 3), (3, 2)):
         orbit_list = orbits(n, m)
         orbit_index = {o.representative: o for o in orbit_list}
-        for h in index_sets(n).Cdag_even:
-            cid = zeta(h)
+        for cid in (c for c in chartab.character_ids(n) if c.kind == "zeta"):
             for rep in delta_bar(cid, orbit_list):
                 orbit = orbit_index[rep]
                 data = gram(cid, orbit)
