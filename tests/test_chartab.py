@@ -33,7 +33,25 @@ def degree_two_params(n):
     )
 
 
-def test_degree_two_characters_are_the_papers_index_sets():
+def test_index_sets_n2():
+    c1, c2, c3 = paper_index_sets(2)
+    assert (sorted(c1), sorted(c2), sorted(c3)) == ([0, 2, 4], [1], [5])
+    zetas, psis = degree_two_params(2)
+    assert zetas == (2,)
+    assert psis == (1, 5)
+    assert tuple(sorted(zetas + psis)) == (1, 2, 5)
+
+
+def test_index_sets_n3():
+    c1, c2, c3 = paper_index_sets(3)
+    assert tuple(sorted(c2 | c3)) == (1, 3, 7, 9)
+    zetas, psis = degree_two_params(3)
+    assert zetas == (2, 4)
+    assert psis == (1, 7)
+    assert tuple(sorted(zetas + psis)) == (1, 2, 4, 7)
+
+
+def test_cdag_even_count():
     # zeta:h for h in C1 - {0, 2n}, psi:h for h in (C2 u C3) - {n, 3n}
     for n in range(2, 65):
         c1, c2, c3 = paper_index_sets(n)
@@ -41,8 +59,6 @@ def test_degree_two_characters_are_the_papers_index_sets():
         assert zetas == tuple(sorted(c1 - {0, 2 * n})), n
         assert psis == tuple(sorted((c2 | c3) - {n, 3 * n})), n
         assert len(zetas) == n - 1
-    assert degree_two_params(2) == ((2,), (1, 5))
-    assert degree_two_params(3) == ((2, 4), (1, 7))
 
 
 def test_character_counts_match_class_counts():
