@@ -1,21 +1,29 @@
 """Dimensions of the symmetry classes V_chi(SD_{8n}) on an m-dimensional space.
 
-Two independent computations are provided and cross-validated:
+The dimension is the trace of the symmetrizer,
+(chi(1)/8n) * sum over g of chi(g) * m^c(g), where c(g) is the cycle count
+of the embedded permutation.  Three routes compute it:
 
-* `dim_general` evaluates the trace of the symmetrizer,
-  (chi(1)/8n) * sum over g of chi(g) * m^c(g), where c(g) is the cycle count
-  of the embedded permutation.  The sum is accumulated exactly over the
-  exponents of zeta (chartab.value_terms), reduced once into Z[zeta], and
-  must be a rational integer divisible by 8n/chi(1); anything else is a
-  bug, never valid input.  This is the authoritative value.
+* `dim_general` sums the trace by divisor, in plain integers; this is the
+  report value.  The rotations a^r with gcd(4n, r) = d all have d cycles,
+  and each term zeta^(hr) of chi summed over them is a Ramanujan sum
+  c_(4n/d)(h), so the rotation part has one term per divisor d of 4n.
+  A reflection's cycle count depends on r mod 4 only, and a linear
+  character's value on b a^r does too, so the reflection part has four
+  terms, summed in Z[i].  The total must be an integer divisible by
+  8n/chi(1); anything else is a bug, never valid input.
 
-* `dim_closed_form` evaluates explicit per-character polynomial formulas
-  (split by the parity of n).  The catalog of formulas carries two known
-  defects, kept deliberately so the disagreement is visible rather than
-  silently repaired: the psi formula understates the m^(4n) and m^(2n)
-  terms by half, and the chi:3 formula for odd n contains a run-on product
-  term.  `dim_report` flags every character whose closed form disagrees
-  with (or is not even an integer next to) the trace value.
+* `dim_trace` sums the trace element by element, over the exponents of
+  zeta (chartab.value_terms), reduced once into Z[zeta].  It is the oracle
+  that `verify --m` and the tests hold `dim_general` to.
+
+* `dim_closed_form` evaluates the catalog: explicit per-character
+  polynomial formulas, split by the parity of n.  The catalog carries two
+  known defects, kept deliberately so the disagreement is visible rather
+  than silently repaired: the psi formula understates the m^(4n) and
+  m^(2n) terms by half, and the chi:3 formula for odd n contains a run-on
+  product term.  `dim_report` flags every character whose closed form
+  disagrees with (or is not even an integer next to) the report value.
 
 Everything here is arbitrary-precision integer arithmetic; no floating
 point is used anywhere.
@@ -37,8 +45,80 @@ def _bar(n: int, xs) -> tuple[int, ...]:
     return tuple(sorted(k * x % (4 * n) for x in xs))
 
 
+def _prime_factors(x: int) -> tuple[int, ...]:
+    """The distinct primes dividing x, by trial division."""
+    primes = []
+    p = 2
+    while p * p <= x:
+        if x % p == 0:
+            primes.append(p)
+            while x % p == 0:
+                x = exact_div(x, p)
+        p += 1
+    if x > 1:
+        primes.append(x)
+    return tuple(primes)
+
+
+def _rotation_sum(order: int, m: int, h: int) -> int:
+    """Sum over r < order of zeta^(hr) * m^gcd(order, r), zeta a primitive
+    order-th root of unity.
+
+    The r with gcd(order, r) = d contribute the Ramanujan sum c_q(h),
+    q = order/d: the sum of mu(s) * q/s over the squarefree s dividing q
+    with q/s dividing h.
+    """
+    primes = _prime_factors(order)
+    divisors = [1]
+    for p in primes:
+        power, more = p, []
+        while order % power == 0:
+            more += [d * power for d in divisors]
+            power *= p
+        divisors += more
+    total = 0
+    for q in divisors:
+        signed = [(1, q)]  # (mu(s), q/s)
+        for p in primes:
+            if q % p == 0:
+                signed += [(-mu, exact_div(t, p)) for mu, t in signed]
+        ramanujan = sum(mu * t for mu, t in signed if h % t == 0)
+        total += ramanujan * m ** exact_div(order, q)
+    return total
+
+
+_I_POWERS = ((1, 0), (0, 1), (-1, 0), (0, -1))  # i^j as (re, im)
+
+
 def dim_general(n: int, m: int, cid: CharacterId) -> int:
-    """Dimension of V_chi by the symmetrizer trace formula."""
+    """Dimension of V_chi by divisor sums of the symmetrizer trace."""
+    chartab.validate_id(n, cid)
+    if m < 1:
+        raise ValueError(f"alphabet size m must be >= 1, got {m}")
+    order = 4 * n
+    if cid.degree == 2:
+        # zeta^(hr) + zeta^(khr) on a^r; k is a unit mod 4n, so kh has the
+        # same Ramanujan sums as h, and chi vanishes on the reflections
+        return exact_div(_rotation_sum(order, m, cid.param), 2 * n)
+    terms = chartab.value_terms(n, cid)
+    exp_a = terms[1][0][0]  # chi(a) = zeta^exp_a
+    exp_b, sign_b = terms[order][0]  # chi(b) = sign_b * zeta^exp_b
+    # zeta^n = i; chi(b a^r) = chi(b) chi(a)^r and the cycle count of b a^r
+    # depend on r mod 4 only, so each r0 < 4 stands for n reflections
+    j_a, j_b = exact_div(exp_a, n), exact_div(exp_b, n)
+    re = im = 0
+    for r0 in range(4):
+        x, y = _I_POWERS[(j_b + j_a * r0) % 4]
+        weight = sign_b * m ** perm.cycle_count_formula(n, group.SDElement(1, r0))
+        re += x * weight
+        im += y * weight
+    if im:
+        raise RuntimeError(f"reflection sum of {cid.label()} has imaginary part {im}")
+    return exact_div(_rotation_sum(order, m, exp_a) + n * re, 8 * n)
+
+
+def dim_trace(n: int, m: int, cid: CharacterId) -> int:
+    """Dimension of V_chi by the symmetrizer trace, element by element."""
     chartab.validate_id(n, cid)
     if m < 1:
         raise ValueError(f"alphabet size m must be >= 1, got {m}")
@@ -81,7 +161,6 @@ def dim_closed_form(n: int, m: int, cid: CharacterId) -> int:
     zetas = tuple(c.param for c in ids if c.kind == "zeta")
     psis = tuple(c.param for c in ids if c.kind == "psi")
     order = 4 * n
-    full = _gcd_power_sum(n, m, range(order))
     even_n = n % 2 == 0
 
     if cid.kind == "zeta":
@@ -101,10 +180,9 @@ def dim_closed_form(n: int, m: int, cid: CharacterId) -> int:
     i = cid.param
     if even_n:
         refl = 2 * n * m**n + 2 * n * m ** (2 * n + 1)
-        if i == 0:
-            return exact_div(refl + full, 8 * n)
-        if i == 1:
-            return exact_div(-refl + full, 8 * n)
+        if i in (0, 1):
+            full = _gcd_power_sum(n, m, range(order))
+            return exact_div((refl if i == 0 else -refl) + full, 8 * n)
         # chi:2 and chi:3 share their rotation part.
         odd_block = set(psis) | set(_bar(n, psis))
         rot = (
@@ -118,10 +196,9 @@ def dim_closed_form(n: int, m: int, cid: CharacterId) -> int:
 
     # odd n
     refl = 2 * n * m**n + n * m ** (2 * n) + n * m ** (2 * n + 2)
-    if i == 0:
-        return exact_div(refl + full, 8 * n)
-    if i == 1:
-        return exact_div(-refl + full, 8 * n)
+    if i in (0, 1):
+        full = _gcd_power_sum(n, m, range(order))
+        return exact_div((refl if i == 0 else -refl) + full, 8 * n)
     if i in (2, 3):
         odd_block = set(psis) | set(_bar(n, psis))
         rot = (
@@ -190,7 +267,7 @@ def known_defect(n: int, cid: CharacterId) -> bool:
 
 
 def dim_report(n: int, m: int) -> DimReport:
-    """Both computations for every character, with agreement flags.
+    """dim_general and the closed form for every character, with agreement flags.
 
     The report also checks the decomposition of the full tensor power: the
     symmetrizers over all irreducible characters are orthogonal idempotents

@@ -13,7 +13,9 @@ and compare them with `group.conjugacy_classes`, which stays on
 against it.  Character sums are exponent vectors reduced once, as in
 `chartab`: `column_relation` reduces one per class, `row_orthonormality`
 stays an element-wise sum, and `class_function` reads `character_value` at
-every class member.
+every class member.  With m, `dims_cross_check` holds every report
+dimension to the element-by-element `dims.dim_trace` as well as to the
+closed-form catalog, whose psi and odd-n chi:3 entries are known defects.
 """
 
 from __future__ import annotations
@@ -137,10 +139,11 @@ def run_checks(n: int, m: int | None, budget: int | None):
         flagged = [e for e in report.entries if not e.agree]
         clean_ok = all(e.agree or dims.known_defect(n, e.character) for e in report.entries)
         general = {e.character: e.general for e in report.entries}
+        trace_ok = all(dims.dim_trace(n, m, cid) == value for cid, value in general.items())
         checks.append(
             (
                 "dims_cross_check",
-                clean_ok,
+                clean_ok and trace_ok,
                 f"{len(report.entries) - len(flagged)} closed forms agree; "
                 f"flagged: {', '.join(e.character.label() for e in flagged) or 'none'}",
             )

@@ -5,8 +5,9 @@ import pytest
 
 from sdtensor import chartab, dims, group, perm
 from sdtensor.chartab import chi, psi, zeta
-from sdtensor.cyclo import CycloInt, root_power
-from sdtensor.dims import dim_closed_form, dim_general, dim_report
+from sdtensor.cyclo import CycloInt, ExactDivisionError, exact_div, root_power
+from sdtensor.cli import main
+from sdtensor.dims import dim_closed_form, dim_general, dim_report, dim_trace
 
 
 def _embedded_action(n, g):
@@ -180,10 +181,58 @@ def test_imaginary_parts_cancel():
                 assert acc_all.is_zero
 
 
+def test_divisor_route_matches_the_trace():
+    for n in range(2, 41):
+        for m in (1, 2, 3, 5):
+            for cid in chartab.character_ids(n):
+                assert dim_general(n, m, cid) == dim_trace(n, m, cid), (n, m, cid)
+
+
+def test_psi1_at_n4_is_one_polynomial():
+    # c_q(1) = mu(q), and mu(16/d) vanishes for d | 16 except at d = 16 and 8
+    for m in range(1, 7):
+        assert dim_general(4, m, psi(1)) == exact_div(m**16 - m**8, 8)
+
+
+def test_divisor_route_total_at_n512():
+    # 1027 characters; the trace route would walk 4096 elements for each
+    n = 512
+    assert sum(dim_general(n, 3, cid) for cid in chartab.character_ids(n)) == 3 ** (4 * n)
+
+
+def test_reflection_sum_with_an_imaginary_part_is_an_internal_error(monkeypatch):
+    # chi:4 at odd n sends a to zeta^n = i; b a and b a^3 have n cycles each,
+    # so their i and -i cancel only while the two counts agree
+    count = perm.cycle_count_formula
+
+    def skewed(n, g):
+        return count(n, g) + (g == group.SDElement(1, 3))
+
+    monkeypatch.setattr(perm, "cycle_count_formula", skewed)
+    with pytest.raises(RuntimeError, match="imaginary part"):
+        dim_general(3, 2, chi(4))
+
+
+def test_non_divisible_numerator_exits_5(capsys, monkeypatch):
+    rotation_sum = dims._rotation_sum
+    monkeypatch.setattr(dims, "_rotation_sum", lambda order, m, h: rotation_sum(order, m, h) + 1)
+    with pytest.raises(ExactDivisionError):
+        dim_general(2, 3, chi(0))
+    assert main(["dims", "--n", "2", "--m", "3"]) == 5
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: internal error: ") and len(err.splitlines()) == 1
+    assert "Traceback" not in err
+
+
 def test_rejects_bad_parameters():
     with pytest.raises(ValueError):
         dim_general(2, 0, chi(0))
     with pytest.raises(ValueError):
+        dim_trace(2, 0, chi(0))
+    with pytest.raises(ValueError):
         dim_closed_form(2, 0, chi(0))
     with pytest.raises(ValueError):
         dim_general(2, 2, zeta(1))
+    with pytest.raises(ValueError):
+        dim_trace(2, 2, zeta(1))

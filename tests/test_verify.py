@@ -4,7 +4,7 @@ import dataclasses
 
 import pytest
 
-from sdtensor import chartab, group, perm, symclass, verify
+from sdtensor import chartab, dims, group, perm, symclass, verify
 from sdtensor.cli import main
 from sdtensor.group import SDElement
 
@@ -111,3 +111,18 @@ def test_orbit_stabilizer_catches_a_stabilizer_of_the_right_order(monkeypatch):
     monkeypatch.setattr(symclass, "orbits", lambda n, m, budget: altered)
     checks = {name: ok for name, ok, _ in verify.run_checks(2, 2, None)}
     assert checks["orbit_stabilizer"] is False
+
+
+def test_dims_cross_check_holds_the_divisor_route_to_the_trace(monkeypatch):
+    # psi's closed form is a known defect, so only the trace can catch a
+    # wrong psi:1; moving one unit to psi:7 keeps the total at m^(4n)
+    general = dims.dim_general
+
+    def shifted(n, m, cid):
+        return general(n, m, cid) + (cid == chartab.psi(1)) - (cid == chartab.psi(7))
+
+    monkeypatch.setattr(dims, "dim_general", shifted)
+    checks = {name: ok for name, ok, _ in verify.run_checks(3, 3, None)}
+    assert checks["dims_cross_check"] is False
+    assert checks["dims_total_identity"] is True
+    assert main(["verify", "--n", "3", "--m", "3"]) == 1
