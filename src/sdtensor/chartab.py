@@ -97,8 +97,13 @@ def character_ids(n: int) -> tuple[CharacterId, ...]:
     return tuple(ids)
 
 
+@functools.lru_cache(maxsize=None)
+def _id_set(n: int) -> frozenset[CharacterId]:
+    return frozenset(character_ids(n))
+
+
 def validate_id(n: int, cid: CharacterId) -> None:
-    if cid not in character_ids(n):
+    if cid not in _id_set(n):
         raise ValueError(f"{cid.label()} is not a character of SD_{8 * n}")
 
 

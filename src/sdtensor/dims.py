@@ -18,7 +18,10 @@ of the embedded permutation.  Three routes compute it:
   that `verify --m` and the tests hold `dim_general` to.
 
 * `dim_closed_form` evaluates the catalog: explicit per-character
-  polynomial formulas, split by the parity of n.  The catalog carries two
+  polynomial formulas, split by the parity of n.  Its sums over k < 4n of
+  m^gcd(4n,k), plain or weighted by cosines, are grouped by gcd(4n, k) and
+  evaluated by divisor on the same Ramanujan kernel: the same sums in
+  another order, so the catalog's terms stay as written.  The catalog carries two
   known defects, kept deliberately so the disagreement is visible rather
   than silently repaired: the psi formula understates the m^(4n) and
   m^(2n) terms by half, and the chi:3 formula for odd n contains a run-on
@@ -32,17 +35,10 @@ point is used anywhere.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
 
 from . import chartab, group, perm
 from .chartab import CharacterId
-from .cyclo import CycloInt, ExactDivisionError, exact_div, from_exponents
-
-
-def _bar(n: int, xs) -> tuple[int, ...]:
-    """Image of an exponent set under x -> kx mod 4n, k = group.twist(n)."""
-    k = group.twist(n)
-    return tuple(sorted(k * x % (4 * n) for x in xs))
+from .cyclo import ExactDivisionError, exact_div, from_exponents
 
 
 def _prime_factors(x: int) -> tuple[int, ...]:
@@ -87,14 +83,18 @@ def _rotation_sum(order: int, m: int, h: int) -> int:
     return total
 
 
+def _check(n: int, m: int, cid: CharacterId) -> None:
+    chartab.validate_id(n, cid)
+    if m < 1:
+        raise ValueError(f"alphabet size m must be >= 1, got {m}")
+
+
 _I_POWERS = ((1, 0), (0, 1), (-1, 0), (0, -1))  # i^j as (re, im)
 
 
 def dim_general(n: int, m: int, cid: CharacterId) -> int:
     """Dimension of V_chi by divisor sums of the symmetrizer trace."""
-    chartab.validate_id(n, cid)
-    if m < 1:
-        raise ValueError(f"alphabet size m must be >= 1, got {m}")
+    _check(n, m, cid)
     order = 4 * n
     if cid.degree == 2:
         # zeta^(hr) + zeta^(khr) on a^r; k is a unit mod 4n, so kh has the
@@ -119,9 +119,7 @@ def dim_general(n: int, m: int, cid: CharacterId) -> int:
 
 def dim_trace(n: int, m: int, cid: CharacterId) -> int:
     """Dimension of V_chi by the symmetrizer trace, element by element."""
-    chartab.validate_id(n, cid)
-    if m < 1:
-        raise ValueError(f"alphabet size m must be >= 1, got {m}")
+    _check(n, m, cid)
     order = 4 * n
     vec = [0] * order
     for g, terms in zip(group.elements(n), chartab.value_terms(n, cid)):
@@ -132,101 +130,63 @@ def dim_trace(n: int, m: int, cid: CharacterId) -> int:
     return exact_div(total, 8 * n // cid.degree)
 
 
-def _gcd_power_sum(n: int, m: int, ks) -> int:
-    return sum(m ** gcd(4 * n, k) for k in ks)
-
-
-def _cos_sum_doubled(n: int, m: int, h: int, ks) -> CycloInt:
-    """Sum over ks of m^gcd(4n,k) * (zeta^(hk) + zeta^(-hk)), i.e. 2*cos terms."""
-    order = 4 * n
-    vec = [0] * order
-    for k in ks:
-        weight = m ** gcd(order, k)
-        vec[h * k % order] += weight
-        vec[-h * k % order] += weight
-    return from_exponents(order, vec)
-
-
 def dim_closed_form(n: int, m: int, cid: CharacterId) -> int:
     """Dimension by the per-character closed-form catalog.
 
     Raises ExactDivisionError when the formula does not even produce an
     integer, which happens for the known-defective entries at some (n, m).
     """
-    chartab.validate_id(n, cid)
-    if m < 1:
-        raise ValueError(f"alphabet size m must be >= 1, got {m}")
-    # The zeta and psi parameters: the least members of the 2-orbits of x -> kx.
-    ids = chartab.character_ids(n)
-    zetas = tuple(c.param for c in ids if c.kind == "zeta")
-    psis = tuple(c.param for c in ids if c.kind == "psi")
+    _check(n, m, cid)
+    # The catalog sums over k < 4n, here grouped by gcd(4n, k) through
+    # _rotation_sum: `full` is the sum of m^gcd(4n,k) over all k, `even` the
+    # sum over the even k = 2r, as gcd(4n, 2r) = 2 gcd(2n, r).  The twist
+    # 2n-1 sends an even k to -k mod 4n, so the zeta parameters are the even
+    # k in (0, 2n), and a sum over them is half the sum over the even k other
+    # than 0 and 2n.  The odd block, the psi parameters and their images, is
+    # every odd k except the fixed points n and 3n, which exist at odd n only.
     order = 4 * n
-    even_n = n % 2 == 0
-
     if cid.kind == "zeta":
-        # (1/2n) * sum over all k of m^gcd * cos(hk*pi/2n), kept in Z[zeta]
-        # as doubled cosines over a 4n denominator.
-        total = _cos_sum_doubled(n, m, cid.param, range(order)).to_int()
-        return exact_div(total, order)
-
+        # (1/2n) * sum over all k of m^gcd * cos(hk*pi/2n)
+        return exact_div(2 * _rotation_sum(order, m, cid.param), order)
     if cid.kind == "psi":
         # (1/4n) [ m^4n - m^2n + 4 * sum over the zeta parameters k of
         # m^gcd(4n,k) cos(hk pi/2n) ] as written; the leading two terms are
         # known to be half the value the trace formula produces.
-        cos_part = _cos_sum_doubled(n, m, cid.param, zetas) * 2
-        total = (cos_part + (m**order - m ** (2 * n))).to_int()
+        total = 2 * _rotation_sum(2 * n, m * m, cid.param) - m**order + m ** (2 * n)
         return exact_div(total, order)
-
     i = cid.param
-    if even_n:
+    if i >= 4:
+        # chi:4 .. chi:7, odd n only: m^4n - m^2n plus the sum of
+        # (-1)^(k/2) m^gcd(4n,k) over the even block
+        sign = 1 if i in (4, 6) else -1
+        return exact_div(
+            _rotation_sum(2 * n, m * m, n) + sign * (n * m ** (2 * n + 2) - n * m ** (2 * n)), 8 * n
+        )
+
+    full = _rotation_sum(order, m, 0)
+    even = _rotation_sum(2 * n, m * m, 0)
+    if n % 2 == 0:
         refl = 2 * n * m**n + 2 * n * m ** (2 * n + 1)
         if i in (0, 1):
-            full = _gcd_power_sum(n, m, range(order))
-            return exact_div((refl if i == 0 else -refl) + full, 8 * n)
+            return exact_div(full + (refl if i == 0 else -refl), 8 * n)
         # chi:2 and chi:3 share their rotation part.
-        odd_block = set(psis) | set(_bar(n, psis))
-        rot = (
-            m**order
-            + m ** (2 * n)
-            + 2 * _gcd_power_sum(n, m, zetas)
-            - _gcd_power_sum(n, m, odd_block)
-        )
         sign = 1 if i == 2 else -1
-        return exact_div(rot + sign * (2 * n * m ** (2 * n + 1) - 2 * n * m**n), 8 * n)
+        return exact_div(2 * even - full + sign * (2 * n * m ** (2 * n + 1) - 2 * n * m**n), 8 * n)
 
     # odd n
     refl = 2 * n * m**n + n * m ** (2 * n) + n * m ** (2 * n + 2)
     if i in (0, 1):
-        full = _gcd_power_sum(n, m, range(order))
-        return exact_div((refl if i == 0 else -refl) + full, 8 * n)
-    if i in (2, 3):
-        odd_block = set(psis) | set(_bar(n, psis))
-        rot = (
-            m**order
-            + m ** (2 * n)
-            - 2 * m**n
-            + 2 * _gcd_power_sum(n, m, zetas)
-        )
-        if i == 2:
-            rot -= _gcd_power_sum(n, m, odd_block)
-            return exact_div(
-                rot - 2 * n * m**n + n * m ** (2 * n) + n * m ** (2 * n + 2), 8 * n
-            )
-        # chi:3 as catalogued: the subtracted sum runs over terms
-        # m^gcd(4n,k) * 2n * m^n (run-on product), then -n m^2n - n m^(2n+2).
-        run_on = sum(m ** gcd(order, k) * 2 * n * m**n for k in odd_block)
+        return exact_div(full + (refl if i == 0 else -refl), 8 * n)
+    if i == 2:
         return exact_div(
-            rot - run_on - n * m ** (2 * n) - n * m ** (2 * n + 2), 8 * n
+            2 * even - full - 2 * n * m**n + n * m ** (2 * n) + n * m ** (2 * n + 2), 8 * n
         )
-    # chi:4 .. chi:7, odd n only
-    even_block = zetas + _bar(n, zetas)
-    alt = sum(
-        (-1) ** (k // 2 % 2) * m ** gcd(order, k) for k in even_block
-    )
-    base = m**order - m ** (2 * n) + alt
-    sign = 1 if i in (4, 6) else -1
+    # chi:3 as catalogued: the subtracted sum over the odd block runs over
+    # terms m^gcd(4n,k) * 2n * m^n (run-on product), then -n m^2n - n m^(2n+2).
+    odd_block_sum = full - even - 2 * m**n
     return exact_div(
-        base + sign * (n * m ** (2 * n + 2) - n * m ** (2 * n)), 8 * n
+        even - 2 * m**n - 2 * n * m**n * odd_block_sum - n * m ** (2 * n) - n * m ** (2 * n + 2),
+        8 * n,
     )
 
 

@@ -128,7 +128,8 @@ def _class_size_profile(n: int) -> list[int]:
 
 
 def conjugacy_classes(n: int) -> ConjClassReport:
-    """All conjugacy classes by brute-force conjugation.
+    """All conjugacy classes, each the closure of a member under conjugation
+    by the generators a and b.
 
     Representatives are the lexicographically least members under (s, r)
     order; classes are sorted by representative.  The class count is 2n+3
@@ -136,12 +137,20 @@ def conjugacy_classes(n: int) -> ConjClassReport:
     """
     check_n(n)
     all_elements = elements(n)
+    generators = [(g, inverse(n, g)) for g in (SDElement(0, 1), SDElement(1, 0))]
     seen: set[SDElement] = set()
     classes = []
     for h in all_elements:
         if h in seen:
             continue
-        members = {multiply(n, multiply(n, g, h), inverse(n, g)) for g in all_elements}
+        members, frontier = {h}, [h]
+        while frontier:
+            x = frontier.pop()
+            for g, g_inv in generators:
+                y = multiply(n, multiply(n, g, x), g_inv)
+                if y not in members:
+                    members.add(y)
+                    frontier.append(y)
         seen |= members
         members = tuple(sorted(members))
         classes.append((members[0], members))

@@ -4,8 +4,10 @@
 element of Z[C_k] = Z[x]/(x^k - 1), to Z[zeta_k].  Here it is checked as a
 ring map with hypothesis, and against sympy's remainder modulo the
 cyclotomic polynomial.  The sums built on it (`char_inner_product`,
-`dim_general`, `_cos_sum_doubled`) are compared with plain CycloInt loops
-kept in this file, over character values written out from the definitions.
+`dim_general`) are compared with plain CycloInt loops kept in this file,
+over character values written out from the definitions.  `dim_closed_form`
+is held to the catalog summed term by term over k < 4n, as the paper
+writes it; its cosine sums are checked against `root_power` loops.
 """
 
 from math import gcd
@@ -16,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sdtensor import chartab, dims, group, perm
-from sdtensor.cyclo import CycloInt, exact_div, from_exponents, root_power
+from sdtensor.cyclo import CycloInt, ExactDivisionError, exact_div, from_exponents, root_power
 
 # chi_i(a) as a power of i = zeta^n, and chi_i(b), for i = 0..7.
 CHI_A_POWER_OF_I = (0, 0, 2, 2, 1, 1, 3, 3)
@@ -145,6 +147,60 @@ def test_dim_general_matches_the_reference_loop(n):
             assert dims.dim_general(n, m, cid) == want
 
 
+def cos_sum_doubled(n: int, m: int, h: int, ks) -> CycloInt:
+    """Sum over ks of m^gcd(4n,k) * (zeta^(hk) + zeta^(-hk)), i.e. 2*cos terms."""
+    order = 4 * n
+    vec = [0] * order
+    for k in ks:
+        weight = m ** gcd(order, k)
+        vec[h * k % order] += weight
+        vec[-h * k % order] += weight
+    return from_exponents(order, vec)
+
+
+def literal_closed_form(n: int, m: int, cid) -> int:
+    """The per-character catalog term by term over k < 4n, as the paper
+    writes it, with its two known defects (psi, and chi:3 at odd n)."""
+    order, k = 4 * n, 2 * n - 1
+    zetas = [h for h in range(0, order, 2) if h < k * h % order]
+    psis = [h for h in range(1, order, 2) if h < k * h % order]
+    odd_block = set(psis) | {k * h % order for h in psis}
+    even_block = zetas + [k * h % order for h in zetas]
+
+    def gcd_power_sum(ks):
+        return sum(m ** gcd(order, x) for x in ks)
+
+    h = cid.param
+    if cid.kind == "zeta":
+        return exact_div(cos_sum_doubled(n, m, h, range(order)).to_int(), order)
+    if cid.kind == "psi":
+        total = (cos_sum_doubled(n, m, h, zetas) * 2 + (m**order - m ** (2 * n))).to_int()
+        return exact_div(total, order)
+    full = gcd_power_sum(range(order))
+    rot = m**order + m ** (2 * n) + 2 * gcd_power_sum(zetas)
+    if n % 2 == 0:
+        refl = 2 * n * m**n + 2 * n * m ** (2 * n + 1)
+        if h in (0, 1):
+            return exact_div((refl if h == 0 else -refl) + full, 8 * n)
+        sign = 1 if h == 2 else -1
+        rot -= gcd_power_sum(odd_block)
+        return exact_div(rot + sign * (2 * n * m ** (2 * n + 1) - 2 * n * m**n), 8 * n)
+    refl = 2 * n * m**n + n * m ** (2 * n) + n * m ** (2 * n + 2)
+    if h in (0, 1):
+        return exact_div((refl if h == 0 else -refl) + full, 8 * n)
+    rot -= 2 * m**n
+    if h == 2:
+        rot -= gcd_power_sum(odd_block)
+        return exact_div(rot - 2 * n * m**n + n * m ** (2 * n) + n * m ** (2 * n + 2), 8 * n)
+    if h == 3:
+        run_on = sum(m ** gcd(order, x) * 2 * n * m**n for x in odd_block)
+        return exact_div(rot - run_on - n * m ** (2 * n) - n * m ** (2 * n + 2), 8 * n)
+    alt = sum((-1) ** (x // 2 % 2) * m ** gcd(order, x) for x in even_block)
+    sign = 1 if h in (4, 6) else -1
+    base = m**order - m ** (2 * n) + alt
+    return exact_div(base + sign * (n * m ** (2 * n + 2) - n * m ** (2 * n)), 8 * n)
+
+
 @pytest.mark.parametrize("n", range(2, 13))
 def test_cos_sum_doubled_matches_the_reference_loop(n):
     order = 4 * n
@@ -156,4 +212,21 @@ def test_cos_sum_doubled_matches_the_reference_loop(n):
                 for k in ks:
                     weight = m ** (gcd(order, k) if k else order)
                     acc = acc + weight * (root_power(order, h * k) + root_power(order, -h * k))
-                assert dims._cos_sum_doubled(n, m, h, ks) == acc
+                assert cos_sum_doubled(n, m, h, ks) == acc
+
+
+def _outcome(closed_form, n, m, cid):
+    try:
+        return closed_form(n, m, cid)
+    except ExactDivisionError:
+        return None
+
+
+@pytest.mark.parametrize("n", range(2, 41))
+def test_closed_form_matches_the_literal_catalog(n):
+    # the divisor-grouped catalog is the literal one summed in another order,
+    # non-integral at exactly the same (n, m)
+    for cid in chartab.character_ids(n):
+        for m in (1, 2, 3, 5):
+            want = _outcome(literal_closed_form, n, m, cid)
+            assert _outcome(dims.dim_closed_form, n, m, cid) == want, (n, m, cid)
