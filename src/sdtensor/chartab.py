@@ -77,6 +77,11 @@ def _linear_a_exponents(n: int) -> tuple[int, ...]:
     return tuple(e for e in (0, 2 * n, n, 3 * n) if k1 * e % (4 * n) == 0)
 
 
+def linear_generators(n: int, i: int) -> tuple[int, int]:
+    """chi:i on the generators: (e, sign) with chi(a) = zeta^e and chi(b) = sign."""
+    return _linear_a_exponents(n)[i // 2], (-1) ** i
+
+
 def linear_range(n: int) -> range:
     return range(2 * len(_linear_a_exponents(n)))
 
@@ -130,8 +135,7 @@ def value_terms(n: int, cid: CharacterId) -> tuple[tuple[tuple[int, int], ...], 
     validate_id(n, cid)
     order = 4 * n
     if cid.kind == "chi":
-        exp_a = _linear_a_exponents(n)[cid.param // 2]  # chi(a) = zeta^(exp_a)
-        sign_b = (-1) ** cid.param
+        exp_a, sign_b = linear_generators(n, cid.param)
         return tuple(
             ((exp_a * g.r % order, sign_b if g.s else 1),) for g in group.elements(n)
         )

@@ -380,12 +380,12 @@ def _write_json(fh, payload) -> None:
     sort_keys=True) followed by a newline would, in writes of at most
     _WRITE_CHARS characters (unless one string or int list is longer).
 
-    A list of plain ints is rendered by one % on a template cached per
-    (indent, length); the strings, ints and int lists inside a list or dict
-    are rendered in its loop, with no call per item.  Anything that is not
-    a str, int, bool, None, or a non-empty list, tuple or str-keyed dict
-    goes to json.dumps, so floats match and an unserializable value raises
-    TypeError.
+    One loop renders every value under one rule, by exact type: a str or an
+    int, a non-empty list or tuple, and a non-empty dict whose keys are all
+    str are written here, and a list of ints by one % on a template cached
+    per (indent, length).  Everything else goes to json.dumps: None, bools,
+    floats, empty containers, subclasses (IntEnum, namedtuple, OrderedDict,
+    str subclasses) and unserializable values, which raise TypeError.
 
     >>> import io
     >>> out = io.StringIO()
@@ -432,54 +432,33 @@ def _write_json(fh, payload) -> None:
         return template % tuple(value)
 
     def children(leads, items, indent: str) -> None:
-        """Render each item after its lead; strings, exact ints and int lists,
-        the bulk of a report, are rendered here without a call to render."""
+        """Render each item after its lead, the separator and key before it."""
         for lead, item in zip(leads, items):
             kind = type(item)
             if kind is str:
                 put(lead + encode(item))
             elif kind is int:
                 put(lead + int.__repr__(item))
-            elif (kind is tuple or kind is list) and item and {*map(type, item)} == {int}:
-                put(lead + ints(item, indent))
+            elif (kind is list or kind is tuple) and item:
+                if {*map(type, item)} == {int}:
+                    put(lead + ints(item, indent))
+                else:
+                    inner = indent + "  "
+                    seps = itertools.chain((lead + "[\n" + inner,), itertools.repeat(",\n" + inner))
+                    children(seps, item, inner)
+                    put("\n" + indent + "]")
+            elif kind is dict and item and {*map(type, item)} == {str}:
+                inner = indent + "  "
+                keys = sorted(item)
+                seps = itertools.chain((lead + "{\n" + inner,), itertools.repeat(",\n" + inner))
+                keyed = map(operator.add, seps, (encode(key) + ": " for key in keys))
+                children(keyed, map(item.__getitem__, keys), inner)
+                put("\n" + indent + "}")
             else:
-                render(item, indent, lead)
+                # JSON strings hold no raw newline, so re-indenting is exact.
+                put(lead + json.dumps(item, indent=2, sort_keys=True).replace("\n", "\n" + indent))
 
-    def render(value, indent: str, lead: str) -> None:
-        """Render value after lead, the separator and key that precede it."""
-        # The order of these tests is json.encoder's: bool before int.
-        if isinstance(value, str):
-            put(lead + encode(value))
-        elif value is None:
-            put(lead + "null")
-        elif value is True:
-            put(lead + "true")
-        elif value is False:
-            put(lead + "false")
-        elif isinstance(value, int):
-            put(lead + int.__repr__(value))
-        elif isinstance(value, (list, tuple)) and value:
-            # The type test keeps bools and int subclasses off the template.
-            if {*map(type, value)} == {int}:
-                put(lead + ints(value, indent))
-                return
-            inner = indent + "  "
-            leads = itertools.chain((lead + "[\n" + inner,), itertools.repeat(",\n" + inner))
-            children(leads, value, inner)
-            put("\n" + indent + "]")
-        elif isinstance(value, dict) and value and all(isinstance(key, str) for key in value):
-            inner = indent + "  "
-            keys = sorted(value)
-            seps = itertools.chain((lead + "{\n" + inner,), itertools.repeat(",\n" + inner))
-            leads = map(operator.add, seps, (encode(key) + ": " for key in keys))
-            children(leads, map(value.__getitem__, keys), inner)
-            put("\n" + indent + "}")
-        else:
-            # Empty containers, floats and the rest.  JSON strings hold no
-            # raw newline, so re-indenting is exact.
-            put(lead + json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n" + indent))
-
-    render(payload, "", "")
+    children(("",), (payload,), "")
     put("\n")
     fh.write("".join(pieces))
 

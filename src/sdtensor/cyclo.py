@@ -32,9 +32,28 @@ class ExactDivisionError(ArithmeticError):
     """An exact integer division failed, or a value was not a rational integer."""
 
 
+def prime_factors(x: int) -> tuple[int, ...]:
+    """The distinct primes dividing x >= 1, by trial division.
+
+    >>> prime_factors(840)
+    (2, 3, 5, 7)
+    """
+    primes = []
+    p = 2
+    while p * p <= x:
+        if x % p == 0:
+            primes.append(p)
+            while x % p == 0:
+                x //= p
+        p += 1
+    if x > 1:
+        primes.append(x)
+    return tuple(primes)
+
+
 @functools.lru_cache(maxsize=None)
 def euler_phi(k: int) -> int:
-    """Euler's totient function.
+    """Euler's totient function, k * prod(1 - 1/p) over the primes p dividing k.
 
     >>> [euler_phi(k) for k in (1, 2, 8, 12, 20)]
     [1, 1, 4, 4, 8]
@@ -42,16 +61,8 @@ def euler_phi(k: int) -> int:
     if k < 1:
         raise ValueError(f"euler_phi requires k >= 1, got {k}")
     result = k
-    d = 2
-    rest = k
-    while d * d <= rest:
-        if rest % d == 0:
-            result -= result // d
-            while rest % d == 0:
-                rest //= d
-        d += 1
-    if rest > 1:
-        result -= result // rest
+    for p in prime_factors(k):
+        result -= result // p
     return result
 
 

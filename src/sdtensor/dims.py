@@ -34,26 +34,34 @@ point is used anywhere.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from . import chartab, group, perm
 from .chartab import CharacterId
-from .cyclo import ExactDivisionError, exact_div, from_exponents
+from .cyclo import ExactDivisionError, exact_div, from_exponents, prime_factors
 
 
-def _prime_factors(x: int) -> tuple[int, ...]:
-    """The distinct primes dividing x, by trial division."""
-    primes = []
-    p = 2
-    while p * p <= x:
-        if x % p == 0:
-            primes.append(p)
-            while x % p == 0:
-                x = exact_div(x, p)
-        p += 1
-    if x > 1:
-        primes.append(x)
-    return tuple(primes)
+@functools.lru_cache(maxsize=None)
+def _ramanujan_terms(order: int) -> tuple[tuple[int, tuple[tuple[int, int], ...]], ...]:
+    """For each divisor d of order, d and the signed terms (mu(s), q/s) of the
+    Ramanujan sum c_q, q = order/d, over the squarefree s dividing q."""
+    primes = prime_factors(order)
+    divisors = [1]
+    for p in primes:
+        power, more = p, []
+        while order % power == 0:
+            more += [d * power for d in divisors]
+            power *= p
+        divisors += more
+    table = []
+    for q in divisors:
+        signed = [(1, q)]
+        for p in primes:
+            if q % p == 0:
+                signed += [(-mu, exact_div(t, p)) for mu, t in signed]
+        table.append((exact_div(order, q), tuple(signed)))
+    return tuple(table)
 
 
 def _rotation_sum(order: int, m: int, h: int) -> int:
@@ -64,23 +72,10 @@ def _rotation_sum(order: int, m: int, h: int) -> int:
     q = order/d: the sum of mu(s) * q/s over the squarefree s dividing q
     with q/s dividing h.
     """
-    primes = _prime_factors(order)
-    divisors = [1]
-    for p in primes:
-        power, more = p, []
-        while order % power == 0:
-            more += [d * power for d in divisors]
-            power *= p
-        divisors += more
-    total = 0
-    for q in divisors:
-        signed = [(1, q)]  # (mu(s), q/s)
-        for p in primes:
-            if q % p == 0:
-                signed += [(-mu, exact_div(t, p)) for mu, t in signed]
-        ramanujan = sum(mu * t for mu, t in signed if h % t == 0)
-        total += ramanujan * m ** exact_div(order, q)
-    return total
+    return sum(
+        sum(mu * t for mu, t in signed if h % t == 0) * m**d
+        for d, signed in _ramanujan_terms(order)
+    )
 
 
 def _check(n: int, m: int, cid: CharacterId) -> None:
@@ -100,15 +95,13 @@ def dim_general(n: int, m: int, cid: CharacterId) -> int:
         # zeta^(hr) + zeta^(khr) on a^r; k is a unit mod 4n, so kh has the
         # same Ramanujan sums as h, and chi vanishes on the reflections
         return exact_div(_rotation_sum(order, m, cid.param), 2 * n)
-    terms = chartab.value_terms(n, cid)
-    exp_a = terms[1][0][0]  # chi(a) = zeta^exp_a
-    exp_b, sign_b = terms[order][0]  # chi(b) = sign_b * zeta^exp_b
-    # zeta^n = i; chi(b a^r) = chi(b) chi(a)^r and the cycle count of b a^r
+    exp_a, sign_b = chartab.linear_generators(n, cid.param)
+    # zeta^n = i; chi(b a^r) = sign_b chi(a)^r and the cycle count of b a^r
     # depend on r mod 4 only, so each r0 < 4 stands for n reflections
-    j_a, j_b = exact_div(exp_a, n), exact_div(exp_b, n)
+    j_a = exact_div(exp_a, n)
     re = im = 0
     for r0 in range(4):
-        x, y = _I_POWERS[(j_b + j_a * r0) % 4]
+        x, y = _I_POWERS[j_a * r0 % 4]
         weight = sign_b * m ** perm.cycle_count_formula(n, group.SDElement(1, r0))
         re += x * weight
         im += y * weight

@@ -1,3 +1,4 @@
+import collections
 import enum
 import errno
 import fcntl
@@ -180,6 +181,42 @@ class Level(enum.IntEnum):
 )
 def test_json_writer_int_lists_match_json_dumps(payload):
     # bools and int subclasses must not take the template of plain ints
+    assert written_json(payload) == dumped_json(payload)
+
+
+class Name(str):
+    pass
+
+
+class Row(list):
+    pass
+
+
+class Table(dict):
+    pass
+
+
+Pair = collections.namedtuple("Pair", "x y")
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        {"a": Name("x\n"), "b": [Name("y")]},
+        {Name("k"): 1, "j": [2]},
+        Row([1, 2]),
+        [Row([[3], "z"])],
+        Table(a=1, b=[2, 3]),
+        [collections.OrderedDict([("b", (True, None)), ("a", 1)])],
+        Pair(1, 2),
+        {"p": [Pair(3, -(2**70))]},
+        {1.5: "x", 0.5: [1]},
+        [{-2.0: {"k": 1}}],
+    ],
+    ids=repr,
+)
+def test_json_writer_subclasses_match_json_dumps(payload):
+    # subclasses take the json.dumps route, at the top level and nested
     assert written_json(payload) == dumped_json(payload)
 
 
