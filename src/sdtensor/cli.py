@@ -7,7 +7,9 @@ character values as trigonometric expressions next to their exact
 coordinates.  COMMANDS maps each subcommand to its payload builder and its
 text renderers; `_emit` writes the rendered text, or streams the JSON payload
 through the one JSON writer, `_write_json`, whose bytes are those of
-json.dump(payload, indent=2, sort_keys=True) plus a newline.
+json.dump(payload, indent=2, sort_keys=True) plus a newline.  The orbits and
+basis payloads hold one generator per listing, so their entries are built
+as they are written.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 budget
 refusal, 4 the report could not be written (an unwritable --output, or a
@@ -28,6 +30,7 @@ import operator
 import os
 import sys
 from fractions import Fraction
+from types import GeneratorType
 
 from . import chartab, dims, group, symclass, verify
 from .chartab import CharacterId
@@ -191,6 +194,7 @@ def _dims_pretty(payload: dict) -> str:
 
 
 def _orbits_payload(args) -> dict:
+    """The orbit listing; its "orbits" value is a generator, one entry per orbit."""
     n, m = args.n, args.m
     if args.char == "all":
         raise ValueError("orbits takes one character; --char all is for basis")
@@ -198,27 +202,25 @@ def _orbits_payload(args) -> dict:
     if args.char:
         (cid,) = chartab.parse_character_spec(n, args.char)
     orbit_list = symclass.orbits(n, m, args.budget)
-    payload = {
-        "n": n,
-        "m": m,
-        "orbit_count": len(orbit_list),
-        "orbits": [],
-    }
+    names = [group.element_name(g) for g in group.elements(n)]
+
+    def entries():
+        for o in orbit_list:
+            entry = {
+                "representative": o.representative,
+                "orbit_size": o.size,
+                "stabilizer_order": o.stabilizer_order,
+                "stabilizer": [names[x] for x in o.stabilizer],
+            }
+            if cid is not None:
+                char_sum = symclass._coset_sums(n, cid, o.stabilizer)[0]
+                entry["char_sum"] = _cyclo_json(char_sum)
+                entry["in_delta_bar"] = not char_sum.is_zero
+            yield entry
+
+    payload = {"n": n, "m": m, "orbit_count": len(orbit_list), "orbits": entries()}
     if cid is not None:
         payload["character"] = cid.label()
-    names = [group.element_name(g) for g in group.elements(n)]
-    for o in orbit_list:
-        entry = {
-            "representative": o.representative,
-            "orbit_size": o.size,
-            "stabilizer_order": o.stabilizer_order,
-            "stabilizer": [names[x] for x in o.stabilizer],
-        }
-        if cid is not None:
-            char_sum = symclass._coset_sums(n, cid, o.stabilizer)[0]
-            entry["char_sum"] = _cyclo_json(char_sum)
-            entry["in_delta_bar"] = not char_sum.is_zero
-        payload["orbits"].append(entry)
     return payload
 
 
@@ -241,42 +243,39 @@ def _orbits_pretty(payload: dict) -> str:
 def _basis_payload(args) -> dict:
     """One decision, or {"decisions": [...]} when the spec names several.
 
-    All characters are decided in one pass; characters that share an
-    orbit's outcome share its report entry, one dict per distinct outcome
-    object (keyed by id, not by the outcomes' value equality).
+    Each decision's "orbits" value is a generator over
+    symclass.orbital_outcomes, so the writer holds one entry at a time; the
+    verdict before it comes from the distinct stabilizers' cached decisions.
     """
     n, m = args.n, args.m
     cids = chartab.parse_character_spec(n, args.char)
-    entries: dict[int, dict] = {}
+    orbit_list = symclass.orbits(n, m, args.budget)
+    stabilizers = {o.stabilizer for o in orbit_list}
+    failure = {"failure": "no orthogonal set of size orbital_dim exists"}
 
-    def entry(o: symclass.OrbitalOutcome) -> dict:
-        found = entries.get(id(o))
-        if found is None:
-            found = entries[id(o)] = {
-                "representative": o.representative,
-                "orbit_size": o.orbit_size,
-                "stabilizer_order": o.stabilizer_order,
-                "orbital_dim": o.orbital_dim,
-                **(
-                    {"witness": o.witness}
-                    if o.witness is not None
-                    else {"failure": "no orthogonal set of size orbital_dim exists"}
-                ),
+    def entries(cid):
+        for rep, size, order, dim, found, witness in symclass.orbital_outcomes(cid, orbit_list):
+            yield {
+                "representative": rep,
+                "orbit_size": size,
+                "stabilizer_order": order,
+                "orbital_dim": dim,
+                **({"witness": witness} if found else failure),
             }
-        return found
 
     decisions = []
-    for decision in symclass.decide_orthogonal_bases(cids, symclass.orbits(n, m, args.budget)):
-        predicted = symclass.predicted_basis(n, decision.character)
+    for cid in cids:
+        predicted = symclass.predicted_basis(n, cid)
+        exists = symclass.has_orthogonal_basis(n, cid, stabilizers)
         decisions.append(
             {
                 "n": n,
                 "m": m,
-                "character": decision.character.label(),
+                "character": cid.label(),
                 "predicted": predicted,
-                "exhaustive": decision.exists,
-                "agree": predicted == decision.exists,
-                "orbits": list(map(entry, decision.orbits)),
+                "exhaustive": exists,
+                "agree": predicted == exists,
+                "orbits": entries(cid),
             }
         )
     return decisions[0] if len(decisions) == 1 else {"decisions": decisions}
@@ -381,9 +380,12 @@ def _write_json(fh, payload) -> None:
     _WRITE_CHARS characters (unless one string or int list is longer).
 
     One loop renders every value under one rule, by exact type: a str or an
-    int, a non-empty list or tuple, and a non-empty dict whose keys are all
-    str are written here, and a list of ints by one % on a template cached
-    per (indent, length).  Everything else goes to json.dumps: None, bools,
+    int, a non-empty list or tuple, a generator, and a non-empty dict whose
+    keys are all str are written here, and a list of ints by one % on a
+    template cached per (indent, length).  A generator is written as the
+    list of what it yields, "[]" if nothing, one item at a time, so a report
+    of one entry per orbit never holds all its entries; an exception it
+    raises passes through.  Everything else goes to json.dumps: None, bools,
     floats, empty containers, subclasses (IntEnum, namedtuple, OrderedDict,
     str subclasses) and unserializable values, which raise TypeError.
 
@@ -433,20 +435,22 @@ def _write_json(fh, payload) -> None:
 
     def children(leads, items, indent: str) -> None:
         """Render each item after its lead, the separator and key before it."""
-        for lead, item in zip(leads, items):
+        for item, lead in zip(items, leads):
             kind = type(item)
             if kind is str:
                 put(lead + encode(item))
             elif kind is int:
                 put(lead + int.__repr__(item))
-            elif (kind is list or kind is tuple) and item:
-                if {*map(type, item)} == {int}:
+            elif (kind is list or kind is tuple) and item or kind is GeneratorType:
+                if kind is not GeneratorType and {*map(type, item)} == {int}:
                     put(lead + ints(item, indent))
                 else:
                     inner = indent + "  "
-                    seps = itertools.chain((lead + "[\n" + inner,), itertools.repeat(",\n" + inner))
+                    opening = lead + "[\n" + inner
+                    seps = itertools.chain((opening,), itertools.repeat(",\n" + inner))
                     children(seps, item, inner)
-                    put("\n" + indent + "]")
+                    # items are drawn before their leads: an empty generator leaves the opening
+                    put(lead + "[]" if next(seps) == opening else "\n" + indent + "]")
             elif kind is dict and item and {*map(type, item)} == {str}:
                 inner = indent + "  "
                 keys = sorted(item)

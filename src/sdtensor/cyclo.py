@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import cmath
 import functools
+import operator
 from dataclasses import dataclass
 
 
@@ -283,13 +284,21 @@ def root_power(order: int, e: int) -> CycloInt:
     return CycloInt(order, _power_table(order)[e % order])
 
 
+@functools.lru_cache(maxsize=None)
+def _reduction(order: int) -> tuple[int, tuple[tuple[int, int], ...]]:
+    """The degree of Phi_order and its nonzero terms (i, c) below the leading one."""
+    phi_poly = cyclotomic_polynomial(order)
+    return len(phi_poly) - 1, tuple((i, c) for i, c in enumerate(phi_poly[:-1]) if c)
+
+
 def from_exponents(order: int, vec) -> CycloInt:
     """The image of sum over e of vec[e] * x^e under x -> zeta_order.
 
     vec has one integer per exponent 0..order-1.  The result is the
-    remainder of that polynomial modulo the cyclotomic polynomial, found by
-    cancelling its top coefficients one at a time; Phi_order is monic and has
-    few nonzero terms, so each step is cheap.
+    remainder of that polynomial modulo the cyclotomic polynomial.  For even
+    order the top half folds onto the bottom first, since zeta^(order/2) = -1;
+    then the top coefficients cancel one at a time, cheaply, because
+    Phi_order is monic and has few nonzero terms.
 
     >>> from_exponents(8, [1, 0, 0, 0, 1, 0, 0, 0]).is_zero   # 1 + zeta^4 = 0
     True
@@ -298,11 +307,10 @@ def from_exponents(order: int, vec) -> CycloInt:
     """
     if len(vec) != order:
         raise ValueError(f"exponent vector must have length {order}, got {len(vec)}")
-    phi_poly = cyclotomic_polynomial(order)
-    deg = len(phi_poly) - 1
-    low = [(i, c) for i, c in enumerate(phi_poly[:deg]) if c]
-    rem = list(vec)
-    for e in range(order - 1, deg - 1, -1):
+    deg, low = _reduction(order)
+    top = order // 2 if order % 2 == 0 else order
+    rem = list(map(operator.sub, vec[:top], vec[top:])) if top < order else list(vec)
+    for e in range(top - 1, deg - 1, -1):
         lead = rem[e]
         if lead:
             # modulo Phi, x^e = -x^(e-deg) * (Phi minus its leading term)

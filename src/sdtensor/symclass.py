@@ -20,10 +20,9 @@ dimension?  That is a clique problem on at most 8n vertices per orbit and
 is decided here by exhaustive branch-and-bound, with no heuristic shortcut
 on the negative side.  Because the Gram matrix of an orbit depends only on
 its stabilizer subgroup, decisions are cached per (character, stabilizer)
-and reused across orbits.  decide_orthogonal_bases decides any number of
-characters in one pass over the orbits: characters that reach the same
-decision on an orbit share one OrbitalOutcome, and its witness members are
-built once per orbit.
+and reused across orbits.  orbital_outcomes yields one character's
+outcomes orbit by orbit, as they are asked for, and has_orthogonal_basis
+reads the verdict off the distinct stabilizers alone.
 
 A separate, much cheaper prediction is also provided: linear characters
 always admit a basis; zeta characters admit one exactly when the 2-adic
@@ -39,6 +38,7 @@ import itertools
 import operator
 import os
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import chartab, group, perm
 from .chartab import CharacterId
@@ -360,8 +360,9 @@ def _stabilizer_decision(
     return dim, True, tuple(firsts[v] for v in sorted(clique))
 
 
-@dataclass(frozen=True)
-class OrbitalOutcome:
+class OrbitalOutcome(NamedTuple):
+    """One orbit's decision; a tuple, built per orbit as reports stream."""
+
     representative: Sequence
     orbit_size: int
     stabilizer_order: int
@@ -382,69 +383,48 @@ class BasisDecision:
     first_failure: OrbitalOutcome | None
 
 
-def decide_orthogonal_bases(cids, orbit_list: list[OrbitData]) -> list[BasisDecision]:
-    """Exhaustively decide, for each character of cids, whether V_chi has an
-    orthogonal basis of decomposable symmetrized tensors, with per-orbit
-    witnesses, in one pass over the orbits.
+def orbital_outcomes(cid: CharacterId, orbit_list: list[OrbitData]):
+    """The outcome on each orbit of nonzero orbital dimension, in orbit
+    order, one at a time: the cached _stabilizer_decision of its stabilizer,
+    with the witness members acted out from the representative.
+    """
+    n = orbit_list[0].n
+    chartab.validate_id(n, cid)
+    moves = _action_maps(n)
+    for orbit in orbit_list:
+        dim, found, sigmas = _stabilizer_decision(n, cid, orbit.stabilizer)
+        if dim:
+            rep = orbit.representative
+            witness = tuple([moves[x](rep) for x in sigmas]) if found else None
+            yield OrbitalOutcome(rep, orbit.size, len(orbit.stabilizer), dim, found, witness)
+
+
+def has_orthogonal_basis(n: int, cid: CharacterId, stabilizers) -> bool:
+    """Whether every orbital subspace of orbits with these stabilizers has an
+    orthogonal basis: one cached decision per distinct stabilizer, where a
+    zero orbital dimension finds the empty basis."""
+    return all(_stabilizer_decision(n, cid, stab)[1] for stab in stabilizers)
+
+
+def decide_orthogonal_basis(cid: CharacterId, orbit_list: list[OrbitData]) -> BasisDecision:
+    """Exhaustively decide whether V_chi has an orthogonal basis of
+    decomposable symmetrized tensors, with per-orbit witnesses.
 
     The symmetry class is the orthogonal direct sum of the orbital
     subspaces over representatives in Omega, so a basis exists exactly when
     every such orbital subspace admits one; orbits whose orbital dimension
     is 0 are left out.  n and m are those of the orbits.
-
-    A decision depends on the orbit only through its stabilizer, so the
-    characters are grouped once per distinct stabilizer by their
-    _stabilizer_decision.  Each orbit then gets one OrbitalOutcome per
-    group, shared by the decisions of its characters, and the witness
-    members of an orbit are built once per coset representative.
     """
-    cids = list(cids)
-    n, m = orbit_list[0].n, orbit_list[0].m
-    for cid in cids:
-        chartab.validate_id(n, cid)
-    moves = _action_maps(n)
-    plans: dict[tuple[int, ...], list] = {}  # stabilizer -> [(decision, its characters' lists)]
-    outcomes: list[list[OrbitalOutcome]] = [[] for _ in cids]
-    for orbit in orbit_list:
-        stab = orbit.stabilizer
-        plan = plans.get(stab)
-        if plan is None:
-            groups: dict[tuple, list[list]] = {}
-            for k, cid in enumerate(cids):
-                decision = _stabilizer_decision(n, cid, stab)
-                if decision[0]:
-                    groups.setdefault(decision, []).append(outcomes[k])
-            plan = plans[stab] = list(groups.items())
-        rep, members = orbit.representative, {}
-        for (dim, found, sigmas), targets in plan:
-            witness = None
-            if found:
-                for x in sigmas:
-                    if x not in members:
-                        members[x] = moves[x](rep)
-                witness = tuple(map(members.__getitem__, sigmas))
-            outcome = OrbitalOutcome(rep, orbit.size, len(stab), dim, found, witness)
-            for target in targets:
-                target.append(outcome)
-    return [
-        BasisDecision(
-            n=n,
-            m=m,
-            character=cid,
-            exists=all(o.found for o in kept),
-            orbits=tuple(kept),
-            first_failure=next((o for o in kept if not o.found), None),
-        )
-        for cid, kept in zip(cids, outcomes)
-    ]
+    kept = tuple(orbital_outcomes(cid, orbit_list))
+    failures = [o for o in kept if not o.found]
+    return BasisDecision(
+        orbit_list[0].n, orbit_list[0].m, cid, not failures, kept, failures[0] if failures else None
+    )
 
 
-def decide_orthogonal_basis(cid: CharacterId, orbit_list: list[OrbitData]) -> BasisDecision:
-    """Exhaustively decide whether V_chi has an orthogonal basis of
-    decomposable symmetrized tensors, with per-orbit witnesses: the one
-    decision of decide_orthogonal_bases([cid], orbit_list).
-    """
-    return decide_orthogonal_bases([cid], orbit_list)[0]
+def decide_orthogonal_bases(cids, orbit_list: list[OrbitData]) -> list[BasisDecision]:
+    """decide_orthogonal_basis for each character of cids."""
+    return [decide_orthogonal_basis(cid, orbit_list) for cid in cids]
 
 
 def nu2(num: int, den: int) -> int:
@@ -489,3 +469,14 @@ def cosine_vanishing_exists(n: int, h: int) -> bool:
         raise ValueError(f"h must satisfy 1 <= h < 2n, got {h}")
     m = 4 * n
     return any((root_power(m, d * h) + root_power(m, -d * h)).is_zero for d in range(m))
+
+
+def psi_vanishing_exists(n: int, h: int) -> bool:
+    """Whether psi:h(a^u) = zeta^(hu) + zeta^(khu) = 0 at some rotation a^u,
+    decided exactly from the character table at every u.
+
+    This is the brute-force side of the psi criterion: the test suite checks
+    that the answer is "n is even".
+    """
+    cid = chartab.psi(h)
+    return any(chartab.character_value(n, cid, SDElement(0, u)).is_zero for u in range(4 * n))

@@ -215,16 +215,11 @@ def run_checks(n: int, m: int | None, budget: int | None):
         )
 
         if m >= 2:
-            # A decision depends on the stabilizer alone, so each character
-            # is decided once per distinct stabilizer, not per orbit; outside
-            # Omega the dimension is 0 and the empty set is found.
             disagreements = []
             for cid in ids:
                 if cid.degree != 2:
                     continue
-                exists = all(
-                    symclass._stabilizer_decision(n, cid, stab)[1] for stab in stabilizer_counts
-                )
+                exists = symclass.has_orthogonal_basis(n, cid, stabilizer_counts)
                 predicted = symclass.predicted_basis(n, cid)
                 if exists != predicted:
                     disagreements.append(f"{cid.label()} exhaustive={exists} predicted={predicted}")

@@ -14,6 +14,7 @@ import termios
 import threading
 import time
 import tracemalloc
+import types
 from fractions import Fraction
 from pathlib import Path
 
@@ -130,6 +131,15 @@ def dumped_json(payload) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
+def listed(value):
+    """value with every generator in it, at any depth, replaced by its list."""
+    if type(value) in (list, tuple, types.GeneratorType):
+        return [listed(item) for item in value]
+    if type(value) is dict:
+        return {key: listed(item) for key, item in value.items()}
+    return value
+
+
 JSON_KEYS = st.text() | st.sampled_from(["", '"', "\\", "\x00\x1f\n\t\u2028", "é✓", "\ud800"])
 JSON_SCALARS = (
     st.none()
@@ -226,11 +236,36 @@ def test_json_writer_rejects_what_json_rejects():
             written_json(payload)
 
 
+GENERATOR_PAYLOADS = {
+    "empty": lambda: (x for x in ()),
+    "ints": lambda: {"a": (x * x for x in range(-3, 4)), "b": [2**70]},
+    "dicts": lambda: {"orbits": ({"k": x, "w": [(x, x), ()]} for x in range(3))},
+    "nested": lambda: [((k * x for x in range(k)) for k in range(4))],
+    "top level": lambda: (x for x in ["a", 1, None, True, [2, 3], {}]),
+    "in a tuple": lambda: (1, (str(x) for x in range(3)), (x for x in ())),
+}
+
+
+@pytest.mark.parametrize("make", GENERATOR_PAYLOADS.values(), ids=GENERATOR_PAYLOADS)
+def test_json_writer_writes_a_generator_as_its_list(make):
+    assert written_json(make()) == dumped_json(listed(make()))
+
+
+def test_json_writer_passes_on_a_failing_generator():
+    def entries():
+        yield {"k": 1}
+        raise ZeroDivisionError("exact_div by zero")
+
+    with pytest.raises(ZeroDivisionError, match="exact_div by zero"):
+        written_json({"orbits": entries()})
+
+
 @pytest.mark.parametrize("argv", [g[0] for g in GOLDEN_REPORTS if "--format" not in g[0]])
 def test_json_writer_matches_json_dumps_on_golden_payloads(argv):
+    # writing consumes the payload's generators, so it is built twice
     args = cli.build_parser().parse_args(argv.split())
-    payload = cli.COMMANDS[args.command][0](args)
-    assert written_json(payload) == dumped_json(payload)
+    build = cli.COMMANDS[args.command][0]
+    assert written_json(build(args)) == dumped_json(listed(build(args)))
 
 
 class RecordingFile(io.StringIO):
@@ -396,27 +431,39 @@ def test_basis_decision_disagreeing_case(capsys):
     assert all("witness" in o for o in payload["orbits"])
 
 
-def test_basis_report_shares_entries_between_characters():
-    # characters with the same outcome on an orbit share one report entry;
-    # with the caches warm, the payload at (4, 2) keeps under 10 MiB
+class NullSink:
+    """A text file that keeps only the count of characters written."""
+
+    def __init__(self):
+        self.chars = 0
+
+    def write(self, text):
+        self.chars += len(text)
+
+
+def test_basis_report_is_written_in_bounded_memory():
+    # each entry is freed once written: with the caches warm, building and
+    # writing the 29.6 MB report at (4, 2) peaks under 2 MiB
     args = cli.build_parser().parse_args("basis --n 4 --m 2 --char all".split())
-    cli._basis_payload(args)
+    cli._basis_payload(args)  # decides every (character, stabilizer) pair
+    sink = NullSink()
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        payload = cli._basis_payload(args)
-        retained = tracemalloc.get_traced_memory()[0] - before
+        cli._write_json(sink, cli._basis_payload(args))
+        peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
-    entries = [o for d in payload["decisions"] for o in d["orbits"]]
-    assert (len(entries), len({id(o) for o in entries})) == (23425, 8721)
-    assert retained < 10 * 2**20, retained / 2**20
+    assert sink.chars == 29641613
+    assert peak < 2 * 2**20, peak / 2**20
 
 
 def test_budget_refusal_exit_code(capsys):
-    code, _, err = run_cli(capsys, "orbits", "--n", "3", "--m", "3", "--budget", "100")
-    assert code == 3
-    assert "refused" in err
+    # the streamed reports refuse before their first byte
+    for command in (["orbits"], ["basis", "--char", "all"]):
+        code, out, err = run_cli(capsys, *command, "--n", "3", "--m", "3", "--budget", "100")
+        assert (code, out) == (3, "")
+        assert "refused" in err
 
 
 def test_budget_env_var(capsys, monkeypatch):
@@ -504,8 +551,8 @@ def test_non_integer_budget_variable_is_a_usage_error(capsys, monkeypatch):
 
 
 def test_bad_character_spec_exit_code(capsys):
-    code, _, err = run_cli(capsys, "basis", "--n", "2", "--m", "2", "--char", "zeta:3")
-    assert code == 2
+    code, out, err = run_cli(capsys, "basis", "--n", "2", "--m", "2", "--char", "zeta:3")
+    assert (code, out) == (2, "")
     assert "error" in err
 
 
@@ -740,6 +787,31 @@ def test_internal_failure_while_emitting_exits_5(capsys, monkeypatch, exc):
     assert code == 5
     assert out == ""
     assert err.startswith("error: internal error: ") and len(err.splitlines()) == 1
+
+
+def test_failure_in_the_middle_of_a_report_exits_5(tmp_path, capsys, monkeypatch):
+    # stdout keeps what was written before the failure; an --output file
+    # keeps its earlier report
+    argv = ["basis", "--n", "2", "--m", "2", "--char", "all"]
+    full = run_cli(capsys, *argv)[1]
+    produce = symclass.orbital_outcomes
+
+    def failing(cid, orbit_list):
+        yield from produce(cid, orbit_list)
+        if cid == chartab.psi(5):
+            raise RuntimeError("witness producer failed")
+
+    monkeypatch.setattr(symclass, "orbital_outcomes", failing)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 5
+    assert err == "error: internal error: witness producer failed\n"
+    assert 0 < len(out) < len(full) and full.startswith(out)
+    target = tmp_path / "report.json"
+    target.write_text("previous report\n")
+    code, out, err = run_cli(capsys, *argv, "--output", str(target))
+    assert (code, out, err) == (5, "", "error: internal error: witness producer failed\n")
+    assert target.read_text() == "previous report\n"
+    assert os.listdir(tmp_path) == ["report.json"]
 
 
 def test_integers_past_the_str_digit_cap_keep_their_exit_codes():

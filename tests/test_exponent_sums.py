@@ -18,7 +18,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sdtensor import chartab, dims, group, perm
-from sdtensor.cyclo import CycloInt, ExactDivisionError, exact_div, from_exponents, root_power
+from sdtensor.cyclo import (
+    CycloInt,
+    ExactDivisionError,
+    cyclotomic_polynomial,
+    exact_div,
+    from_exponents,
+    root_power,
+)
 
 # chi_i(a) as a power of i = zeta^n, and chi_i(b), for i = 0..7.
 CHI_A_POWER_OF_I = (0, 0, 2, 2, 1, 1, 3, 3)
@@ -92,6 +99,27 @@ def test_from_exponents_is_the_remainder_modulo_the_cyclotomic_polynomial(case):
     coeffs = [int(c) for c in reversed(remainder.all_coeffs())]
     phi = sympy.totient(order)
     assert from_exponents(order, a).coeffs == tuple(coeffs + [0] * (phi - len(coeffs)))
+
+
+def unfolded_remainder(order: int, vec: list[int]) -> tuple[int, ...]:
+    """vec modulo Phi_order with no half-turn fold: every coefficient from
+    the top down cancelled against the full cyclotomic polynomial."""
+    phi = cyclotomic_polynomial(order)
+    deg = len(phi) - 1
+    rem = list(vec)
+    for e in range(order - 1, deg - 1, -1):
+        for i, c in enumerate(phi[:deg]):
+            rem[e - deg + i] -= rem[e] * c
+    return tuple(rem[:deg])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_from_exponents_matches_the_unfolded_reduction(data):
+    order = data.draw(st.integers(1, 130) | st.sampled_from([192, 420, 840]))
+    coeff = st.integers(-50, 50) | st.integers(-(2**80), 2**80)
+    vec = data.draw(st.lists(coeff, min_size=order, max_size=order))
+    assert from_exponents(order, vec).coeffs == unfolded_remainder(order, vec)
 
 
 def test_from_exponents_rejects_a_wrong_length():

@@ -23,6 +23,7 @@ from sdtensor.symclass import (
     nu2,
     orbits,
     predicted_basis,
+    psi_vanishing_exists,
     stabilizer_char_sum,
 )
 
@@ -544,6 +545,22 @@ def test_cosine_vanishing_matches_valuation():
             assert cosine_vanishing_exists(n, h) == (nu2(h, 2 * n) < 0), (n, h)
 
 
+def test_psi_vanishing_examples():
+    assert psi_vanishing_exists(2, 1) is True
+    assert psi_vanishing_exists(3, 1) is False
+    with pytest.raises(ValueError):
+        psi_vanishing_exists(2, 2)  # zeta:2
+    with pytest.raises(ValueError):
+        psi_vanishing_exists(2, 3)  # 3 = 3 * 1 mod 8 names psi:1
+
+
+def test_psi_vanishes_at_a_rotation_exactly_at_even_n():
+    for n in range(2, 33):
+        for cid in chartab.character_ids(n):
+            if cid.kind == "psi":
+                assert psi_vanishing_exists(n, cid.param) == (n % 2 == 0), (n, cid)
+
+
 def test_linear_characters_always_admit_bases():
     for n, m in ((2, 2), (3, 2)):
         orbit_list = orbits(n, m)
@@ -649,20 +666,6 @@ def test_one_pass_decisions_match_per_character_decisions(n, m):
                 cid,
                 field.name,
             )
-
-
-def test_characters_share_outcomes_and_witness_members():
-    # at (4, 2) the 11 characters reach 8,721 distinct (orbit, decision)
-    # pairs; each is one OrbitalOutcome object, and each witness member of
-    # an orbit one tuple
-    decisions = decide_orthogonal_bases(chartab.character_ids(4), orbits(4, 2))
-    outcomes = [o for d in decisions for o in d.orbits]
-    assert (len(outcomes), len({id(o) for o in outcomes})) == (23425, 8721)
-    members = [w for o in outcomes if o.found for w in o.witness]
-    assert (len(members), len({id(w) for w in members}), len(set(members))) == (65536, 16419, 16419)
-    # shared objects keep value equality
-    o = outcomes[-1]
-    assert dataclasses.replace(o) == o and dataclasses.replace(o) is not o
 
 
 def test_exhaustive_decisions_small_cases():
