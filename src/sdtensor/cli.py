@@ -5,8 +5,8 @@ machine format and is byte-identical across runs for identical arguments;
 CSV is available for the character table only; pretty mode renders
 character values as trigonometric expressions next to their exact
 coordinates.  COMMANDS maps each subcommand to its payload builder and its
-text renderers; `_emit` writes the rendered text, or streams the JSON payload
-through the one JSON writer, `_write_json`, whose bytes are those of
+text renderers.  A renderer, like the JSON writer `_write_json`, writes the
+payload to a file as it goes; `_emit` opens the file.  JSON bytes are those of
 json.dump(payload, indent=2, sort_keys=True) plus a newline.  The orbits and
 basis payloads hold one generator per listing, so their entries are built
 as they are written.
@@ -14,8 +14,8 @@ as they are written.
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 budget
 refusal, 4 the report could not be written (an unwritable --output, or a
 reader that closed the pipe), 5 internal error (any other exception, such as
-a broken invariant, an arithmetic failure or exhausted memory).  Diagnostics
-go to standard error as one line, never as a traceback.
+a broken invariant, an arithmetic failure or exhausted memory), 130 SIGINT.
+Diagnostics go to standard error as one line, never as a traceback.
 """
 
 from __future__ import annotations
@@ -43,6 +43,7 @@ VERIFY_ERROR = 1
 BUDGET_ERROR = 3
 IO_ERROR = 4
 INTERNAL_ERROR = 5
+INTERRUPTED = 130  # 128 + SIGINT, as a shell reports a process that SIGINT ended
 
 
 def _cyclo_json(x: CycloInt) -> dict:
@@ -93,14 +94,10 @@ def _classes_payload(args) -> dict:
     }
 
 
-def _classes_pretty(payload: dict) -> str:
-    lines = [f"SD_{payload['group_order']}: {payload['class_count']} conjugacy classes"]
+def _classes_pretty(fh, payload: dict) -> None:
+    fh.write(f"SD_{payload['group_order']}: {payload['class_count']} conjugacy classes\n")
     for c in payload["classes"]:
-        lines.append(
-            f"  [{c['representative']['name']}] size {c['size']}: "
-            + " ".join(c["members"])
-        )
-    return "\n".join(lines) + "\n"
+        fh.write(f"  [{c['representative']['name']}] size {c['size']}: {' '.join(c['members'])}\n")
 
 
 def _table_payload(args) -> dict:
@@ -131,20 +128,19 @@ def _coeffs_str(value: dict) -> str:
     return ";".join(str(c) for c in value["exact"]["coeffs"])
 
 
-def _table_csv(payload: dict) -> str:
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
+def _table_csv(fh, payload: dict) -> None:
+    writer = csv.writer(fh, lineterminator="\n")
     writer.writerow(["character"] + payload["class_labels"])
     for row in payload["rows"]:
         writer.writerow(
             [row["character"]] + [f"({_coeffs_str(v)}) {v['approx']}" for v in row["values"]]
         )
-    return out.getvalue()
 
 
-def _table_pretty(payload: dict) -> str:
+def _table_pretty(fh, payload: dict) -> None:
     """The table of the payload, its characters and class representatives
-    read back from their labels, so the table is built once per request."""
+    read back from their labels, so the table is built once per request.
+    Its rows are collected first: every cell sizes its column."""
     n = payload["n"]
     by_name = {group.element_name(g): g for g in group.elements(n)}
     reps = [by_name[label] for label in payload["class_labels"]]
@@ -156,7 +152,8 @@ def _table_pretty(payload: dict) -> str:
             + [f"{_trig_str(n, cid, rep)} ({_coeffs_str(v)})" for rep, v in zip(reps, row["values"])]
         )
     widths = [max(len(r[c]) for r in rows) for c in range(len(rows[0]))]
-    return "".join("  ".join(s.ljust(w) for s, w in zip(r, widths)) + "\n" for r in rows)
+    for r in rows:
+        fh.write("  ".join(s.ljust(w) for s, w in zip(r, widths)) + "\n")
 
 
 def _dims_payload(args) -> dict:
@@ -180,17 +177,14 @@ def _dims_payload(args) -> dict:
     }
 
 
-def _dims_pretty(payload: dict) -> str:
-    lines = [f"dim V_chi(SD_{8 * payload['n']}) at m = {payload['m']}"]
+def _dims_pretty(fh, payload: dict) -> None:
+    fh.write(f"dim V_chi(SD_{8 * payload['n']}) at m = {payload['m']}\n")
     for e in payload["dims"]:
         closed = "-" if e["closed_form"] is None else str(e["closed_form"])
         flag = "ok" if e["agree"] else "MISMATCH"
-        lines.append(f"  {e['character']:>8}  general={e['general']}  closed={closed}  {flag}")
-    lines.append(
-        f"  total {payload['total']} "
-        + ("== m^4n" if payload["total_identity_holds"] else "!= m^4n (BROKEN)")
-    )
-    return "\n".join(lines) + "\n"
+        fh.write(f"  {e['character']:>8}  general={e['general']}  closed={closed}  {flag}\n")
+    identity = "== m^4n" if payload["total_identity_holds"] else "!= m^4n (BROKEN)"
+    fh.write(f"  total {payload['total']} {identity}\n")
 
 
 def _orbits_payload(args) -> dict:
@@ -224,20 +218,17 @@ def _orbits_payload(args) -> dict:
     return payload
 
 
-def _orbits_pretty(payload: dict) -> str:
-    lines = [
+def _orbits_pretty(fh, payload: dict) -> None:
+    fh.write(
         f"{payload['orbit_count']} orbits of SD_{8 * payload['n']} on "
-        f"{payload['m']}^{4 * payload['n']} sequences"
-    ]
+        f"{payload['m']}^{4 * payload['n']} sequences\n"
+    )
     for o in payload["orbits"]:
-        line = (
+        fh.write(
             f"  {''.join(str(x) for x in o['representative'])}"
             f"  size {o['orbit_size']}  stab {o['stabilizer_order']}"
+            + ("  in_delta_bar\n" if o.get("in_delta_bar") else "\n")
         )
-        if "in_delta_bar" in o:
-            line += "  in_delta_bar" if o["in_delta_bar"] else ""
-        lines.append(line)
-    return "\n".join(lines) + "\n"
 
 
 def _basis_payload(args) -> dict:
@@ -281,21 +272,17 @@ def _basis_payload(args) -> dict:
     return decisions[0] if len(decisions) == 1 else {"decisions": decisions}
 
 
-def _basis_pretty(payload: dict) -> str:
-    lines = []
+def _basis_pretty(fh, payload: dict) -> None:
     for d in payload.get("decisions", [payload]):
-        lines.append(
+        fh.write(
             f"{d['character']} at n={d['n']}, m={d['m']}: "
             f"predicted={d['predicted']} exhaustive={d['exhaustive']}"
-            + ("" if d["agree"] else "  (DISAGREE)")
+            + ("\n" if d["agree"] else "  (DISAGREE)\n")
         )
         for o in d["orbits"]:
             rep = "".join(str(x) for x in o["representative"])
             status = "ok" if "witness" in o else "FAIL"
-            lines.append(
-                f"  {rep}  dim {o['orbital_dim']}  size {o['orbit_size']}  {status}"
-            )
-    return "\n".join(lines) + "\n"
+            fh.write(f"  {rep}  dim {o['orbital_dim']}  size {o['orbit_size']}  {status}\n")
 
 
 def _verify_payload(args) -> dict:
@@ -308,12 +295,10 @@ def _verify_payload(args) -> dict:
     }
 
 
-def _verify_pretty(payload: dict) -> str:
-    lines = [
-        f"{'PASS' if c['ok'] else 'FAIL'} {c['name']}: {c['detail']}" for c in payload["checks"]
-    ]
-    lines.append("all checks passed" if payload["ok"] else "SOME CHECKS FAILED")
-    return "\n".join(lines) + "\n"
+def _verify_pretty(fh, payload: dict) -> None:
+    for c in payload["checks"]:
+        fh.write(f"{'PASS' if c['ok'] else 'FAIL'} {c['name']}: {c['detail']}\n")
+    fh.write("all checks passed\n" if payload["ok"] else "SOME CHECKS FAILED\n")
 
 
 # subcommand -> (payload builder, text renderers by format); JSON needs none.
@@ -369,15 +354,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# The JSON writer hands the file at most this many characters per write, so
-# its memory does not grow with the report.
-_WRITE_CHARS = 1 << 16
-
-
 def _write_json(fh, payload) -> None:
     """Write payload to fh exactly as json.dump(payload, fh, indent=2,
-    sort_keys=True) followed by a newline would, in writes of at most
-    _WRITE_CHARS characters (unless one string or int list is longer).
+    sort_keys=True) followed by a newline would, one value at a time: the
+    file does the buffering, so memory does not grow with the report.
 
     One loop renders every value under one rule, by exact type: a str or an
     int, a non-empty list or tuple, a generator, and a non-empty dict whose
@@ -408,18 +388,7 @@ def _write_json(fh, payload) -> None:
     }
     """
     encode = json.encoder.encode_basestring_ascii
-    pieces: list[str] = []
-    held = 0
-
-    def put(piece: str) -> None:
-        nonlocal held
-        if held + len(piece) > _WRITE_CHARS and pieces:
-            fh.write("".join(pieces))
-            pieces.clear()
-            held = 0
-        pieces.append(piece)
-        held += len(piece)
-
+    put = fh.write
     templates: dict[tuple[str, int], str] = {}
 
     def ints(value, indent: str) -> str:
@@ -464,28 +433,30 @@ def _write_json(fh, payload) -> None:
 
     children(("",), (payload,), "")
     put("\n")
-    fh.write("".join(pieces))
 
 
 def _stdout():
-    """sys.stdout, or a buffered text file on its descriptor if it is unbuffered.
+    """sys.stdout, or a block-buffered text file on its descriptor if it is
+    unbuffered or line-buffered.
 
     Under python -u or PYTHONUNBUFFERED, sys.stdout writes straight to the
     raw file and drops whatever a short write leaves over.  A pipe whose
     reader closes mid-write gives such a short write, which would truncate
     the report and still exit 0; a buffered file retries the rest and gets
-    the broken pipe instead.
+    the broken pipe instead.  On a terminal, line buffering would make a
+    system call per line the renderers write.
     """
-    if not isinstance(getattr(sys.stdout, "buffer", None), io.RawIOBase):
-        return contextlib.nullcontext(sys.stdout)
-    sys.stdout.flush()
-    return open(
-        sys.stdout.fileno(), "w", encoding=sys.stdout.encoding, errors=sys.stdout.errors, closefd=False
-    )
+    out = sys.stdout
+    unbuffered = isinstance(getattr(out, "buffer", None), io.RawIOBase)
+    if not (unbuffered or getattr(out, "line_buffering", False)):
+        return contextlib.nullcontext(out)
+    out.flush()
+    return open(out.fileno(), "w", io.DEFAULT_BUFFER_SIZE, out.encoding, out.errors, closefd=False)
 
 
-def _emit(report: str | dict, output: str | None) -> None:
-    """Write a text report, or stream a JSON payload, to stdout or to output.
+def _emit(render, payload, output: str | None) -> None:
+    """Write payload to stdout or to output as render(fh, payload) renders it,
+    through a block-buffered file even on a terminal.
 
     A new or regular output file (symlinks followed) is replaced by a complete
     temporary file beside it, so a failed write keeps any earlier report; a
@@ -497,11 +468,8 @@ def _emit(report: str | dict, output: str | None) -> None:
         if os.access(os.path.dirname(target), os.W_OK):
             partial = f"{target}.{os.getpid()}.tmp"
     try:
-        with open(partial or output, "w") if output else _stdout() as fh:
-            if isinstance(report, str):
-                fh.write(report)
-            else:
-                _write_json(fh, report)
+        with open(partial or output, "w", io.DEFAULT_BUFFER_SIZE) if output else _stdout() as fh:
+            render(fh, payload)
             # A closed pipe must fail here, where main reports it, not at shutdown.
             fh.flush()
         if partial:
@@ -518,19 +486,28 @@ def _internal_error(exc: BaseException) -> int:
 
 
 def main(argv=None) -> int:
+    try:
+        return _run(argv)
+    except KeyboardInterrupt:
+        # An --output file keeps its earlier report: _emit removes its temporary file.
+        print("error: interrupted", file=sys.stderr)
+        return INTERRUPTED
+
+
+def _run(argv) -> int:
     if hasattr(sys, "set_int_max_str_digits"):  # reports print integers of any length
         sys.set_int_max_str_digits(0)
     parser = build_parser()
     args = parser.parse_args(argv)
     build, renderers = COMMANDS[args.command]
-    if args.format != "json" and args.format not in renderers:
+    render = _write_json if args.format == "json" else renderers.get(args.format)
+    if render is None:
         parser.error(f"{args.format} format is only available for the character table")
     try:
         # A bad budget is a usage error on every subcommand, not only where
         # enumeration reads it.
         symclass.resolve_budget(args.budget)
         payload = build(args)
-        report = payload if args.format == "json" else renderers[args.format](payload)
     except BudgetExceededError as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return BUDGET_ERROR
@@ -541,7 +518,7 @@ def main(argv=None) -> int:
         # The program, not the request, is at fault.
         return _internal_error(exc)
     try:
-        _emit(report, args.output)
+        _emit(render, payload, args.output)
     except OSError as exc:
         if isinstance(exc, BrokenPipeError):
             # The reader is gone; send what is still buffered to devnull so

@@ -75,18 +75,6 @@ def poly_trim(coeffs) -> tuple[int, ...]:
     return tuple(coeffs)
 
 
-def poly_mul(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
-    if not p or not q:
-        return ()
-    out = [0] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        if a == 0:
-            continue
-        for j, b in enumerate(q):
-            out[i + j] += a * b
-    return poly_trim(out)
-
-
 def poly_divmod(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Quotient and remainder of p by a monic q; stays in Z[x]."""
     if not q or q[-1] != 1:

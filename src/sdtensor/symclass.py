@@ -422,11 +422,6 @@ def decide_orthogonal_basis(cid: CharacterId, orbit_list: list[OrbitData]) -> Ba
     )
 
 
-def decide_orthogonal_bases(cids, orbit_list: list[OrbitData]) -> list[BasisDecision]:
-    """decide_orthogonal_basis for each character of cids."""
-    return [decide_orthogonal_basis(cid, orbit_list) for cid in cids]
-
-
 def nu2(num: int, den: int) -> int:
     """2-adic valuation of the rational number num/den."""
     if num == 0 or den == 0:

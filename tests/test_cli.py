@@ -7,6 +7,9 @@ import io
 import json
 import mmap
 import os
+import pty
+import select
+import signal
 import struct
 import subprocess
 import sys
@@ -14,6 +17,7 @@ import termios
 import threading
 import time
 import tracemalloc
+import tty
 import types
 from fractions import Fraction
 from pathlib import Path
@@ -280,15 +284,21 @@ class RecordingFile(io.StringIO):
         return super().write(text)
 
 
-def test_json_report_is_streamed_in_bounded_writes(monkeypatch):
+@pytest.mark.parametrize(
+    "argv",
+    ["basis --n 2 --m 2 --char all", "basis --n 3 --m 2 --char zeta:2 --format pretty"],
+    ids=["json", "pretty"],
+)
+def test_json_report_is_streamed_in_bounded_writes(monkeypatch, argv):
+    # every format is written as it is rendered, never as one whole string
     stdout = RecordingFile()
     monkeypatch.setattr(sys, "stdout", stdout)
-    assert main(["basis", "--n", "2", "--m", "2", "--char", "all"]) == 0
+    (pinned,) = [g[1:] for g in GOLDEN_REPORTS if g[0] == argv]
+    code = main(argv.split())
     data = stdout.getvalue().encode()
-    (pinned,) = [g[2:] for g in GOLDEN_REPORTS if g[0] == "basis --n 2 --m 2 --char all"]
-    assert (len(data), hashlib.sha256(data).hexdigest()) == pinned
+    assert (code, len(data), hashlib.sha256(data).hexdigest()) == pinned
     assert len(stdout.sizes) > 1
-    assert max(stdout.sizes) <= cli._WRITE_CHARS
+    assert max(stdout.sizes) <= 1 << 16
 
 
 def test_classes_json(capsys):
@@ -456,6 +466,23 @@ def test_basis_report_is_written_in_bounded_memory():
         tracemalloc.stop()
     assert sink.chars == 29641613
     assert peak < 2 * 2**20, peak / 2**20
+
+
+def test_pretty_basis_report_is_written_in_bounded_memory():
+    # each line is written as it is reached: with the caches warm, the
+    # 914,078-character pretty report at (4, 2) peaks under 1 MiB
+    args = cli.build_parser().parse_args("basis --n 4 --m 2 --char all --format pretty".split())
+    cli._basis_payload(args)  # decides every (character, stabilizer) pair
+    sink = NullSink()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        cli._basis_pretty(sink, cli._basis_payload(args))
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert sink.chars == 914078
+    assert peak < 2**20, peak / 2**20
 
 
 def test_budget_refusal_exit_code(capsys):
@@ -678,6 +705,30 @@ def test_output_file_in_a_read_only_directory_is_written_in_place(tmp_path, caps
     assert os.listdir(tmp_path) == ["report.json"]
 
 
+@pytest.mark.parametrize("to_output", [False, True], ids=["stdout", "output"])
+def test_terminal_report_is_block_buffered(monkeypatch, to_output):
+    # a text file on a terminal is line-buffered, which would be one system
+    # call per line a renderer writes; the report file is block-buffered
+    # instead, whether it is stdout or an --output path
+    master, terminal = pty.openpty()
+    tty.setraw(terminal)
+    arrived = []
+
+    def render(fh, payload):
+        fh.write("SD_16\n")
+        # a terminal passes written bytes on asynchronously, so wait for them
+        arrived.append(select.select([master], [], [], 0.2)[0])
+
+    monkeypatch.setitem(cli.COMMANDS, "classes", (cli.COMMANDS["classes"][0], {"pretty": render}))
+    argv = ["classes", "--n", "2", "--format", "pretty"]
+    with open(master, "rb", buffering=0) as reader, open(terminal, "w") as stdout:
+        assert stdout.line_buffering
+        monkeypatch.setattr(sys, "stdout", stdout)
+        assert main(argv + ["--output", os.ttyname(terminal)] * to_output) == 0
+        assert arrived == [[]]
+        assert reader.read(6) == b"SD_16\n"
+
+
 def test_output_to_an_inherited_pipe_path():
     # as a shell's process substitution passes it: /dev/fd/<n> names a pipe
     env = dict(os.environ, PYTHONPATH=str(Path(sdtensor.__file__).resolve().parents[1]))
@@ -779,7 +830,7 @@ def test_internal_failure_while_building_exits_5(capsys, monkeypatch, exc):
 
 @pytest.mark.parametrize("exc", INTERNAL_EXCEPTIONS, ids=lambda e: type(e).__name__)
 def test_internal_failure_while_emitting_exits_5(capsys, monkeypatch, exc):
-    def fail(report, output):
+    def fail(render, payload, output):
         raise exc
 
     monkeypatch.setattr(cli, "_emit", fail)
@@ -810,6 +861,53 @@ def test_failure_in_the_middle_of_a_report_exits_5(tmp_path, capsys, monkeypatch
     target.write_text("previous report\n")
     code, out, err = run_cli(capsys, *argv, "--output", str(target))
     assert (code, out, err) == (5, "", "error: internal error: witness producer failed\n")
+    assert target.read_text() == "previous report\n"
+    assert os.listdir(tmp_path) == ["report.json"]
+
+
+def _interrupt_basis_report(n, *args, ready):
+    """Start `basis --n n --m 2 --char all`, SIGINT it once ready(proc) has
+    returned, and give (exit code, stderr).  The child starts with SIGINT at
+    its default, which Python turns into KeyboardInterrupt, even where this
+    process ignores it."""
+    env = dict(os.environ, PYTHONPATH=str(Path(sdtensor.__file__).resolve().parents[1]))
+    with subprocess.Popen(
+        [sys.executable, "-m", "sdtensor", "basis", "--n", str(n), "--m", "2", "--char", "all",
+         *args],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+        preexec_fn=lambda: signal.signal(signal.SIGINT, signal.SIG_DFL),
+    ) as proc:
+        try:
+            ready(proc)
+            proc.send_signal(signal.SIGINT)
+            _, err = proc.communicate(timeout=60)
+        finally:
+            proc.kill()  # nothing to do once it has exited
+    return proc.returncode, err.decode()
+
+
+def test_interrupt_exits_130_with_one_line():
+    # the 29.6 MB report outgrows the pipe, so the child is still writing
+    # when its first line has been read
+    code, err = _interrupt_basis_report(4, ready=lambda proc: proc.stdout.readline())
+    assert code == 130
+    assert err == "error: interrupted\n"
+
+
+def test_interrupt_keeps_the_earlier_output_file(tmp_path):
+    # interrupted while the temporary file beside it is being written
+    target = tmp_path / "report.json"
+    target.write_text("previous report\n")
+
+    def writing(proc):
+        while len(os.listdir(tmp_path)) == 1:
+            assert proc.poll() is None
+            time.sleep(0.01)
+
+    code, err = _interrupt_basis_report(5, "--output", str(target), ready=writing)
+    assert (code, err) == (130, "error: interrupted\n")
     assert target.read_text() == "previous report\n"
     assert os.listdir(tmp_path) == ["report.json"]
 

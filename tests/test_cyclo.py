@@ -12,7 +12,7 @@ from sdtensor.cyclo import (
     euler_phi,
     exact_div,
     poly_divmod,
-    poly_mul,
+    poly_trim,
     root_power,
 )
 
@@ -27,6 +27,18 @@ KNOWN_CYCLOTOMIC = {
     12: (1, 0, -1, 0, 1),
     20: (1, 0, -1, 0, 1, 0, -1, 0, 1),
 }
+
+
+def poly_mul(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
+    if not p or not q:
+        return ()
+    out = [0] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        if a == 0:
+            continue
+        for j, b in enumerate(q):
+            out[i + j] += a * b
+    return poly_trim(out)
 
 
 def test_cyclotomic_known_values():
