@@ -26,10 +26,10 @@ import csv
 import io
 import itertools
 import json
+import math
 import operator
 import os
 import sys
-from fractions import Fraction
 from types import GeneratorType
 
 from . import chartab, dims, group, symclass, verify
@@ -70,7 +70,9 @@ def _trig_str(n: int, cid: CharacterId, g: SDElement) -> str:
         # one term c * zeta^e, with e a multiple of n and zeta^n = i
         return ("1", "i", "-1", "-i")[(e // n + 2 * (c < 0)) % 4]
     # zeta^e + zeta^(ke), where ke = 2ne - e mod 4n makes zeta^(ke) = (-1)^e zeta^(-e)
-    frac = Fraction(e, 2 * n)
+    d = math.gcd(e, 2 * n)
+    num, den = e // d, 2 * n // d
+    frac = f"{num}/{den}" if den != 1 else str(num)
     if e % 2 == 0:
         return f"2cos({frac}*pi)" if e else "2"
     return f"2i*sin({frac}*pi)"
@@ -203,7 +205,7 @@ def _orbits_payload(args) -> dict:
             entry = {
                 "representative": o.representative,
                 "orbit_size": o.size,
-                "stabilizer_order": o.stabilizer_order,
+                "stabilizer_order": len(o.stabilizer),
                 "stabilizer": [names[x] for x in o.stabilizer],
             }
             if cid is not None:
@@ -474,9 +476,12 @@ def _emit(render, payload, output: str | None) -> None:
             fh.flush()
         if partial:
             os.replace(partial, target)
-    except BaseException:
+    except BaseException as exc:
         if partial and os.path.exists(partial):
             os.remove(partial)
+        if isinstance(exc, OSError) and partial in (exc.filename, exc.filename2):
+            # Name the file that was asked for, not the temporary one beside it.
+            raise OSError(exc.errno, exc.strerror, output) from None
         raise
 
 

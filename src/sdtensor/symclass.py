@@ -110,7 +110,6 @@ class OrbitData:
     tuple shared by the orbits of one orbits() call."""
 
     n: int
-    m: int
     representative: Sequence
     stabilizer: tuple[int, ...]
 
@@ -129,10 +128,6 @@ class OrbitData:
     @property
     def size(self) -> int:
         return 8 * self.n // len(self.stabilizer)
-
-    @property
-    def stabilizer_order(self) -> int:
-        return len(self.stabilizer)
 
 
 def orbits(n: int, m: int, budget: int | None = None) -> list[OrbitData]:
@@ -185,7 +180,7 @@ def orbits(n: int, m: int, budget: int | None = None) -> list[OrbitData]:
                     stabilizer = tuple(itertools.compress(range(8 * n), fixes))
                     stabilizer = interned.setdefault(stabilizer, stabilizer)
                 covered += 8 * n // len(stabilizer)
-                result.append(OrbitData(n, m, alpha, stabilizer))
+                result.append(OrbitData(n, alpha, stabilizer))
         last = length - 1
         while last >= 0 and word[last] == m:
             last -= 1
@@ -371,18 +366,6 @@ class OrbitalOutcome(NamedTuple):
     witness: tuple[Sequence, ...] | None
 
 
-@dataclass(frozen=True)
-class BasisDecision:
-    """Outcome of the exhaustive orthogonal-basis decision for one character."""
-
-    n: int
-    m: int
-    character: CharacterId
-    exists: bool
-    orbits: tuple[OrbitalOutcome, ...]
-    first_failure: OrbitalOutcome | None
-
-
 def orbital_outcomes(cid: CharacterId, orbit_list: list[OrbitData]):
     """The outcome on each orbit of nonzero orbital dimension, in orbit
     order, one at a time: the cached _stabilizer_decision of its stabilizer,
@@ -406,43 +389,19 @@ def has_orthogonal_basis(n: int, cid: CharacterId, stabilizers) -> bool:
     return all(_stabilizer_decision(n, cid, stab)[1] for stab in stabilizers)
 
 
-def decide_orthogonal_basis(cid: CharacterId, orbit_list: list[OrbitData]) -> BasisDecision:
-    """Exhaustively decide whether V_chi has an orthogonal basis of
-    decomposable symmetrized tensors, with per-orbit witnesses.
-
-    The symmetry class is the orthogonal direct sum of the orbital
-    subspaces over representatives in Omega, so a basis exists exactly when
-    every such orbital subspace admits one; orbits whose orbital dimension
-    is 0 are left out.  n and m are those of the orbits.
-    """
-    kept = tuple(orbital_outcomes(cid, orbit_list))
-    failures = [o for o in kept if not o.found]
-    return BasisDecision(
-        orbit_list[0].n, orbit_list[0].m, cid, not failures, kept, failures[0] if failures else None
-    )
-
-
 def nu2(num: int, den: int) -> int:
     """2-adic valuation of the rational number num/den."""
     if num == 0 or den == 0:
         raise ValueError("nu2 requires nonzero numerator and denominator")
-
-    def v2(x: int) -> int:
-        x = abs(x)
-        count = 0
-        while x % 2 == 0:
-            x //= 2
-            count += 1
-        return count
-
-    return v2(num) - v2(den)
+    # x & -x is the lowest set bit of x, also for negative x
+    return (num & -num).bit_length() - (den & -den).bit_length()
 
 
 def predicted_basis(n: int, cid: CharacterId) -> bool:
     """Number-theoretic prediction of basis existence (for alphabets m >= 2).
 
     Linear characters always admit one; zeta:h exactly when nu2(h/2n) < 0;
-    psi characters are predicted to admit none.  `decide_orthogonal_basis`
+    psi characters are predicted to admit none.  `has_orthogonal_basis`
     is the ground truth against which this table is compared.
     """
     chartab.validate_id(n, cid)

@@ -167,23 +167,20 @@ def test_criterion_6_basis_decisions_match_prediction():
     pinned = []
     for n in (2, 3):
         for m in (2, 3):
-            orbit_list = symclass.orbits(n, m)
+            stabilizers = {o.stabilizer for o in symclass.orbits(n, m)}
             for cid in character_ids(n):
                 if cid.degree != 2:
                     continue
-                decision = symclass.decide_orthogonal_basis(cid, orbit_list)
+                exists = symclass.has_orthogonal_basis(n, cid, stabilizers)
                 predicted = symclass.predicted_basis(n, cid)
-                case = (
-                    f"n={n}, m={m}, {cid.label()}: exhaustive={decision.exists}, "
-                    f"predicted={predicted}"
-                )
+                case = f"n={n}, m={m}, {cid.label()}: exhaustive={exists}, predicted={predicted}"
                 if _psi_even_n_finding(n, cid):
                     pinned.append((n, m, cid.label()))
-                    if not (decision.exists is True and predicted is False):
+                    if not (exists is True and predicted is False):
                         failures.append(f"{case}; pinned psi-at-even-n finding disappeared")
-                elif decision.exists != predicted:
+                elif exists != predicted:
                     failures.append(case)
-                spot_checks.append((n, m, cid.label(), decision.exists))
+                spot_checks.append((n, m, cid.label(), exists))
     expected_pinned = {(2, m, label) for m in (2, 3) for label in ("psi:1", "psi:5")}
     if set(pinned) != expected_pinned:
         failures.append(f"pinned cases {sorted(pinned)}, expected {sorted(expected_pinned)}")

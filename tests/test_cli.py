@@ -664,6 +664,26 @@ def test_failed_write_keeps_the_previous_report(tmp_path, capsys, monkeypatch):
     assert os.listdir(tmp_path) == ["report.json"]
 
 
+def test_unwritable_temporary_file_names_the_output_path(tmp_path, capsys, monkeypatch):
+    # the report goes to a temporary file beside --output first; when that
+    # cannot be created, the error names the path that was given
+    target = tmp_path / "report.json"
+    target.write_text("previous report\n")
+
+    def refuse_temporary(path, *args, **kwargs):
+        if str(path).endswith(".tmp"):
+            raise PermissionError(errno.EACCES, "Permission denied", str(path))
+        return open(path, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "open", refuse_temporary, raising=False)
+    code, out, err = run_cli(capsys, "classes", "--n", "2", "--output", str(target))
+    assert (code, out) == (4, "")
+    assert err == f"error: cannot write the report: [Errno 13] Permission denied: {str(target)!r}\n"
+    assert ".tmp" not in err
+    assert target.read_text() == "previous report\n"
+    assert os.listdir(tmp_path) == ["report.json"]
+
+
 def test_output_through_a_symlink_keeps_the_link(tmp_path, capsys):
     target = tmp_path / "report.json"
     target.write_text("previous report\n")
@@ -939,6 +959,20 @@ def test_cli_import_leaves_numpy_out():
         check=True,
         timeout=60,
     )
+
+
+def test_package_import_loads_no_submodule():
+    # the library is its modules; the package itself exposes no public name
+    env = dict(os.environ, PYTHONPATH=str(Path(sdtensor.__file__).resolve().parents[1]))
+    probe = (
+        "import json, sys, sdtensor; print(json.dumps(["
+        "sorted(m for m in sys.modules if m.startswith('sdtensor.')), "
+        "sorted(k for k in vars(sdtensor) if not k.startswith('_'))]))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, check=True, timeout=60
+    )
+    assert json.loads(proc.stdout) == [[], []]
 
 
 def test_verify_group_level(capsys):

@@ -16,10 +16,11 @@ from sdtensor.symclass import (
     BudgetExceededError,
     act,
     cosine_vanishing_exists,
-    decide_orthogonal_basis,
     delta_bar,
     gram,
+    has_orthogonal_basis,
     nu2,
+    orbital_outcomes,
     orbits,
     predicted_basis,
     psi_vanishing_exists,
@@ -73,7 +74,7 @@ def test_orbit_of_marked_sequence():
 def test_orbit_stabilizer_products():
     for n, m in ((2, 2), (2, 3), (3, 2)):
         for o in orbits(n, m):
-            assert o.size * o.stabilizer_order == 8 * n
+            assert o.size * len(o.stabilizer) == 8 * n
 
 
 def test_orbit_count_is_burnside_dimension():
@@ -175,7 +176,7 @@ def test_consumers_of_an_orbit_list_do_not_enumerate(monkeypatch):
         raise AssertionError("orbits enumerated again")
 
     monkeypatch.setattr(symclass, "orbits", fail)
-    assert decide_orthogonal_basis(zeta(2), orbit_list).exists is True
+    assert all(o.found for o in orbital_outcomes(zeta(2), orbit_list))
     assert delta_bar(chi(0), orbit_list) == [o.representative for o in orbit_list]
 
 
@@ -354,7 +355,7 @@ def test_gram_reflection_cosets_vanish_for_rotation_stabilizers():
         o for o in all_orbits if o.representative == (1, 2, 3, 3, 1, 2, 3, 3)
     )
     assert cyclic_orbit.stabilizer == (0, 4)
-    trivial_orbit = next(o for o in all_orbits if o.stabilizer_order == 1)
+    trivial_orbit = next(o for o in all_orbits if len(o.stabilizer) == 1)
     for cid, orbit in (
         (zeta(2), cyclic_orbit),
         (zeta(2), trivial_orbit),
@@ -492,8 +493,7 @@ def test_decision_witness_on_one_orbit():
     orbit_list = orbits(2, 2)
 
     def outcome(cid):
-        decision = decide_orthogonal_basis(cid, orbit_list)
-        return next(o for o in decision.orbits if o.representative == ONE_TWO)
+        return next(o for o in orbital_outcomes(cid, orbit_list) if o.representative == ONE_TWO)
 
     result = outcome(zeta(2))
     assert result.found and len(result.witness) == 2
@@ -564,20 +564,25 @@ def test_linear_characters_always_admit_bases():
     for n, m in ((2, 2), (3, 2)):
         orbit_list = orbits(n, m)
         for i in chartab.linear_range(n):
-            decision = decide_orthogonal_basis(chi(i), orbit_list)
-            assert decision.exists
-            assert all(o.orbital_dim == 1 for o in decision.orbits)
-            assert all(o.witness and len(o.witness) == 1 for o in decision.orbits)
+            outcomes = list(orbital_outcomes(chi(i), orbit_list))
+            assert _verdict(chi(i), orbit_list)
+            assert all(o.orbital_dim == 1 for o in outcomes)
+            assert all(o.witness and len(o.witness) == 1 for o in outcomes)
 
 
-def _check_witnesses(n, cid, decision, orbit_index, one_per_stabilizer=False):
-    """Check decision witnesses against the tensor oracle: each witness lies
+def _verdict(cid, orbit_list):
+    """The verdict `basis` reports: one decision per distinct stabilizer."""
+    return has_orthogonal_basis(orbit_list[0].n, cid, {o.stabilizer for o in orbit_list})
+
+
+def _check_witnesses(n, cid, outcomes, orbit_index, one_per_stabilizer=False):
+    """Check outcome witnesses against the tensor oracle: each witness lies
     in its orbit, spans the orbital subspace, and its tensors are pairwise
     orthogonal with nonzero norms.  A decision depends only on the
     (character, stabilizer) pair, so one_per_stabilizer checks the first
     orbit of each distinct stabilizer only."""
     seen = set()
-    for outcome in decision.orbits:
+    for outcome in outcomes:
         orbit = orbit_index[outcome.representative]
         stab = orbit.stabilizer
         if one_per_stabilizer and stab in seen:
@@ -598,7 +603,7 @@ def test_decision_witnesses_are_valid():
     orbit_list = orbits(2, 2)
     orbit_index = {o.representative: o for o in orbit_list}
     for cid in (zeta(2), psi(1)):
-        _check_witnesses(2, cid, decide_orthogonal_basis(cid, orbit_list), orbit_index)
+        _check_witnesses(2, cid, orbital_outcomes(cid, orbit_list), orbit_index)
 
 
 def test_psi_witnesses_at_n2_m3_match_tensor_oracle():
@@ -607,10 +612,9 @@ def test_psi_witnesses_at_n2_m3_match_tensor_oracle():
     orbit_list = orbits(2, 3)
     orbit_index = {o.representative: o for o in orbit_list}
     for cid in (psi(1), psi(5)):
-        decision = decide_orthogonal_basis(cid, orbit_list)
-        assert decision.exists is True
+        assert _verdict(cid, orbit_list) is True
         assert predicted_basis(2, cid) is False
-        _check_witnesses(2, cid, decision, orbit_index)
+        _check_witnesses(2, cid, orbital_outcomes(cid, orbit_list), orbit_index)
 
 
 def test_psi_witnesses_at_n4_match_tensor_oracle():
@@ -621,16 +625,16 @@ def test_psi_witnesses_at_n4_match_tensor_oracle():
     psi_ids = [cid for cid in chartab.character_ids(4) if cid.kind == "psi"]
     assert psi_ids == [psi(1), psi(3), psi(9), psi(11)]
     for cid in psi_ids:
-        decision = decide_orthogonal_basis(cid, orbit_list)
-        assert decision.exists is True
+        assert _verdict(cid, orbit_list) is True
         assert predicted_basis(4, cid) is False
-        assert len(_check_witnesses(4, cid, decision, orbit_index, True)) == 9
+        outcomes = orbital_outcomes(cid, orbit_list)
+        assert len(_check_witnesses(4, cid, outcomes, orbit_index, True)) == 9
 
 
 def _decision_per_orbit(cid, orbit_list):
-    """The decision for one character, built orbit by orbit with act from
+    """The outcomes for one character, built orbit by orbit with act from
     the cached stabilizer decision, sharing nothing."""
-    n, m = orbit_list[0].n, orbit_list[0].m
+    n = orbit_list[0].n
     outcomes = []
     for orbit in orbit_list:
         dim, found, sigmas = symclass._stabilizer_decision(n, cid, orbit.stabilizer)
@@ -644,42 +648,33 @@ def _decision_per_orbit(cid, orbit_list):
                 orbit.representative, orbit.size, len(orbit.stabilizer), dim, found, witness
             )
         )
-    failures = [o for o in outcomes if not o.found]
-    return symclass.BasisDecision(
-        n, m, cid, not failures, tuple(outcomes), failures[0] if failures else None
-    )
+    return outcomes
 
 
 @pytest.mark.parametrize("n, m", [(2, 2), (3, 2), (4, 2)])
 def test_one_pass_decisions_match_per_character_decisions(n, m):
     orbit_list = orbits(n, m)
-    cids = chartab.character_ids(n)
-    decisions = [decide_orthogonal_basis(cid, orbit_list) for cid in cids]
-    assert [d.character for d in decisions] == list(cids)
-    for cid, decision in zip(cids, decisions):
+    for cid in chartab.character_ids(n):
         reference = _decision_per_orbit(cid, orbit_list)
-        for field in dataclasses.fields(symclass.BasisDecision):
-            assert getattr(decision, field.name) == getattr(reference, field.name), (
-                cid,
-                field.name,
-            )
+        assert list(orbital_outcomes(cid, orbit_list)) == reference, cid
+        assert _verdict(cid, orbit_list) == all(o.found for o in reference), cid
 
 
 def test_exhaustive_decisions_small_cases():
     # zeta_2 at n=2 admits a basis, every degree-2 character at n=3 does not
     n3_orbits = orbits(3, 2)
-    assert decide_orthogonal_basis(zeta(2), orbits(2, 2)).exists is True
-    assert decide_orthogonal_basis(zeta(2), n3_orbits).exists is False
-    assert decide_orthogonal_basis(zeta(4), n3_orbits).exists is False
-    assert decide_orthogonal_basis(psi(1), n3_orbits).exists is False
-    assert decide_orthogonal_basis(psi(7), n3_orbits).exists is False
+    assert _verdict(zeta(2), orbits(2, 2)) is True
+    assert _verdict(zeta(2), n3_orbits) is False
+    assert _verdict(zeta(4), n3_orbits) is False
+    assert _verdict(psi(1), n3_orbits) is False
+    assert _verdict(psi(7), n3_orbits) is False
 
 
 def test_failing_orbit_reported():
-    decision = decide_orthogonal_basis(zeta(2), orbits(3, 2))
-    assert decision.first_failure is not None
-    assert not decision.first_failure.found
-    assert decision.first_failure.witness is None
+    outcomes = list(orbital_outcomes(zeta(2), orbits(3, 2)))
+    first_failure = next(o for o in outcomes if not o.found)
+    assert first_failure.orbital_dim > 0
+    assert first_failure.witness is None
 
 
 def test_psi_at_even_n_has_bases_despite_prediction():
@@ -690,7 +685,6 @@ def test_psi_at_even_n_has_bases_despite_prediction():
     # two reports are deliberately kept in disagreement.
     orbit_list = orbits(2, 2)
     for cid in (psi(1), psi(5)):
-        decision = decide_orthogonal_basis(cid, orbit_list)
-        assert decision.exists is True
+        assert _verdict(cid, orbit_list) is True
         assert predicted_basis(2, cid) is False
 

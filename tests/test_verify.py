@@ -73,13 +73,13 @@ def test_group_checks_embed_each_element_once_and_compose_nothing(monkeypatch):
 @pytest.mark.parametrize("n, m", [(2, 2), (2, 3), (3, 2), (4, 2)])
 def test_criterion_equivalence_matches_the_public_decision(n, m):
     # verify decides once per stabilizer; its verdict must be the one the
-    # per-orbit decide_orthogonal_basis gives
+    # per-orbit outcomes of orbital_outcomes give
     orbit_list = symclass.orbits(n, m)
     disagreements = []
     for cid in chartab.character_ids(n):
         if cid.degree != 2:
             continue
-        exists = symclass.decide_orthogonal_basis(cid, orbit_list).exists
+        exists = all(o.found for o in symclass.orbital_outcomes(cid, orbit_list))
         predicted = symclass.predicted_basis(n, cid)
         if exists != predicted:
             disagreements.append(f"{cid.label()} exhaustive={exists} predicted={predicted}")
@@ -92,7 +92,7 @@ def test_orbit_stabilizer_catches_a_wrong_stabilizer(monkeypatch):
     # <a^4> is a real subgroup of order 2, so size * |H| is still 8n for the
     # altered orbit; only the orbit sizes, no longer summing to m^(4n), tell
     orbit_list = symclass.orbits(2, 2)
-    k = next(k for k, o in enumerate(orbit_list) if o.stabilizer_order == 1)
+    k = next(k for k, o in enumerate(orbit_list) if len(o.stabilizer) == 1)
     altered = list(orbit_list)
     altered[k] = dataclasses.replace(altered[k], stabilizer=(0, 4))
     monkeypatch.setattr(symclass, "orbits", lambda n, m, budget: altered)
