@@ -23,6 +23,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import errno
 import io
 import itertools
 import json
@@ -36,7 +37,7 @@ from . import chartab, dims, group, symclass, verify
 from .chartab import CharacterId
 from .cyclo import CycloInt
 from .group import SDElement
-from .symclass import BudgetExceededError
+from .symclass import BudgetExceededError, OrbitalOutcome
 
 USAGE_ERROR = 2
 VERIFY_ERROR = 1
@@ -44,6 +45,9 @@ BUDGET_ERROR = 3
 IO_ERROR = 4
 INTERNAL_ERROR = 5
 INTERRUPTED = 130  # 128 + SIGINT, as a shell reports a process that SIGINT ended
+
+# A basis entry's text where its orbital subspace has no orthogonal basis.
+BASIS_FAILURE = "no orthogonal set of size orbital_dim exists"
 
 
 def _cyclo_json(x: CycloInt) -> dict:
@@ -236,7 +240,7 @@ def _orbits_pretty(fh, payload: dict) -> None:
 def _basis_payload(args) -> dict:
     """One decision, or {"decisions": [...]} when the spec names several.
 
-    Each decision's "orbits" value is a generator over
+    Each decision's "orbits" value is the generator
     symclass.orbital_outcomes, so the writer holds one entry at a time; the
     verdict before it comes from the distinct stabilizers' cached decisions.
     """
@@ -244,18 +248,6 @@ def _basis_payload(args) -> dict:
     cids = chartab.parse_character_spec(n, args.char)
     orbit_list = symclass.orbits(n, m, args.budget)
     stabilizers = {o.stabilizer for o in orbit_list}
-    failure = {"failure": "no orthogonal set of size orbital_dim exists"}
-
-    def entries(cid):
-        for rep, size, order, dim, found, witness in symclass.orbital_outcomes(cid, orbit_list):
-            yield {
-                "representative": rep,
-                "orbit_size": size,
-                "stabilizer_order": order,
-                "orbital_dim": dim,
-                **({"witness": witness} if found else failure),
-            }
-
     decisions = []
     for cid in cids:
         predicted = symclass.predicted_basis(n, cid)
@@ -268,7 +260,7 @@ def _basis_payload(args) -> dict:
                 "predicted": predicted,
                 "exhaustive": exists,
                 "agree": predicted == exists,
-                "orbits": entries(cid),
+                "orbits": symclass.orbital_outcomes(cid, orbit_list),
             }
         )
     return decisions[0] if len(decisions) == 1 else {"decisions": decisions}
@@ -282,9 +274,9 @@ def _basis_pretty(fh, payload: dict) -> None:
             + ("\n" if d["agree"] else "  (DISAGREE)\n")
         )
         for o in d["orbits"]:
-            rep = "".join(str(x) for x in o["representative"])
-            status = "ok" if "witness" in o else "FAIL"
-            fh.write(f"  {rep}  dim {o['orbital_dim']}  size {o['orbit_size']}  {status}\n")
+            rep = "".join(str(x) for x in o.representative)
+            status = "ok" if o.found else "FAIL"
+            fh.write(f"  {rep}  dim {o.orbital_dim}  size {o.orbit_size}  {status}\n")
 
 
 def _verify_payload(args) -> dict:
@@ -367,7 +359,13 @@ def _write_json(fh, payload) -> None:
     template cached per (indent, length).  A generator is written as the
     list of what it yields, "[]" if nothing, one item at a time, so a report
     of one entry per orbit never holds all its entries; an exception it
-    raises passes through.  Everything else goes to json.dumps: None, bools,
+    raises passes through.  A symclass.OrbitalOutcome is written as its
+    basis entry, the object {"representative", "orbit_size",
+    "stabilizer_order", "orbital_dim"} with "witness" (its members) if found
+    and "failure" if not, by one % of its letters on a template cached per
+    (indent, representative length, orbit_size, stabilizer_order,
+    orbital_dim, found); a representative letter or a count that is not an
+    int raises TypeError.  Everything else goes to json.dumps: None, bools,
     floats, empty containers, subclasses (IntEnum, namedtuple, OrderedDict,
     str subclasses) and unserializable values, which raise TypeError.
 
@@ -391,18 +389,49 @@ def _write_json(fh, payload) -> None:
     """
     encode = json.encoder.encode_basestring_ascii
     put = fh.write
-    templates: dict[tuple[str, int], str] = {}
+    templates: dict[tuple, str] = {}
+
+    def block(parts: list[str], indent: str, brackets: str = "[]") -> str:
+        """The text of a list, or of an object, with these parts inside."""
+        if not parts:
+            return brackets
+        inner = indent + "  "
+        return brackets[0] + "\n" + inner + (",\n" + inner).join(parts) + "\n" + indent + brackets[1]
 
     def ints(value, indent: str) -> str:
         """The text of a non-empty list of plain ints: one % on a template
         per (indent, length).  For an exact int, "%d" % x == int.__repr__(x)."""
         template = templates.get((indent, len(value)))
         if template is None:
-            inner = indent + "  "
-            template = templates[indent, len(value)] = (
-                "[\n" + inner + (",\n" + inner).join(["%d"] * len(value)) + "\n" + indent + "]"
-            )
+            template = templates[indent, len(value)] = block(["%d"] * len(value), indent)
         return template % tuple(value)
+
+    def outcome(item: OrbitalOutcome, indent: str) -> str:
+        """The basis entry of an outcome: one % of its letters on a template
+        per shape.  Past the representative, the letters are its own,
+        permuted, so they are ints when its letters are."""
+        rep, size, order, dim, found, letters = item
+        if {*map(type, rep), type(size), type(order), type(dim)} != {int}:
+            raise TypeError(f"a basis entry holds ints only, not {item!r}")
+        key = (indent, len(rep), size, order, dim, found)
+        template = templates.get(key)
+        if template is None:
+            inner = indent + "  "
+            fields = {
+                "orbit_size": int.__repr__(size),
+                "orbital_dim": int.__repr__(dim),
+                "representative": block(["%d"] * len(rep), inner),
+                "stabilizer_order": int.__repr__(order),
+            }
+            if found:
+                member = block(["%d"] * len(rep), inner + "  ")
+                fields["witness"] = block([member] * dim, inner)
+            else:
+                fields["failure"] = encode(BASIS_FAILURE)
+            template = templates[key] = block(
+                [encode(k) + ": " + v for k, v in sorted(fields.items())], indent, "{}"
+            )
+        return template % (letters if found else rep)
 
     def children(leads, items, indent: str) -> None:
         """Render each item after its lead, the separator and key before it."""
@@ -412,6 +441,8 @@ def _write_json(fh, payload) -> None:
                 put(lead + encode(item))
             elif kind is int:
                 put(lead + int.__repr__(item))
+            elif kind is OrbitalOutcome:
+                put(lead + outcome(item, indent))
             elif (kind is list or kind is tuple) and item or kind is GeneratorType:
                 if kind is not GeneratorType and {*map(type, item)} == {int}:
                     put(lead + ints(item, indent))
@@ -446,9 +477,12 @@ def _stdout():
     reader closes mid-write gives such a short write, which would truncate
     the report and still exit 0; a buffered file retries the rest and gets
     the broken pipe instead.  On a terminal, line buffering would make a
-    system call per line the renderers write.
+    system call per line the renderers write.  With no standard output
+    (its descriptor was closed at start-up) it raises OSError.
     """
     out = sys.stdout
+    if out is None:
+        raise OSError(errno.EBADF, "standard output is closed")
     unbuffered = isinstance(getattr(out, "buffer", None), io.RawIOBase)
     if not (unbuffered or getattr(out, "line_buffering", False)):
         return contextlib.nullcontext(out)

@@ -78,17 +78,19 @@ def resolve_budget(budget: int | None) -> int:
 
 
 @functools.lru_cache(maxsize=None)
-def _action_maps(n: int) -> tuple[operator.itemgetter, ...]:
-    """The one action table: at the position of g in group.elements, an
-    itemgetter sending alpha to g.alpha, unchecked.
-
-    (g.alpha)[t] = alpha[T(g)^(-1)(t)], so the getter reads the 0-based
-    inverse images.
-    """
+def _inverse_images(n: int) -> tuple[tuple[int, ...], ...]:
+    """The one action table: at the position of g in group.elements, the
+    0-based inverse images of T(g), since (g.alpha)[t] = alpha[T(g)^(-1)(t)]."""
     return tuple(
-        operator.itemgetter(*(p - 1 for p in perm.inverse(perm.embed(n, g)).images))
-        for g in group.elements(n)
+        tuple(p - 1 for p in perm.inverse(perm.embed(n, g)).images) for g in group.elements(n)
     )
+
+
+@functools.lru_cache(maxsize=None)
+def _action_maps(n: int) -> tuple[operator.itemgetter, ...]:
+    """At the position of g in group.elements, an itemgetter sending alpha
+    to g.alpha, unchecked."""
+    return tuple(operator.itemgetter(*images) for images in _inverse_images(n))
 
 
 def _check_length(n: int, alpha: Sequence) -> None:
@@ -355,31 +357,53 @@ def _stabilizer_decision(
     return dim, True, tuple(firsts[v] for v in sorted(clique))
 
 
+@functools.lru_cache(maxsize=None)
+def _witness_getter(n: int, cid: CharacterId, stabilizer: tuple[int, ...]) -> operator.itemgetter:
+    """For a stabilizer whose decision found a witness sigma_1 .. sigma_dim,
+    an itemgetter sending alpha to the letters of alpha, sigma_1.alpha, ...,
+    sigma_dim.alpha in a row, read from the inverse images of the action."""
+    images = _inverse_images(n)
+    sigmas = _stabilizer_decision(n, cid, stabilizer)[2]
+    return operator.itemgetter(*range(4 * n), *(t for x in sigmas for t in images[x]))
+
+
 class OrbitalOutcome(NamedTuple):
-    """One orbit's decision; a tuple, built per orbit as reports stream."""
+    """One orbit's decision; a tuple, built per orbit as reports stream.
+
+    letters holds the representative's letters, then, if found, those of
+    each witness member in turn: the same letters, permuted."""
 
     representative: Sequence
     orbit_size: int
     stabilizer_order: int
     orbital_dim: int
     found: bool
-    witness: tuple[Sequence, ...] | None
+    letters: Sequence
+
+    @property
+    def witness(self) -> tuple[Sequence, ...] | None:
+        """The witness members, or None if no orthogonal basis was found."""
+        if not self.found:
+            return None
+        k, letters = len(self.representative), self.letters
+        return tuple(letters[i : i + k] for i in range(k, len(letters), k))
 
 
 def orbital_outcomes(cid: CharacterId, orbit_list: list[OrbitData]):
     """The outcome on each orbit of nonzero orbital dimension, in orbit
     order, one at a time: the cached _stabilizer_decision of its stabilizer,
-    with the witness members acted out from the representative.
+    with the witness members' letters read off the representative by one
+    cached _witness_getter.
     """
     n = orbit_list[0].n
     chartab.validate_id(n, cid)
-    moves = _action_maps(n)
     for orbit in orbit_list:
-        dim, found, sigmas = _stabilizer_decision(n, cid, orbit.stabilizer)
+        stab = orbit.stabilizer
+        dim, found, _ = _stabilizer_decision(n, cid, stab)
         if dim:
             rep = orbit.representative
-            witness = tuple([moves[x](rep) for x in sigmas]) if found else None
-            yield OrbitalOutcome(rep, orbit.size, len(orbit.stabilizer), dim, found, witness)
+            letters = _witness_getter(n, cid, stab)(rep) if found else rep
+            yield OrbitalOutcome(rep, orbit.size, len(stab), dim, found, letters)
 
 
 def has_orthogonal_basis(n: int, cid: CharacterId, stabilizers) -> bool:

@@ -105,6 +105,16 @@ GOLDEN_REPORTS = [
      "77eee13dc8b9d11faf38474defe9eb6b8e7fd0271cda99ef4188248ce82c9ba9"),
     ("dims --n 5 --m 3", 0, 2441,
      "ed2ccb166711d4d3f17d35f4711c53a5744a7bd4437014fb8f066ee2e23cbbbd"),
+    # A single decision (indent 4) with 202 failure entries, every character
+    # at (3, 2), the pretty basis-all report, and empty listings at m = 1.
+    ("basis --n 3 --m 2 --char psi:1", 0, 64767,
+     "558e9937ae46f2ca0fc1b4e60432d4f37a7d9815678534baee6ed32f76e75226"),
+    ("basis --n 3 --m 2 --char all", 0, 1155230,
+     "4003c4453d11646573fe5c07199f087ac9677eac5e2aefd9444d19dfdc4211e5"),
+    ("basis --n 4 --m 2 --char all --format pretty", 0, 914078,
+     "73030213db19d89bbb9d83a30eadd14bf90b7038c4d01255325dde541e2f916e"),
+    ("basis --n 2 --m 1 --char all", 0, 1625,
+     "d05239bdf70d2756035185fbd14ae185581fde9f4cc68a70e5d7eeddb961aec5"),
 ]
 
 
@@ -135,8 +145,29 @@ def dumped_json(payload) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
+def report_key(text: str):
+    """text itself, or (length, sha256) past 1 MB: pytest's diff of two long
+    unequal strings would run for minutes."""
+    if len(text) <= 2**20:
+        return text
+    return len(text), hashlib.sha256(text.encode()).hexdigest()
+
+
+FAILURE = {"failure": "no orthogonal set of size orbital_dim exists"}
+
+
 def listed(value):
-    """value with every generator in it, at any depth, replaced by its list."""
+    """value with every generator in it, at any depth, replaced by its list,
+    and every orbital outcome by the dict of its basis entry."""
+    if type(value) is symclass.OrbitalOutcome:
+        rep, size, order, dim, found = value[:5]
+        return {
+            "representative": rep,
+            "orbit_size": size,
+            "stabilizer_order": order,
+            "orbital_dim": dim,
+            **({"witness": value.witness} if found else FAILURE),
+        }
     if type(value) in (list, tuple, types.GeneratorType):
         return [listed(item) for item in value]
     if type(value) is dict:
@@ -255,6 +286,42 @@ def test_json_writer_writes_a_generator_as_its_list(make):
     assert written_json(make()) == dumped_json(listed(make()))
 
 
+def _sample_outcomes():
+    """A found and a failed outcome at (3, 2), and hand-built edge shapes:
+    no witness members, and an empty representative."""
+    found = next(o for o in symclass.orbital_outcomes(chartab.zeta(2), symclass.orbits(2, 2)))
+    failed = next(
+        o for o in symclass.orbital_outcomes(chartab.zeta(2), symclass.orbits(3, 2)) if not o.found
+    )
+    assert found.found and found.orbital_dim == 2 and failed.orbital_dim > 0
+    return [
+        found,
+        failed,
+        symclass.OrbitalOutcome((1, 2), 4, 2, 0, True, (1, 2)),
+        symclass.OrbitalOutcome((), 1, 1, 0, False, ()),
+    ]
+
+
+OUTCOME_PAYLOADS = {
+    "top level": lambda outcomes: outcomes[0],
+    "nested": lambda outcomes: {"a": [outcomes[1], {"b": (outcomes[0], 7)}], "c": outcomes[2:]},
+    "in a generator": lambda outcomes: {"orbits": (o for o in outcomes * 2)},
+}
+
+
+@pytest.mark.parametrize("make", OUTCOME_PAYLOADS.values(), ids=OUTCOME_PAYLOADS)
+def test_json_writer_writes_an_outcome_as_its_basis_entry(make):
+    outcomes = _sample_outcomes()
+    assert written_json(make(outcomes)) == dumped_json(listed(make(outcomes)))
+
+
+def test_json_writer_rejects_an_outcome_with_a_bool_letter():
+    # json.dumps would write true where the template would write 1
+    outcome = symclass.OrbitalOutcome((True, 2), 4, 2, 1, True, (True, 2, 2, True))
+    with pytest.raises(TypeError):
+        written_json([outcome])
+
+
 def test_json_writer_passes_on_a_failing_generator():
     def entries():
         yield {"k": 1}
@@ -269,7 +336,7 @@ def test_json_writer_matches_json_dumps_on_golden_payloads(argv):
     # writing consumes the payload's generators, so it is built twice
     args = cli.build_parser().parse_args(argv.split())
     build = cli.COMMANDS[args.command][0]
-    assert written_json(build(args)) == dumped_json(listed(build(args)))
+    assert report_key(written_json(build(args))) == report_key(dumped_json(listed(build(args))))
 
 
 class RecordingFile(io.StringIO):
@@ -799,6 +866,22 @@ def test_closed_pipe_is_an_io_error():
     assert "Traceback" not in err
     assert "Exception ignored" not in err
     assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+
+def test_closed_stdout_is_an_io_error():
+    # with descriptor 1 closed at start-up, sys.stdout is None
+    env = dict(os.environ, PYTHONPATH=str(Path(sdtensor.__file__).resolve().parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "sdtensor", "classes", "--n", "2"],
+        stderr=subprocess.PIPE,
+        env=env,
+        preexec_fn=lambda: os.close(1),
+        timeout=60,
+    )
+    err = proc.stderr.decode()
+    assert proc.returncode == 4
+    assert "Traceback" not in err
+    assert err.startswith("error: cannot write the report: ") and len(err.splitlines()) == 1
 
 
 def test_closed_pipe_mid_write_is_an_io_error_with_unbuffered_stdout():
