@@ -146,12 +146,11 @@ def value_terms(n: int, cid: CharacterId) -> tuple[tuple[tuple[int, int], ...], 
 
 @dataclass(frozen=True)
 class CharacterTable:
-    """Square table of exact character values on conjugacy class representatives."""
+    """Square table of exact character values on conjugacy class
+    representatives, the first member of each of group.conjugacy_classes."""
 
-    n: int
     ids: tuple[CharacterId, ...]
-    class_reps: tuple[SDElement, ...]
-    classes: group.ConjClassReport
+    classes: tuple[tuple[SDElement, tuple[SDElement, ...]], ...]
     entries: tuple[tuple[CycloInt, ...], ...]  # entries[row][col]
 
 
@@ -159,13 +158,12 @@ def character_table(n: int) -> CharacterTable:
     check_n(n)
     ids = character_ids(n)
     classes = group.conjugacy_classes(n)
-    reps = classes.representatives
-    if len(ids) != len(reps):
+    if len(ids) != len(classes):
         raise RuntimeError("character count does not match class count")
     entries = tuple(
-        tuple(character_value(n, cid, rep) for rep in reps) for cid in ids
+        tuple(character_value(n, cid, rep) for rep, _ in classes) for cid in ids
     )
-    return CharacterTable(n=n, ids=ids, class_reps=reps, classes=classes, entries=entries)
+    return CharacterTable(ids=ids, classes=classes, entries=entries)
 
 
 def char_inner_product(n: int, id1: CharacterId, id2: CharacterId) -> tuple[CycloInt, int]:

@@ -84,18 +84,18 @@ def _trig_str(n: int, cid: CharacterId, g: SDElement) -> str:
 
 def _classes_payload(args) -> dict:
     n = args.n
-    report = group.conjugacy_classes(n)
+    classes = group.conjugacy_classes(n)
     return {
         "n": n,
         "group_order": 8 * n,
-        "class_count": report.count,
+        "class_count": len(classes),
         "classes": [
             {
                 "representative": _element_json(rep),
                 "size": len(members),
                 "members": [group.element_name(g) for g in members],
             }
-            for rep, members in report.classes
+            for rep, members in classes
         ],
     }
 
@@ -111,8 +111,8 @@ def _table_payload(args) -> dict:
     table = chartab.character_table(n)
     return {
         "n": n,
-        "class_labels": [group.element_name(rep) for rep in table.class_reps],
-        "class_sizes": [len(m) for _, m in table.classes.classes],
+        "class_labels": [group.element_name(rep) for rep, _ in table.classes],
+        "class_sizes": [len(m) for _, m in table.classes],
         "rows": [
             {
                 "character": cid.label(),
@@ -231,7 +231,7 @@ def _orbits_pretty(fh, payload: dict) -> None:
     )
     for o in payload["orbits"]:
         fh.write(
-            f"  {''.join(str(x) for x in o['representative'])}"
+            f"  {'%d' * len(o['representative']) % o['representative']}"
             f"  size {o['orbit_size']}  stab {o['stabilizer_order']}"
             + ("  in_delta_bar\n" if o.get("in_delta_bar") else "\n")
         )
@@ -274,7 +274,7 @@ def _basis_pretty(fh, payload: dict) -> None:
             + ("\n" if d["agree"] else "  (DISAGREE)\n")
         )
         for o in d["orbits"]:
-            rep = "".join(str(x) for x in o.representative)
+            rep = "%d" * len(o.representative) % o.representative
             status = "ok" if o.found else "FAIL"
             fh.write(f"  {rep}  dim {o.orbital_dim}  size {o.orbit_size}  {status}\n")
 
@@ -546,6 +546,9 @@ def _run(argv) -> int:
         # A bad budget is a usage error on every subcommand, not only where
         # enumeration reads it.
         symclass.resolve_budget(args.budget)
+        if args.output == "":
+            # _emit would take it for stdout; its real path is the working directory.
+            raise ValueError("--output needs a file path, not an empty string")
         payload = build(args)
     except BudgetExceededError as exc:
         print(f"refused: {exc}", file=sys.stderr)

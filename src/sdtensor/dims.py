@@ -194,8 +194,6 @@ class DimEntry:
 
 @dataclass(frozen=True)
 class DimReport:
-    n: int
-    m: int
     entries: tuple[DimEntry, ...]
     total: int
     total_identity_holds: bool
@@ -246,9 +244,5 @@ def dim_report(n: int, m: int) -> DimReport:
                 note = "closed-form variant disagrees; trace value is authoritative"
         entries.append(DimEntry(cid, general, closed, agree, note))
     return DimReport(
-        n=n,
-        m=m,
-        entries=tuple(entries),
-        total=total,
-        total_identity_holds=(total == m ** (4 * n)),
+        entries=tuple(entries), total=total, total_identity_holds=(total == m ** (4 * n))
     )

@@ -22,22 +22,6 @@ class SDElement:
         return f"SDElement({self.s}, {self.r})"
 
 
-@dataclass(frozen=True)
-class ConjClassReport:
-    """Conjugacy classes, each as (representative, sorted members)."""
-
-    n: int
-    classes: tuple[tuple[SDElement, tuple[SDElement, ...]], ...]
-
-    @property
-    def count(self) -> int:
-        return len(self.classes)
-
-    @property
-    def representatives(self) -> tuple[SDElement, ...]:
-        return tuple(rep for rep, _ in self.classes)
-
-
 def check_n(n: int) -> None:
     if not isinstance(n, int) or n < 2:
         raise ValueError(f"group parameter n must be an integer >= 2, got {n}")
@@ -127,9 +111,9 @@ def _class_size_profile(n: int) -> list[int]:
     return sorted([1, 1, 1, 1] + [2] * (2 * n - 2) + [n, n, n, n])
 
 
-def conjugacy_classes(n: int) -> ConjClassReport:
-    """All conjugacy classes, each the closure of a member under conjugation
-    by the generators a and b.
+def conjugacy_classes(n: int) -> tuple[tuple[SDElement, tuple[SDElement, ...]], ...]:
+    """All conjugacy classes as (representative, sorted members) pairs, each
+    class the closure of a member under conjugation by the generators a and b.
 
     Representatives are the lexicographically least members under (s, r)
     order; classes are sorted by representative.  The class count is 2n+3
@@ -155,10 +139,9 @@ def conjugacy_classes(n: int) -> ConjClassReport:
         members = tuple(sorted(members))
         classes.append((members[0], members))
     classes.sort(key=lambda pair: pair[0])
-    report = ConjClassReport(n=n, classes=tuple(classes))
 
     expected_count = 2 * n + 3 if n % 2 == 0 else 2 * n + 6
-    sizes = sorted(len(members) for _, members in report.classes)
-    if report.count != expected_count or sizes != _class_size_profile(n):
+    sizes = sorted(len(members) for _, members in classes)
+    if len(classes) != expected_count or sizes != _class_size_profile(n):
         raise RuntimeError(f"conjugacy class structure of SD_{8 * n} is inconsistent")
-    return report
+    return tuple(classes)

@@ -34,17 +34,6 @@ class Permutation:
         return self.images[t - 1]
 
 
-@dataclass(frozen=True)
-class CycleDecomposition:
-    """Disjoint cycles partitioning the point set, fixed points included."""
-
-    cycles: tuple[tuple[int, ...], ...]
-
-    @property
-    def count(self) -> int:
-        return len(self.cycles)
-
-
 def compose(p: Permutation, q: Permutation) -> Permutation:
     """The product applying q first: (p o q)(t) = p(q(t))."""
     if p.degree != q.degree:
@@ -59,10 +48,11 @@ def inverse(p: Permutation) -> Permutation:
     return Permutation(tuple(inv))
 
 
-def cycle_decomposition(p: Permutation) -> CycleDecomposition:
-    """Canonical disjoint cycles: each starts at its least point, sorted by it.
+def cycle_decomposition(p: Permutation) -> tuple[tuple[int, ...], ...]:
+    """Canonical disjoint cycles partitioning the point set, fixed points
+    included: each starts at its least point, sorted by it.
 
-    >>> cycle_decomposition(Permutation((2, 1, 3))).cycles
+    >>> cycle_decomposition(Permutation((2, 1, 3)))
     ((1, 2), (3,))
     """
     seen = [False] * p.degree
@@ -77,7 +67,7 @@ def cycle_decomposition(p: Permutation) -> CycleDecomposition:
             cycle.append(t)
             t = p.images[t - 1]
         cycles.append(tuple(cycle))
-    return CycleDecomposition(tuple(cycles))
+    return tuple(cycles)
 
 
 def embed(n: int, g: SDElement) -> Permutation:

@@ -265,8 +265,6 @@ class GramData:
     positive factor chi(1)/8n, which never affects zero tests.
     """
 
-    orbit: OrbitData
-    character: CharacterId
     entries: tuple[tuple[CycloInt, ...], ...]
     orbital_dim: int
 
@@ -290,8 +288,6 @@ def gram(cid: CharacterId, orbit: OrbitData) -> GramData:
     _, number, quotient = _cosets(n, stab)
     cosets = [number[x] for x in orbit.coset_reps]
     return GramData(
-        orbit=orbit,
-        character=cid,
         entries=tuple(tuple(sums[quotient[i][j]] for j in cosets) for i in cosets),
         orbital_dim=_orbital_dim(cid, sums[0], len(stab)),
     )
@@ -357,16 +353,6 @@ def _stabilizer_decision(
     return dim, True, tuple(firsts[v] for v in sorted(clique))
 
 
-@functools.lru_cache(maxsize=None)
-def _witness_getter(n: int, cid: CharacterId, stabilizer: tuple[int, ...]) -> operator.itemgetter:
-    """For a stabilizer whose decision found a witness sigma_1 .. sigma_dim,
-    an itemgetter sending alpha to the letters of alpha, sigma_1.alpha, ...,
-    sigma_dim.alpha in a row, read from the inverse images of the action."""
-    images = _inverse_images(n)
-    sigmas = _stabilizer_decision(n, cid, stabilizer)[2]
-    return operator.itemgetter(*range(4 * n), *(t for x in sigmas for t in images[x]))
-
-
 class OrbitalOutcome(NamedTuple):
     """One orbit's decision; a tuple, built per orbit as reports stream.
 
@@ -391,19 +377,32 @@ class OrbitalOutcome(NamedTuple):
 
 def orbital_outcomes(cid: CharacterId, orbit_list: list[OrbitData]):
     """The outcome on each orbit of nonzero orbital dimension, in orbit
-    order, one at a time: the cached _stabilizer_decision of its stabilizer,
-    with the witness members' letters read off the representative by one
-    cached _witness_getter.
+    order, one at a time.
+
+    Each distinct stabilizer is looked up once per call, in the cached
+    _stabilizer_decision, and kept in a dict for the call: its orbit size,
+    order, dimension and verdict, and, where a witness sigma_1 .. sigma_dim
+    was found, one itemgetter, read from the inverse images of the action,
+    sending alpha to the letters of alpha, sigma_1.alpha, ..., sigma_dim.alpha
+    in a row.
     """
     n = orbit_list[0].n
     chartab.validate_id(n, cid)
+    images = _inverse_images(n)
+    shapes: dict[tuple[int, ...], tuple] = {}
     for orbit in orbit_list:
         stab = orbit.stabilizer
-        dim, found, _ = _stabilizer_decision(n, cid, stab)
+        shape = shapes.get(stab)
+        if shape is None:
+            dim, found, sigmas = _stabilizer_decision(n, cid, stab)
+            getter = None
+            if found:
+                getter = operator.itemgetter(*range(4 * n), *(t for x in sigmas for t in images[x]))
+            shape = shapes[stab] = (8 * n // len(stab), len(stab), dim, found, getter)
+        size, order, dim, found, getter = shape
         if dim:
             rep = orbit.representative
-            letters = _witness_getter(n, cid, stab)(rep) if found else rep
-            yield OrbitalOutcome(rep, orbit.size, len(stab), dim, found, letters)
+            yield OrbitalOutcome(rep, size, order, dim, found, getter(rep) if found else rep)
 
 
 def has_orthogonal_basis(n: int, cid: CharacterId, stabilizers) -> bool:

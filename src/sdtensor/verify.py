@@ -32,7 +32,7 @@ def run_checks(n: int, m: int | None, budget: int | None):
     checks = []
 
     classes = group.conjugacy_classes(n)
-    sizes = [len(ms) for _, ms in classes.classes]
+    sizes = [len(ms) for _, ms in classes]
     # the same classes on table positions: x ~ g x g^(-1), where g^(-1) is
     # the column in which row g holds the identity, position 0
     table = group.product_table(n)
@@ -45,8 +45,8 @@ def run_checks(n: int, m: int | None, budget: int | None):
     checks.append(
         (
             "class_count",
-            len(table_classes) == expected == classes.count,
-            f"{classes.count} classes (expected {expected})",
+            len(table_classes) == expected == len(classes),
+            f"{len(classes)} classes (expected {expected})",
         )
     )
     checks.append(
@@ -63,8 +63,8 @@ def run_checks(n: int, m: int | None, budget: int | None):
     checks.append(
         (
             "character_count",
-            len(ids) == classes.count,
-            f"{len(ids)} irreducible characters vs {classes.count} classes",
+            len(ids) == len(classes),
+            f"{len(ids)} irreducible characters vs {len(classes)} classes",
         )
     )
     checks.append(
@@ -87,7 +87,7 @@ def run_checks(n: int, m: int | None, budget: int | None):
     )
 
     column_ok = True
-    for rep in classes.representatives:
+    for rep, _ in classes:
         vec = [0] * (4 * n)
         position = group.element_index(n, rep)
         for cid in ids:
@@ -103,14 +103,14 @@ def run_checks(n: int, m: int | None, budget: int | None):
     class_fun_ok = all(
         len({chartab.character_value(n, cid, g) for g in members}) == 1
         for cid in ids
-        for _, members in classes.classes
+        for _, members in classes
     )
     checks.append(("class_function", class_fun_ok, "values constant on conjugacy classes"))
 
     elements = group.elements(n)
     embedded = [perm.embed(n, g) for g in elements]
     cycle_ok = all(
-        perm.cycle_count_formula(n, g) == perm.cycle_decomposition(p).count
+        perm.cycle_count_formula(n, g) == len(perm.cycle_decomposition(p))
         for g, p in zip(elements, embedded)
     )
     checks.append(("cycle_count_formula", cycle_ok, "closed form matches direct factorization"))

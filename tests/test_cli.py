@@ -115,6 +115,11 @@ GOLDEN_REPORTS = [
      "73030213db19d89bbb9d83a30eadd14bf90b7038c4d01255325dde541e2f916e"),
     ("basis --n 2 --m 1 --char all", 0, 1625,
      "d05239bdf70d2756035185fbd14ae185581fde9f4cc68a70e5d7eeddb961aec5"),
+    # Conjugacy classes at odd n: four central classes and four of size n.
+    ("classes --n 3", 0, 2176,
+     "45c32d9cb2e4d38a7e989348e5d65f3a4b9dc49111037104f9f8738e82070ca1"),
+    ("classes --n 5 --format pretty", 0, 474,
+     "f1e564a5af9619e11a24fc5d3f8d2b59d764a15eff26366bc1135720d41082a2"),
 ]
 
 
@@ -705,6 +710,24 @@ def test_output_file(tmp_path, capsys):
     assert out == ""
     assert json.loads(target.read_text())["class_count"] == 7
     assert os.listdir(tmp_path) == ["report.json"]
+
+
+@pytest.mark.parametrize("argv", ["classes --n 2", "orbits --n 3 --m 2"])
+def test_empty_output_path_is_a_usage_error(tmp_path, capsys, monkeypatch, argv):
+    # realpath("") is the working directory, so a report "beside" it would
+    # land in its parent; the path is refused before anything is computed
+    def fail(*args):
+        raise AssertionError("computed a report for an empty --output")
+
+    work = tmp_path / "work"
+    work.mkdir()
+    monkeypatch.chdir(work)
+    monkeypatch.setattr(group, "conjugacy_classes", fail)
+    monkeypatch.setattr(symclass, "orbits", fail)
+    code, out, err = run_cli(capsys, *argv.split(), "--output", "")
+    assert (code, out) == (2, "")
+    assert err == "error: --output needs a file path, not an empty string\n"
+    assert os.listdir(tmp_path) == ["work"] and os.listdir(work) == []
 
 
 def test_unwritable_output_is_an_io_error(tmp_path, capsys):

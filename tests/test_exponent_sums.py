@@ -149,7 +149,7 @@ def test_inner_products_match_the_reference_loop(n):
 
 def test_all_inner_products_at_n20_match_class_weighted_sums():
     n = 20
-    classes = group.conjugacy_classes(n).classes
+    classes = group.conjugacy_classes(n)
     ids = chartab.character_ids(n)
     # a character is a class function: weight each representative by its class size
     columns = {

@@ -660,6 +660,25 @@ def test_one_pass_decisions_match_per_character_decisions(n, m):
         assert _verdict(cid, orbit_list) == all(found for *_, found, _ in reference), cid
 
 
+def test_orbital_outcomes_decide_each_distinct_stabilizer_once_per_call(monkeypatch):
+    orbit_list = orbits(4, 2)
+    stabilizers = {o.stabilizer for o in orbit_list}
+    assert len(stabilizers) == 22 and len(orbit_list) == 2190
+    decide = symclass._stabilizer_decision
+    calls = []
+
+    def counted(n, cid, stabilizer):
+        calls.append(stabilizer)
+        return decide(n, cid, stabilizer)
+
+    monkeypatch.setattr(symclass, "_stabilizer_decision", counted)
+    for cid in (chi(0), zeta(2), psi(1)):
+        for _ in range(2):  # each call keeps its own lookups
+            calls.clear()
+            assert list(orbital_outcomes(cid, orbit_list))
+            assert len(calls) == len(stabilizers) and set(calls) == stabilizers, cid
+
+
 def test_exhaustive_decisions_small_cases():
     # zeta_2 at n=2 admits a basis, every degree-2 character at n=3 does not
     n3_orbits = orbits(3, 2)

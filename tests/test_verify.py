@@ -41,7 +41,7 @@ def test_class_checks_catch_a_wrong_product_table(monkeypatch):
 def test_class_function_catches_a_wrong_member_value(monkeypatch):
     n = 3
     cid = chartab.zeta(2)
-    rep, members = next(c for c in group.conjugacy_classes(n).classes if len(c[1]) > 1)
+    rep, members = next(c for c in group.conjugacy_classes(n) if len(c[1]) > 1)
     member = next(g for g in members if g != rep)
     character_value = chartab.character_value
 
