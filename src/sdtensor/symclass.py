@@ -139,9 +139,17 @@ def orbits(n: int, m: int, budget: int | None = None) -> list[OrbitData]:
     the rotations of alpha and of b.alpha, and its lex-least member is a
     necklace (least among its rotations) at most every rotation of b.alpha.
     The Fredricksen-Kessler-Maiorana successor lists the prenecklaces in lex
-    order: raise the last letter below m and repeat the prefix up to it,
-    whose length p is the period; the word is a necklace exactly when p
-    divides 4n.  A reflection b a^r fixes alpha only if b.alpha is a
+    order as byte words, one letter per byte (so m <= 255): strip the
+    trailing m's, raise the last letter left and repeat that prefix, whose
+    length p is the period; the word is a necklace exactly when p divides
+    4n.  b moves position t to k t + c (mod 4n), read off the action table,
+    so b.alpha is a decimation of alpha: taking every k-th letter of alpha
+    written 2k times gives a rotation of b.alpha written twice, in which
+    every rotation of b.alpha is a window.  A necklace opens with the
+    longest run of its least letter, so only the windows that open with
+    that run can be at most alpha: if there is none, alpha is least; if
+    b.alpha holds a longer run, it is not; otherwise the least of those few
+    windows decides.  A reflection b a^r fixes alpha only if b.alpha is a
     rotation of alpha, so an aperiodic representative whose b-image rotates
     to a larger least word has the trivial stabilizer; every other
     stabilizer is tested on all 8n action maps.  Orbits store no members,
@@ -160,37 +168,51 @@ def orbits(n: int, m: int, budget: int | None = None) -> list[OrbitData]:
     if total > limit:
         raise BudgetExceededError(n, m, total, limit)
 
+    if m > 255:
+        raise ValueError(f"alphabet size m must be <= 255, one byte per letter, got {m}")
+
     length = 4 * n
     moves = _action_maps(n)
-    reflect = moves[length]  # b follows the 4n rotations
-    windows = [slice(t, t + length) for t in range(length)]
+    row = _inverse_images(n)[length]  # b follows the 4n rotations
+    k, c = (row[1] - row[0]) % length, row[0]
+    if any(t != (k * s + c) % length for s, t in enumerate(row)):
+        raise RuntimeError(f"b does not move the 4n positions as t -> {k}t + {c}")
+    top = bytes([m])
+    raised = [bytes([x + 1]) for x in range(m)]
+    repeats = [0] + [-(-length // p) for p in range(1, length + 1)]
     trivial = (0,)
     interned = {trivial: trivial}
     result = []
     covered = 0
-    word, period = [1] * length, 1
+    word, period = bytes([1]) * length, 1
     while True:
         if length % period == 0:
-            alpha = tuple(word)
-            image = reflect(alpha)
-            least = min(map((image + image).__getitem__, windows))
-            if alpha <= least:
-                if period == length and least != alpha:
-                    stabilizer = trivial
-                else:
-                    fixes = (move(alpha) == alpha for move in moves)
-                    stabilizer = tuple(itertools.compress(range(8 * n), fixes))
-                    stabilizer = interned.setdefault(stabilizer, stabilizer)
-                covered += 8 * n // len(stabilizer)
-                result.append(OrbitData(n, alpha, stabilizer))
-        last = length - 1
-        while last >= 0 and word[last] == m:
-            last -= 1
-        if last < 0:
+            # position j of image is alpha[j*k mod 4n]: b.alpha rotated, written twice
+            image = (word * 2 * k)[::k]
+            lead = word[: length - len(word.lstrip(word[:1]))]
+            at = image.find(lead)
+            least = None
+            if at < 0 or len(lead) == length or lead + word[:1] not in image:
+                while 0 <= at < length:
+                    window = image[at : at + length]
+                    if least is None or window < least:
+                        least = window
+                    at = image.find(lead, at + len(lead))
+                if least is None or word <= least:
+                    alpha = tuple(word)
+                    if period == length and least != word:
+                        stabilizer = trivial
+                    else:
+                        fixes = (move(alpha) == alpha for move in moves)
+                        stabilizer = tuple(itertools.compress(range(8 * n), fixes))
+                        stabilizer = interned.setdefault(stabilizer, stabilizer)
+                    covered += 8 * n // len(stabilizer)
+                    result.append(OrbitData(n, alpha, stabilizer))
+        head = word.rstrip(top)
+        if not head:
             break
-        word[last] += 1
-        period = last + 1
-        word[period:] = (word[:period] * (length // period))[: length - period]
+        period = len(head)
+        word = ((head[:-1] + raised[head[-1]]) * repeats[period])[:length]
     if covered != total:
         raise RuntimeError(f"orbit sizes sum to {covered}, not m^4n = {total}")
     return result

@@ -1057,6 +1057,17 @@ def test_integers_past_the_str_digit_cap_keep_their_exit_codes():
     assert proc.stderr.startswith(b"refused: ") and len(proc.stderr.splitlines()) == 1
 
 
+def test_an_alphabet_past_one_byte_fails_fast():
+    # the budget admits all 256^8 sequences; an enumeration would not end
+    env = dict(os.environ, PYTHONPATH=str(Path(sdtensor.__file__).resolve().parents[1]))
+    argv = [sys.executable, "-m", "sdtensor", "orbits", "--n", "2", "--m", "256",
+            "--budget", str(256**8)]
+    proc = subprocess.run(argv, capture_output=True, env=env, timeout=30)
+    assert proc.returncode == 2
+    assert proc.stdout == b""
+    assert proc.stderr.startswith(b"error: ") and len(proc.stderr.splitlines()) == 1
+
+
 def test_cli_import_leaves_numpy_out():
     env = dict(os.environ, PYTHONPATH=str(Path(sdtensor.__file__).resolve().parents[1]))
     subprocess.run(

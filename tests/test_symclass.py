@@ -113,13 +113,83 @@ def test_coset_reps_map_representative_to_members():
             assert o.stabilizer == tuple(x for x, image in images.items() if image == o.representative)
 
 
-def test_orbits_check_that_orbit_sizes_sum_to_m_to_the_4n(monkeypatch):
+def _patch_reflection_row(monkeypatch, row):
+    """Make b, at position 4n = 8 in group.elements(2), move the positions
+    by row in both the action table and the action maps."""
+    images = symclass._inverse_images(2)
     moves = symclass._action_maps(2)
+    images = images[:8] + (tuple(row),) + images[9:]
+    moves = moves[:8] + (operator.itemgetter(*row),) + moves[9:]
+    monkeypatch.setattr(symclass, "_inverse_images", lambda n: images)
+    monkeypatch.setattr(symclass, "_action_maps", lambda n: moves)
+
+
+def test_orbits_check_that_orbit_sizes_sum_to_m_to_the_4n(monkeypatch):
     # b acting as the identity keeps every necklace as a representative
-    broken = moves[:8] + (operator.itemgetter(*range(8)),) + moves[9:]
-    monkeypatch.setattr(symclass, "_action_maps", lambda n: broken)
+    _patch_reflection_row(monkeypatch, range(8))
     with pytest.raises(RuntimeError, match="orbit sizes"):
         orbits(2, 2)
+
+
+def test_orbits_refuse_a_reflection_that_is_not_affine(monkeypatch):
+    # b read as a decimation needs t -> k t + c; a transposition is not one
+    _patch_reflection_row(monkeypatch, (1, 0, 2, 3, 4, 5, 6, 7))
+    with pytest.raises(RuntimeError, match="t -> "):
+        orbits(2, 2)
+
+
+def test_orbits_refuse_an_alphabet_past_one_byte():
+    # the budget admits 256^8 sequences; the letters would not fit a byte
+    with pytest.raises(ValueError, match="m must be <= 255"):
+        orbits(2, 256, budget=256**8)
+
+
+def _rotation_min_orbits(n, m):
+    """The reference walk, on a list of ints: every necklace is compared
+    with all 4n rotations of its b-image, as tuples."""
+    length = 4 * n
+    moves = symclass._action_maps(n)
+    reflect = moves[length]  # b follows the 4n rotations
+    windows = [slice(t, t + length) for t in range(length)]
+    trivial = (0,)
+    interned = {trivial: trivial}
+    result = []
+    word, period = [1] * length, 1
+    while True:
+        if length % period == 0:
+            alpha = tuple(word)
+            image = reflect(alpha)
+            least = min(map((image + image).__getitem__, windows))
+            if alpha <= least:
+                if period == length and least != alpha:
+                    stabilizer = trivial
+                else:
+                    fixes = (move(alpha) == alpha for move in moves)
+                    stabilizer = tuple(itertools.compress(range(8 * n), fixes))
+                    stabilizer = interned.setdefault(stabilizer, stabilizer)
+                result.append((alpha, stabilizer))
+        last = length - 1
+        while last >= 0 and word[last] == m:
+            last -= 1
+        if last < 0:
+            break
+        word[last] += 1
+        period = last + 1
+        word[period:] = (word[:period] * (length // period))[: length - period]
+    return result
+
+
+@pytest.mark.parametrize(
+    "n, m",
+    [(2, 1), (2, 2), (2, 3), (2, 4), (2, 5), (2, 6), (3, 1), (3, 2), (3, 3), (4, 2), (5, 2)],
+)
+def test_orbits_match_the_rotation_min_walk(n, m):
+    result = orbits(n, m)
+    assert [(o.representative, o.stabilizer) for o in result] == _rotation_min_orbits(n, m)
+    interned = {}
+    for o in result:
+        assert type(o.representative) is tuple
+        assert interned.setdefault(o.stabilizer, o.stabilizer) is o.stabilizer
 
 
 def _retained_by_orbits(n, m):
