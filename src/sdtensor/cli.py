@@ -199,7 +199,7 @@ def _orbits_payload(args) -> dict:
     if args.char == "all":
         raise ValueError("orbits takes one character; --char all is for basis")
     cid = None
-    if args.char:
+    if args.char is not None:
         (cid,) = chartab.parse_character_spec(n, args.char)
     orbit_list = symclass.orbits(n, m, args.budget)
     names = [group.element_name(g) for g in group.elements(n)]
@@ -213,7 +213,7 @@ def _orbits_payload(args) -> dict:
                 "stabilizer": [names[x] for x in o.stabilizer],
             }
             if cid is not None:
-                char_sum = symclass._coset_sums(n, cid, o.stabilizer)[0]
+                char_sum = symclass._subgroup_char_sum(n, cid, o.stabilizer)
                 entry["char_sum"] = _cyclo_json(char_sum)
                 entry["in_delta_bar"] = not char_sum.is_zero
             yield entry

@@ -1,34 +1,30 @@
-"""Orbits, stabilizers, exact Gram matrices, and orthogonal-basis decisions.
+"""Orbits, stabilizers, and orthogonal-basis decisions.
 
 The group SD_{8n} acts on length-4n sequences over the alphabet {1, ..., m}
 by permuting positions through its embedding T into S_{4n}; orbits() lists
 the orbit representatives as necklaces, with no table over the sequences.
 An orbit is its lex-least representative and its stabilizer H, an
-ascending tuple of positions in group.elements(n); the left cosets xH,
-numbered once per H, index its members.  Each orbit whose
+ascending tuple of positions in group.elements(n).  Each orbit whose
 stabilizer character sum F(H) is nonzero carries an orbital subspace of
 the symmetry class, spanned by the decomposable symmetrized tensors of its
-members; where F(H) is zero the orbital dimension is 0.  Inner products
-between those tensors are, up to one global positive factor, character
-sums F(x_i^(-1) x_j H): one coset table per H names that coset for every
-pair, and one cached kernel sums F(xH) once per coset.  The sums live in
-Z[zeta] and are compared to zero exactly.
+members; where F(H) is zero the orbital dimension is 0.  F(H) lives in
+Z[zeta], is summed by one cached kernel, and is compared to zero exactly.
 
 The orthogonal-basis question for a symmetry class reduces to: does every
 orbital subspace contain as many pairwise-orthogonal member tensors as its
-dimension?  That is a clique problem on at most 8n vertices per orbit and
-is decided here by exhaustive branch-and-bound, with no heuristic shortcut
-on the negative side.  Because the Gram matrix of an orbit depends only on
-its stabilizer subgroup, decisions are cached per (character, stabilizer)
+dimension?  The inner products of member tensors are character sums over
+cosets of H, and _stabilizer_decision answers the question for one
+(character, stabilizer) pair in closed form, on integers alone, with the
+proof in its docstring.  Decisions are cached per (character, stabilizer)
 and reused across orbits.  orbital_outcomes yields one character's
 outcomes orbit by orbit, as they are asked for, and has_orthogonal_basis
 reads the verdict off the distinct stabilizers alone.
 
-A separate, much cheaper prediction is also provided: linear characters
+A separate prediction, the paper's table, is also provided: linear characters
 always admit a basis; zeta characters admit one exactly when the 2-adic
 valuation of h/2n is negative; psi characters are predicted to admit none.
-The exhaustive search is the ground truth and the two are compared, not
-assumed equal.
+The decision is the ground truth and the two are compared, not assumed
+equal.
 """
 
 from __future__ import annotations
@@ -43,7 +39,6 @@ from typing import NamedTuple
 from . import chartab, group, perm
 from .chartab import CharacterId
 from .cyclo import CycloInt, exact_div, from_exponents, root_power
-from .group import SDElement
 
 Sequence = tuple[int, ...]
 
@@ -93,18 +88,6 @@ def _action_maps(n: int) -> tuple[operator.itemgetter, ...]:
     return tuple(operator.itemgetter(*images) for images in _inverse_images(n))
 
 
-def _check_length(n: int, alpha: Sequence) -> None:
-    if len(alpha) != 4 * n:
-        raise ValueError(f"sequence length {len(alpha)} does not match 4n = {4 * n}")
-
-
-def act(n: int, g: SDElement, alpha: Sequence) -> Sequence:
-    """Left action on sequences: act(gh, alpha) == act(g, act(h, alpha))."""
-    _check_length(n, alpha)
-    group.check_element(n, g)
-    return _action_maps(n)[group.element_index(n, g)](alpha)
-
-
 @dataclass(frozen=True, slots=True)
 class OrbitData:
     """One orbit: its lex-least representative and its stabilizer, the
@@ -114,18 +97,6 @@ class OrbitData:
     n: int
     representative: Sequence
     stabilizer: tuple[int, ...]
-
-    @property
-    def coset_reps(self) -> tuple[int, ...]:
-        """Per member, in order, the position of the first element mapping
-        the representative to it."""
-        moves, firsts = _action_maps(self.n), _cosets(self.n, self.stabilizer)[0]
-        return tuple(sorted(firsts, key=lambda x: moves[x](self.representative)))
-
-    @property
-    def members(self) -> tuple[Sequence, ...]:
-        moves, firsts = _action_maps(self.n), _cosets(self.n, self.stabilizer)[0]
-        return tuple(sorted(moves[x](self.representative) for x in firsts))
 
     @property
     def size(self) -> int:
@@ -219,160 +190,79 @@ def orbits(n: int, m: int, budget: int | None = None) -> list[OrbitData]:
 
 
 @functools.lru_cache(maxsize=None)
-def _cosets(
-    n: int, subgroup: tuple[int, ...]
-) -> tuple[tuple[int, ...], tuple[int, ...], tuple[tuple[int, ...], ...]]:
-    """The left cosets xH of a subgroup of element positions, numbered in
-    order of their first elements x_i: those first positions, the coset
-    number of every position, and the quotient table, whose entry (i, j)
-    numbers x_i^(-1) x_j H.  Coset 0 is H."""
-    table = group.product_table(n)
-    firsts: list[int] = []
-    number = [-1] * (8 * n)
-    for x, row in enumerate(table):
-        if number[x] < 0:
-            for h in subgroup:
-                number[row[h]] = len(firsts)
-            firsts.append(x)
-    # the row of x^(-1) is named by the column where the row of x holds the identity
-    quotient = tuple(
-        tuple(number[row[y]] for y in firsts) for row in (table[table[x].index(0)] for x in firsts)
-    )
-    return tuple(firsts), tuple(number), quotient
-
-
-@functools.lru_cache(maxsize=None)
-def _coset_sums(n: int, cid: CharacterId, subgroup: tuple[int, ...]) -> tuple[CycloInt, ...]:
-    """F(xH), the character sum over each left coset numbered by _cosets:
-    one exponent vector per coset, reduced once.  Entry 0 is F(H)."""
+def _subgroup_char_sum(n: int, cid: CharacterId, subgroup: tuple[int, ...]) -> CycloInt:
+    """F(H), the character sum over a subgroup of element positions: one
+    exponent vector over its positions, reduced once.  An orbit lies in
+    Omega, its decomposable symmetrized tensors being nonzero, exactly when
+    F of its stabilizer is nonzero."""
     order = 4 * n
     terms = chartab.value_terms(n, cid)
-    firsts, number, _ = _cosets(n, subgroup)
-    vecs = [[0] * order for _ in firsts]
-    for x, k in enumerate(number):
+    vec = [0] * order
+    for x in subgroup:
         for e, c in terms[x]:
-            vecs[k][e] += c
-    return tuple(from_exponents(order, vec) for vec in vecs)
-
-
-def stabilizer_char_sum(n: int, cid: CharacterId, alpha: Sequence) -> CycloInt:
-    """Sum of character values over the stabilizer of alpha.
-
-    alpha lies in Omega (its decomposable symmetrized tensor is nonzero)
-    exactly when this sum is nonzero.
-    """
-    chartab.validate_id(n, cid)
-    _check_length(n, alpha)
-    fixes = (move(alpha) == alpha for move in _action_maps(n))
-    return _coset_sums(n, cid, tuple(itertools.compress(range(8 * n), fixes)))[0]
-
-
-def delta_bar(cid: CharacterId, orbit_list: list[OrbitData]) -> list[Sequence]:
-    """Representatives of the orbits whose stabilizer character sum is nonzero."""
-    n = orbit_list[0].n
-    chartab.validate_id(n, cid)
-    return [
-        o.representative
-        for o in orbit_list
-        if not _coset_sums(n, cid, o.stabilizer)[0].is_zero
-    ]
-
-
-@dataclass(frozen=True)
-class GramData:
-    """Scaled Gram matrix of one orbital subspace.
-
-    entries[i][j] is the character sum over sigma_j * stabilizer * sigma_i^(-1),
-    the inner product of the i-th and j-th member tensors up to the global
-    positive factor chi(1)/8n, which never affects zero tests.
-    """
-
-    entries: tuple[tuple[CycloInt, ...], ...]
-    orbital_dim: int
+            vec[e] += c
+    return from_exponents(order, vec)
 
 
 def _orbital_dim(cid: CharacterId, char_sum: CycloInt, stab_order: int) -> int:
     return exact_div(cid.degree * char_sum.to_int(), stab_order)
 
 
-def gram(cid: CharacterId, orbit: OrbitData) -> GramData:
-    """Exact Gram data for the orbital subspace of an orbit in Omega.
-
-    A character is a class function, so entry (i, j), the sum over
-    sigma_j * H * sigma_i^(-1), equals F(sigma_i^(-1) sigma_j H), which the
-    quotient table names for the cosets of sigma_i and sigma_j.
-    """
-    n, stab = orbit.n, orbit.stabilizer
-    chartab.validate_id(n, cid)
-    sums = _coset_sums(n, cid, stab)
-    if sums[0].is_zero:
-        raise ValueError("representative is not in Omega; the orbital subspace is zero")
-    _, number, quotient = _cosets(n, stab)
-    cosets = [number[x] for x in orbit.coset_reps]
-    return GramData(
-        entries=tuple(tuple(sums[quotient[i][j]] for j in cosets) for i in cosets),
-        orbital_dim=_orbital_dim(cid, sums[0], len(stab)),
-    )
-
-
-def _find_clique(neighbors: list[set[int]], k: int) -> list[int] | None:
-    """First clique of size k in deterministic order, or None.
-
-    Exhaustive branch-and-bound: vertices are tried in order of decreasing
-    degree (ties by index); a branch is cut only when clique size plus
-    remaining candidates cannot reach k, so a None result is a proof of
-    absence.
-    """
-    if k <= 0:
-        return []
-    order = sorted(range(len(neighbors)), key=lambda v: (-len(neighbors[v]), v))
-
-    def extend(clique: list[int], candidates: list[int]) -> list[int] | None:
-        if len(clique) == k:
-            return clique
-        if len(clique) + len(candidates) < k:
-            return None
-        for idx, v in enumerate(candidates):
-            rest = [u for u in candidates[idx + 1 :] if u in neighbors[v]]
-            found = extend(clique + [v], rest)
-            if found is not None:
-                return found
-        return None
-
-    return extend([], order)
-
-
 @functools.lru_cache(maxsize=None)
 def _stabilizer_decision(
     n: int, cid: CharacterId, stabilizer: tuple[int, ...]
 ) -> tuple[int, bool, tuple[int, ...] | None]:
-    """Decide the clique question for every orbit sharing this stabilizer.
+    """Decide the o-basis question for every orbit sharing this stabilizer.
 
-    The scaled Gram entries depend only on the stabilizer subgroup and the
-    coset pair, never on the particular orbit, so one decision serves all
-    orbits with the same stabilizer.  Returns (orbital_dim, found, witness
-    coset representatives as element positions, or None); acting with them
-    on an orbit's representative gives its witness members.  Outside Omega
-    F(H) = 0, so the dimension is 0 and the empty clique is found.
+    Returns (orbital_dim, found, witness coset representatives as element
+    positions, or None); acting with them on an orbit's representative
+    gives its witness members.  The member tensors of x_i H and x_j H have
+    inner product F(x_i^(-1) x_j H) up to one positive factor, and
+    orbital_dim = chi(1) F(H) / |H|.  Outside Omega F(H) = 0, so the
+    dimension is 0 and the empty basis is found.
 
-    Vertices are the cosets x_i H of _cosets; x_i and x_j are joined when
-    the scaled Gram entry F(x_i^(-1) x_j H), named by the quotient table,
-    is exactly zero, one zero test per coset.  A clique of size orbital_dim
-    is a set of nonzero, pairwise-orthogonal tensors inside the orbital
-    subspace, hence a basis of it.  The search is exhaustive, so a negative
-    answer is a proof of nonexistence.
+    A linear chi has F(H) = |H| if chi is 1 on all of H, and 0 otherwise;
+    dimension 1 needs one nonzero tensor, the representative's.
+
+    For chi of degree 2 and parameter h, chi(a^u) = zeta^(hu) + zeta^(khu)
+    with k = group.twist(n), a unit mod 4n, and chi vanishes on
+    reflections.  Let H meet <a> in <a^d>, its l = 4n/d positions below 4n.
+      F(xH): a coset holding no rotation sums to 0.  A coset holding a^u
+        holds a^(u + jd) for j < l, and sums to
+        l zeta^(hu) (1 + zeta^((k-1)hu)) if 4n | hd, and to 0 otherwise,
+        whichever a^u is chosen.  So F(H) = 2l or 0, and the dimension is
+        2 * 2l / |H|: 4 if H holds no reflection, 2 if it does (|H| = 2l).
+        F(xH) = 0 exactly when xH holds no rotation or its a^u solves
+        (k-1)hu = 2n (mod 4n).
+      Witness: let s be the least solution u in [1, 4n); s < d, since
+        solutions repeat with period d and u = d solves nothing.  Then
+        F(a^s H) = 0, so {1, a^s} is orthogonal, and with no reflection in
+        H the pairs of {1, a^s, b, b a^s} give a^(+-s) or a coset of
+        reflections only.  Each x is the first position of its coset.
+      No s: only cosets of reflections alone vanish.  If H holds a
+        reflection, every coset holds a rotation, so no two member tensors
+        are orthogonal and the largest orthogonal set has 1 < 2 members.
+        If not, x_i^(-1) x_j is a rotation whenever x_i, x_j are both
+        rotations or both reflections, so an orthogonal set has at most one
+        of each: 2 < 4 members, and there is no o-basis.
     """
-    sums = _coset_sums(n, cid, stabilizer)
-    dim = _orbital_dim(cid, sums[0], len(stabilizer))
-    firsts, _, quotient = _cosets(n, stabilizer)
-    zero = [s.is_zero for s in sums]
-    neighbors = [
-        {j for j, k in enumerate(row) if j != i and zero[k]} for i, row in enumerate(quotient)
-    ]
-    clique = _find_clique(neighbors, dim)
-    if clique is None:
+    chartab.validate_id(n, cid)
+    order = 4 * n
+    if cid.degree == 1:
+        terms = chartab.value_terms(n, cid)
+        if all(terms[x][0] in ((0, 1), (2 * n, -1)) for x in stabilizer):
+            return 1, True, (0,)
+        return 0, True, ()
+    h, d = cid.param, order // sum(x < order for x in stabilizer)
+    if h * d % order:
+        return 0, True, ()
+    reflected = stabilizer[-1] >= order
+    dim = 2 if reflected else 4
+    step = (group.twist(n) - 1) * h
+    s = next((u for u in range(1, order) if step * u % order == 2 * n), None)
+    if s is None:
         return dim, False, None
-    return dim, True, tuple(firsts[v] for v in sorted(clique))
+    return dim, True, (0, s) if reflected else (0, s, order, order + s)
 
 
 class OrbitalOutcome(NamedTuple):
@@ -469,13 +359,3 @@ def cosine_vanishing_exists(n: int, h: int) -> bool:
     m = 4 * n
     return any((root_power(m, d * h) + root_power(m, -d * h)).is_zero for d in range(m))
 
-
-def psi_vanishing_exists(n: int, h: int) -> bool:
-    """Whether psi:h(a^u) = zeta^(hu) + zeta^(khu) = 0 at some rotation a^u,
-    decided exactly from the character table at every u.
-
-    This is the brute-force side of the psi criterion: the test suite checks
-    that the answer is "n is even".
-    """
-    cid = chartab.psi(h)
-    return any(chartab.character_value(n, cid, SDElement(0, u)).is_zero for u in range(4 * n))

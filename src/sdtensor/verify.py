@@ -5,17 +5,20 @@ are skipped when m is not supplied; with m, the orbits are enumerated first,
 so an alphabet over the budget is refused before any check runs.  Everything
 asserted here is an exact identity, no tolerances anywhere.
 
-Three group-level checks read `group.product_table`, the table on element
-positions behind the coset and Gram kernels: `class_count` and
-`class_equation` find the classes again on it, as the orbits of x -> g x g^(-1),
-and compare them with `group.conjugacy_classes`, which stays on
-`group.multiply`; `embedding_homomorphism` compares the image tuples of T
-against it.  Character sums are exponent vectors reduced once, as in
-`chartab`: `column_relation` reduces one per class, `row_orthonormality`
-stays an element-wise sum, and `class_function` reads `character_value` at
-every class member.  With m, `dims_cross_check` holds every report
-dimension to the element-by-element `dims.dim_trace` as well as to the
-closed-form catalog, whose psi and odd-n chi:3 entries are known defects.
+Three group-level checks read `group.product_table`, the Cayley table on
+element positions: `class_count` and `class_equation` find the classes
+again on it, as the orbits of x -> g x g^(-1), and compare them with
+`group.conjugacy_classes`, which stays on `group.multiply`;
+`embedding_homomorphism` compares the image tuples of T against it.
+Character sums are exponent vectors reduced once, as in `chartab`:
+`column_relation` reduces one per class, `row_orthonormality` stays an
+element-wise sum, and `class_function` reads `character_value` at every
+class member.  With m, `dims_cross_check` holds every report dimension to
+the element-by-element `dims.dim_trace` as well as to the closed-form
+catalog, whose psi and odd-n chi:3 entries are known defects, and
+`orbital_direct_sum` and `stabilizer_sum_structure` read F(H) in Z[zeta]
+from `symclass._subgroup_char_sum`, a route apart from the integer
+decisions that `criterion_equivalence` compares with the prediction table.
 """
 
 from __future__ import annotations
@@ -184,7 +187,7 @@ def run_checks(n: int, m: int | None, budget: int | None):
         direct_ok = True
         for cid in ids:
             dim_sum = sum(
-                count * symclass._orbital_dim(cid, symclass._coset_sums(n, cid, stab)[0], len(stab))
+                count * symclass._orbital_dim(cid, symclass._subgroup_char_sum(n, cid, stab), len(stab))
                 for stab, count in stabilizer_counts.items()
             )
             direct_ok &= dim_sum == general[cid]
@@ -203,7 +206,7 @@ def run_checks(n: int, m: int | None, budget: int | None):
             # whose h-th power is 1 exactly when l divides h
             l = sum(x < 4 * n for x in stab)
             for cid in zetas:
-                char_sum = symclass._coset_sums(n, cid, stab)[0]
+                char_sum = symclass._subgroup_char_sum(n, cid, stab)
                 expected = 2 * l if cid.param % l == 0 else 0
                 zeta_ok &= (char_sum - expected).is_zero
         checks.append(

@@ -1,0 +1,210 @@
+"""Independent routes the tests hold the package to.
+
+pytest does not collect this module and no package module imports it.
+Each name here is an oracle for something `sdtensor.symclass` computes
+another way:
+
+- `act`, with its length check: the left action on one sequence, checked;
+  `members` and `coset_reps` of an orbit, derived from the coset table.
+- `_cosets`, the left cosets xH of a subgroup and their quotient table, and
+  `_coset_sums`, F(xH) for every coset: entry 0 is
+  `symclass._subgroup_char_sum`.
+- `stabilizer_char_sum` and `delta_bar`, read off the stabilizer.
+- `GramData` and `gram`, the exact Gram matrix of an orbital subspace,
+  which the tests tie to explicit tensors.
+- `_find_clique` and `search_decision`: the exhaustive branch-and-bound
+  search over the zero pattern of the Gram matrix, against which
+  `symclass._stabilizer_decision`'s closed form is checked on every
+  subgroup.
+- `psi_vanishing_exists`, the zeros of psi on rotations.
+"""
+
+from __future__ import annotations
+
+import functools
+import itertools
+from dataclasses import dataclass
+
+from sdtensor import chartab, group, symclass
+from sdtensor.chartab import CharacterId
+from sdtensor.cyclo import CycloInt, from_exponents
+from sdtensor.group import SDElement
+from sdtensor.symclass import OrbitData, Sequence
+
+
+def _check_length(n: int, alpha: Sequence) -> None:
+    if len(alpha) != 4 * n:
+        raise ValueError(f"sequence length {len(alpha)} does not match 4n = {4 * n}")
+
+
+def act(n: int, g: SDElement, alpha: Sequence) -> Sequence:
+    """Left action on sequences: act(gh, alpha) == act(g, act(h, alpha))."""
+    _check_length(n, alpha)
+    group.check_element(n, g)
+    return symclass._action_maps(n)[group.element_index(n, g)](alpha)
+
+
+@functools.lru_cache(maxsize=None)
+def _cosets(
+    n: int, subgroup: tuple[int, ...]
+) -> tuple[tuple[int, ...], tuple[int, ...], tuple[tuple[int, ...], ...]]:
+    """The left cosets xH of a subgroup of element positions, numbered in
+    order of their first elements x_i: those first positions, the coset
+    number of every position, and the quotient table, whose entry (i, j)
+    numbers x_i^(-1) x_j H.  Coset 0 is H."""
+    table = group.product_table(n)
+    firsts: list[int] = []
+    number = [-1] * (8 * n)
+    for x, row in enumerate(table):
+        if number[x] < 0:
+            for h in subgroup:
+                number[row[h]] = len(firsts)
+            firsts.append(x)
+    # the row of x^(-1) is named by the column where the row of x holds the identity
+    quotient = tuple(
+        tuple(number[row[y]] for y in firsts) for row in (table[table[x].index(0)] for x in firsts)
+    )
+    return tuple(firsts), tuple(number), quotient
+
+
+@functools.lru_cache(maxsize=None)
+def _coset_sums(n: int, cid: CharacterId, subgroup: tuple[int, ...]) -> tuple[CycloInt, ...]:
+    """F(xH), the character sum over each left coset numbered by _cosets:
+    one exponent vector per coset, reduced once.  Entry 0 is F(H)."""
+    order = 4 * n
+    terms = chartab.value_terms(n, cid)
+    firsts, number, _ = _cosets(n, subgroup)
+    vecs = [[0] * order for _ in firsts]
+    for x, k in enumerate(number):
+        for e, c in terms[x]:
+            vecs[k][e] += c
+    return tuple(from_exponents(order, vec) for vec in vecs)
+
+
+def coset_reps(orbit: OrbitData) -> tuple[int, ...]:
+    """Per member, in order, the position of the first element mapping the
+    representative to it."""
+    moves, firsts = symclass._action_maps(orbit.n), _cosets(orbit.n, orbit.stabilizer)[0]
+    return tuple(sorted(firsts, key=lambda x: moves[x](orbit.representative)))
+
+
+def members(orbit: OrbitData) -> tuple[Sequence, ...]:
+    moves, firsts = symclass._action_maps(orbit.n), _cosets(orbit.n, orbit.stabilizer)[0]
+    return tuple(sorted(moves[x](orbit.representative) for x in firsts))
+
+
+def stabilizer_char_sum(n: int, cid: CharacterId, alpha: Sequence) -> CycloInt:
+    """Sum of character values over the stabilizer of alpha.
+
+    alpha lies in Omega (its decomposable symmetrized tensor is nonzero)
+    exactly when this sum is nonzero.
+    """
+    chartab.validate_id(n, cid)
+    _check_length(n, alpha)
+    fixes = (move(alpha) == alpha for move in symclass._action_maps(n))
+    return _coset_sums(n, cid, tuple(itertools.compress(range(8 * n), fixes)))[0]
+
+
+def delta_bar(cid: CharacterId, orbit_list: list[OrbitData]) -> list[Sequence]:
+    """Representatives of the orbits whose stabilizer character sum is nonzero."""
+    n = orbit_list[0].n
+    chartab.validate_id(n, cid)
+    return [o.representative for o in orbit_list if not _coset_sums(n, cid, o.stabilizer)[0].is_zero]
+
+
+@dataclass(frozen=True)
+class GramData:
+    """Scaled Gram matrix of one orbital subspace.
+
+    entries[i][j] is the character sum over sigma_j * stabilizer * sigma_i^(-1),
+    the inner product of the i-th and j-th member tensors up to the global
+    positive factor chi(1)/8n, which never affects zero tests.
+    """
+
+    entries: tuple[tuple[CycloInt, ...], ...]
+    orbital_dim: int
+
+
+def gram(cid: CharacterId, orbit: OrbitData) -> GramData:
+    """Exact Gram data for the orbital subspace of an orbit in Omega.
+
+    A character is a class function, so entry (i, j), the sum over
+    sigma_j * H * sigma_i^(-1), equals F(sigma_i^(-1) sigma_j H), which the
+    quotient table names for the cosets of sigma_i and sigma_j.
+    """
+    n, stab = orbit.n, orbit.stabilizer
+    chartab.validate_id(n, cid)
+    sums = _coset_sums(n, cid, stab)
+    if sums[0].is_zero:
+        raise ValueError("representative is not in Omega; the orbital subspace is zero")
+    _, number, quotient = _cosets(n, stab)
+    cosets = [number[x] for x in coset_reps(orbit)]
+    return GramData(
+        entries=tuple(tuple(sums[quotient[i][j]] for j in cosets) for i in cosets),
+        orbital_dim=symclass._orbital_dim(cid, sums[0], len(stab)),
+    )
+
+
+def _find_clique(neighbors: list[set[int]], k: int) -> list[int] | None:
+    """First clique of size k in deterministic order, or None.
+
+    Exhaustive branch-and-bound: vertices are tried in order of decreasing
+    degree (ties by index); a branch is cut only when clique size plus
+    remaining candidates cannot reach k, so a None result is a proof of
+    absence.
+    """
+    if k <= 0:
+        return []
+    order = sorted(range(len(neighbors)), key=lambda v: (-len(neighbors[v]), v))
+
+    def extend(clique: list[int], candidates: list[int]) -> list[int] | None:
+        if len(clique) == k:
+            return clique
+        if len(clique) + len(candidates) < k:
+            return None
+        for idx, v in enumerate(candidates):
+            rest = [u for u in candidates[idx + 1 :] if u in neighbors[v]]
+            found = extend(clique + [v], rest)
+            if found is not None:
+                return found
+        return None
+
+    return extend([], order)
+
+
+def search_decision(
+    n: int, cid: CharacterId, stabilizer: tuple[int, ...]
+) -> tuple[int, bool, tuple[int, ...] | None]:
+    """`symclass._stabilizer_decision` by exhaustive search, with its return
+    shape.
+
+    Vertices are the cosets x_i H of _cosets; x_i and x_j are joined when
+    the scaled Gram entry F(x_i^(-1) x_j H), named by the quotient table,
+    is exactly zero, one zero test per coset.  A clique of size orbital_dim
+    is a set of nonzero, pairwise-orthogonal tensors inside the orbital
+    subspace, hence a basis of it; the witness is its coset firsts, in
+    order.  The search is exhaustive, so a negative answer is a proof of
+    nonexistence.
+    """
+    sums = _coset_sums(n, cid, stabilizer)
+    dim = symclass._orbital_dim(cid, sums[0], len(stabilizer))
+    firsts, _, quotient = _cosets(n, stabilizer)
+    zero = [s.is_zero for s in sums]
+    neighbors = [
+        {j for j, k in enumerate(row) if j != i and zero[k]} for i, row in enumerate(quotient)
+    ]
+    clique = _find_clique(neighbors, dim)
+    if clique is None:
+        return dim, False, None
+    return dim, True, tuple(firsts[v] for v in sorted(clique))
+
+
+def psi_vanishing_exists(n: int, h: int) -> bool:
+    """Whether psi:h(a^u) = zeta^(hu) + zeta^(khu) = 0 at some rotation a^u,
+    decided exactly from the character table at every u.
+
+    This is the brute-force side of the psi criterion: the test suite checks
+    that the answer is "n is even".
+    """
+    cid = chartab.psi(h)
+    return any(chartab.character_value(n, cid, SDElement(0, u)).is_zero for u in range(4 * n))

