@@ -208,7 +208,7 @@ def _orbits_payload(args) -> dict:
         for o in orbit_list:
             entry = {
                 "representative": o.representative,
-                "orbit_size": o.size,
+                "orbit_size": 8 * n // len(o.stabilizer),
                 "stabilizer_order": len(o.stabilizer),
                 "stabilizer": [names[x] for x in o.stabilizer],
             }
@@ -260,7 +260,7 @@ def _basis_payload(args) -> dict:
                 "predicted": predicted,
                 "exhaustive": exists,
                 "agree": predicted == exists,
-                "orbits": symclass.orbital_outcomes(cid, orbit_list),
+                "orbits": symclass.orbital_outcomes(n, cid, orbit_list),
             }
         )
     return decisions[0] if len(decisions) == 1 else {"decisions": decisions}

@@ -33,7 +33,6 @@ import functools
 import itertools
 import operator
 import os
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from . import chartab, group, perm
@@ -88,19 +87,14 @@ def _action_maps(n: int) -> tuple[operator.itemgetter, ...]:
     return tuple(operator.itemgetter(*images) for images in _inverse_images(n))
 
 
-@dataclass(frozen=True, slots=True)
-class OrbitData:
+class OrbitData(NamedTuple):
     """One orbit: its lex-least representative and its stabilizer, the
     ascending positions in group.elements(n) of the elements fixing it, one
-    tuple shared by the orbits of one orbits() call."""
+    tuple shared by the orbits of one orbits() call.  Its size is
+    8n / len(stabilizer)."""
 
-    n: int
     representative: Sequence
     stabilizer: tuple[int, ...]
-
-    @property
-    def size(self) -> int:
-        return 8 * self.n // len(self.stabilizer)
 
 
 def orbits(n: int, m: int, budget: int | None = None) -> list[OrbitData]:
@@ -178,7 +172,7 @@ def orbits(n: int, m: int, budget: int | None = None) -> list[OrbitData]:
                         stabilizer = tuple(itertools.compress(range(8 * n), fixes))
                         stabilizer = interned.setdefault(stabilizer, stabilizer)
                     covered += 8 * n // len(stabilizer)
-                    result.append(OrbitData(n, alpha, stabilizer))
+                    result.append(OrbitData(alpha, stabilizer))
         head = word.rstrip(top)
         if not head:
             break
@@ -287,7 +281,7 @@ class OrbitalOutcome(NamedTuple):
         return tuple(letters[i : i + k] for i in range(k, len(letters), k))
 
 
-def orbital_outcomes(cid: CharacterId, orbit_list: list[OrbitData]):
+def orbital_outcomes(n: int, cid: CharacterId, orbit_list: list[OrbitData]):
     """The outcome on each orbit of nonzero orbital dimension, in orbit
     order, one at a time.
 
@@ -298,7 +292,6 @@ def orbital_outcomes(cid: CharacterId, orbit_list: list[OrbitData]):
     sending alpha to the letters of alpha, sigma_1.alpha, ..., sigma_dim.alpha
     in a row.
     """
-    n = orbit_list[0].n
     chartab.validate_id(n, cid)
     images = _inverse_images(n)
     shapes: dict[tuple[int, ...], tuple] = {}

@@ -176,7 +176,7 @@ def run_checks(n: int, m: int | None, budget: int | None):
                 "orbit_stabilizer",
                 all(moves[x](o.representative) == o.representative for o in orbit_list for x in o.stabilizer)
                 and all(len({move(rep) for move in moves}) * len(stab) == 8 * n for stab, rep in firsts.items())
-                and sum(o.size for o in orbit_list) == m ** (4 * n),
+                and sum(8 * n // len(o.stabilizer) for o in orbit_list) == m ** (4 * n),
                 "orbit size times stabilizer order equals 8n",
             )
         )

@@ -81,15 +81,15 @@ def _coset_sums(n: int, cid: CharacterId, subgroup: tuple[int, ...]) -> tuple[Cy
     return tuple(from_exponents(order, vec) for vec in vecs)
 
 
-def coset_reps(orbit: OrbitData) -> tuple[int, ...]:
+def coset_reps(n: int, orbit: OrbitData) -> tuple[int, ...]:
     """Per member, in order, the position of the first element mapping the
     representative to it."""
-    moves, firsts = symclass._action_maps(orbit.n), _cosets(orbit.n, orbit.stabilizer)[0]
+    moves, firsts = symclass._action_maps(n), _cosets(n, orbit.stabilizer)[0]
     return tuple(sorted(firsts, key=lambda x: moves[x](orbit.representative)))
 
 
-def members(orbit: OrbitData) -> tuple[Sequence, ...]:
-    moves, firsts = symclass._action_maps(orbit.n), _cosets(orbit.n, orbit.stabilizer)[0]
+def members(n: int, orbit: OrbitData) -> tuple[Sequence, ...]:
+    moves, firsts = symclass._action_maps(n), _cosets(n, orbit.stabilizer)[0]
     return tuple(sorted(moves[x](orbit.representative) for x in firsts))
 
 
@@ -105,9 +105,8 @@ def stabilizer_char_sum(n: int, cid: CharacterId, alpha: Sequence) -> CycloInt:
     return _coset_sums(n, cid, tuple(itertools.compress(range(8 * n), fixes)))[0]
 
 
-def delta_bar(cid: CharacterId, orbit_list: list[OrbitData]) -> list[Sequence]:
+def delta_bar(n: int, cid: CharacterId, orbit_list: list[OrbitData]) -> list[Sequence]:
     """Representatives of the orbits whose stabilizer character sum is nonzero."""
-    n = orbit_list[0].n
     chartab.validate_id(n, cid)
     return [o.representative for o in orbit_list if not _coset_sums(n, cid, o.stabilizer)[0].is_zero]
 
@@ -125,20 +124,20 @@ class GramData:
     orbital_dim: int
 
 
-def gram(cid: CharacterId, orbit: OrbitData) -> GramData:
+def gram(n: int, cid: CharacterId, orbit: OrbitData) -> GramData:
     """Exact Gram data for the orbital subspace of an orbit in Omega.
 
     A character is a class function, so entry (i, j), the sum over
     sigma_j * H * sigma_i^(-1), equals F(sigma_i^(-1) sigma_j H), which the
     quotient table names for the cosets of sigma_i and sigma_j.
     """
-    n, stab = orbit.n, orbit.stabilizer
+    stab = orbit.stabilizer
     chartab.validate_id(n, cid)
     sums = _coset_sums(n, cid, stab)
     if sums[0].is_zero:
         raise ValueError("representative is not in Omega; the orbital subspace is zero")
     _, number, quotient = _cosets(n, stab)
-    cosets = [number[x] for x in coset_reps(orbit)]
+    cosets = [number[x] for x in coset_reps(n, orbit)]
     return GramData(
         entries=tuple(tuple(sums[quotient[i][j]] for j in cosets) for i in cosets),
         orbital_dim=symclass._orbital_dim(cid, sums[0], len(stab)),

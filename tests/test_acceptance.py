@@ -236,8 +236,8 @@ def test_criterion_8_orbital_direct_sum():
     orbit_index = {o.representative: o for o in orbit_list}
     for cid in character_ids(n):
         total = 0
-        for rep in oracles.delta_bar(cid, orbit_list):
-            data = oracles.gram(cid, orbit_index[rep])
+        for rep in oracles.delta_bar(n, cid, orbit_list):
+            data = oracles.gram(n, cid, orbit_index[rep])
             total += data.orbital_dim
             if cid.kind == "zeta" and data.orbital_dim not in (1, 2, 4):
                 failures.append(f"{cid.label()} at {rep}: orbital dim {data.orbital_dim}")

@@ -294,9 +294,9 @@ def test_json_writer_writes_a_generator_as_its_list(make):
 def _sample_outcomes():
     """A found and a failed outcome at (3, 2), and hand-built edge shapes:
     no witness members, and an empty representative."""
-    found = next(o for o in symclass.orbital_outcomes(chartab.zeta(2), symclass.orbits(2, 2)))
+    found = next(o for o in symclass.orbital_outcomes(2, chartab.zeta(2), symclass.orbits(2, 2)))
     failed = next(
-        o for o in symclass.orbital_outcomes(chartab.zeta(2), symclass.orbits(3, 2)) if not o.found
+        o for o in symclass.orbital_outcomes(3, chartab.zeta(2), symclass.orbits(3, 2)) if not o.found
     )
     assert found.found and found.orbital_dim == 2 and failed.orbital_dim > 0
     return [
@@ -992,8 +992,8 @@ def test_failure_in_the_middle_of_a_report_exits_5(tmp_path, capsys, monkeypatch
     full = run_cli(capsys, *argv)[1]
     produce = symclass.orbital_outcomes
 
-    def failing(cid, orbit_list):
-        yield from produce(cid, orbit_list)
+    def failing(n, cid, orbit_list):
+        yield from produce(n, cid, orbit_list)
         if cid == chartab.psi(5):
             raise RuntimeError("witness producer failed")
 

@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import operator
 import random
@@ -71,7 +70,7 @@ def test_orbits_single_letter():
 
 def test_orbit_of_marked_sequence():
     orbit = next(o for o in orbits(2, 2) if o.representative == ONE_TWO)
-    assert orbit.size == 8
+    assert len(members(2, orbit)) == 8
     # positions in group.elements(2): 1 and ba^2
     assert orbit.stabilizer == (0, 10)
 
@@ -79,7 +78,7 @@ def test_orbit_of_marked_sequence():
 def test_orbit_stabilizer_products():
     for n, m in ((2, 2), (2, 3), (3, 2)):
         for o in orbits(n, m):
-            assert o.size * len(o.stabilizer) == 8 * n
+            assert len(set(members(n, o))) * len(o.stabilizer) == 8 * n
 
 
 def test_orbit_count_is_burnside_dimension():
@@ -93,7 +92,7 @@ def test_orbits_partition_and_representatives_minimal():
         result = orbits(n, m)
         all_members = []
         for o in result:
-            orbit_members = members(o)
+            orbit_members = members(n, o)
             all_members.extend(orbit_members)
             assert o.representative == min(orbit_members)
             assert sorted(orbit_members) == list(orbit_members)
@@ -107,7 +106,7 @@ def test_coset_reps_map_representative_to_members():
     for n, m in ((2, 2), (2, 3), (3, 2)):
         elements = group.elements(n)
         for o in orbits(n, m):
-            for sigma, member in zip(coset_reps(o), members(o)):
+            for sigma, member in zip(coset_reps(n, o), members(n, o)):
                 assert act(n, elements[sigma], o.representative) == member
             # each coset representative is the position of the first
             # element, in group.elements order, reaching its member
@@ -115,7 +114,7 @@ def test_coset_reps_map_representative_to_members():
             first = {}
             for x, image in images.items():
                 first.setdefault(image, x)
-            assert coset_reps(o) == tuple(first[member] for member in members(o))
+            assert coset_reps(n, o) == tuple(first[member] for member in members(n, o))
             assert o.stabilizer == tuple(x for x, image in images.items() if image == o.representative)
 
 
@@ -214,8 +213,7 @@ def test_orbits_keep_no_member_tuples():
     # an orbit is its representative and its stabilizer; coset
     # representatives and members are derived, and the enumeration keeps
     # nothing per sequence
-    fields = {f.name for f in dataclasses.fields(symclass.OrbitData)}
-    assert "members" not in fields and "coset_reps" not in fields
+    assert symclass.OrbitData._fields == ("representative", "stabilizer")
     n, m = 4, 2
     result, retained = _retained_by_orbits(n, m)
     assert len(result) == dims.dim_general(n, m, chi(0))
@@ -242,8 +240,9 @@ def test_orbits_read_the_action_off_the_embedding(monkeypatch):
     # members are the images under the coset firsts, with no validating act
     monkeypatch.setattr(oracles, "act", fail)
     for o in result:
-        orbit_members = members(o)
-        assert len(orbit_members) == o.size and list(orbit_members) == sorted(set(orbit_members))
+        orbit_members = members(2, o)
+        assert len(orbit_members) == 16 // len(o.stabilizer)
+        assert list(orbit_members) == sorted(set(orbit_members))
 
 
 def test_consumers_of_an_orbit_list_do_not_enumerate(monkeypatch):
@@ -253,8 +252,8 @@ def test_consumers_of_an_orbit_list_do_not_enumerate(monkeypatch):
         raise AssertionError("orbits enumerated again")
 
     monkeypatch.setattr(symclass, "orbits", fail)
-    assert all(o.found for o in orbital_outcomes(zeta(2), orbit_list))
-    assert delta_bar(chi(0), orbit_list) == [o.representative for o in orbit_list]
+    assert all(o.found for o in orbital_outcomes(2, zeta(2), orbit_list))
+    assert delta_bar(2, chi(0), orbit_list) == [o.representative for o in orbit_list]
 
 
 def test_orbits_budget_guard():
@@ -370,10 +369,10 @@ def test_zeta_stabilizer_sums_follow_the_rotation_gcd():
 
 def test_delta_bar_single_letter():
     orbit_list = orbits(2, 1)
-    assert delta_bar(chi(0), orbit_list) == [(1,) * 8]
+    assert delta_bar(2, chi(0), orbit_list) == [(1,) * 8]
     for cid in chartab.character_ids(2):
         if cid != chi(0):
-            assert delta_bar(cid, orbit_list) == []
+            assert delta_bar(2, cid, orbit_list) == []
 
 
 def test_delta_bar_dimension_sum():
@@ -383,25 +382,25 @@ def test_delta_bar_dimension_sum():
         orbit_index = {o.representative: o for o in orbit_list}
         for cid in chartab.character_ids(n):
             total = 0
-            for rep in delta_bar(cid, orbit_list):
-                total += gram(cid, orbit_index[rep]).orbital_dim
+            for rep in delta_bar(n, cid, orbit_list):
+                total += gram(n, cid, orbit_index[rep]).orbital_dim
             assert total == dims.dim_general(n, m, cid), (n, m, cid)
 
 
 def test_gram_requires_omega_membership():
     orbit = next(o for o in orbits(2, 2) if o.representative == (1,) * 8)
     with pytest.raises(ValueError):
-        gram(zeta(2), orbit)
+        gram(2, zeta(2), orbit)
 
 
 def test_gram_structure():
     orbit_list = orbits(2, 2)
     orbit_index = {o.representative: o for o in orbit_list}
     for cid in (zeta(2), psi(1)):
-        for rep in delta_bar(cid, orbit_list)[:6]:
+        for rep in delta_bar(2, cid, orbit_list)[:6]:
             orbit = orbit_index[rep]
-            data = gram(cid, orbit)
-            size = orbit.size
+            data = gram(2, cid, orbit)
+            size = 16 // len(orbit.stabilizer)
             diag = data.entries[0][0]
             expected_diag = stabilizer_char_sum(2, cid, rep)
             for i in range(size):
@@ -414,9 +413,9 @@ def test_gram_rotation_coset_entries():
     # with stabilizer {1, ba^2}, the entry between members reached by a^i
     # and a^j is the character value at a^(i-j) (the reflection term dies)
     orbit = next(o for o in orbits(2, 2) if o.representative == ONE_TWO)
-    data = gram(zeta(2), orbit)
-    for i, sig_i in enumerate(coset_reps(orbit)):
-        for j, sig_j in enumerate(coset_reps(orbit)):
+    data = gram(2, zeta(2), orbit)
+    for i, sig_i in enumerate(coset_reps(2, orbit)):
+        for j, sig_j in enumerate(coset_reps(2, orbit)):
             if sig_i >= 8 or sig_j >= 8:
                 continue
             want = chartab.character_value(2, zeta(2), SDElement(0, (sig_j - sig_i) % 8))
@@ -439,9 +438,9 @@ def test_gram_reflection_cosets_vanish_for_rotation_stabilizers():
         (zeta(2), trivial_orbit),
         (psi(1), trivial_orbit),
     ):
-        data = gram(cid, orbit)
-        for i, sig_i in enumerate(coset_reps(orbit)):
-            for j, sig_j in enumerate(coset_reps(orbit)):
+        data = gram(2, cid, orbit)
+        for i, sig_i in enumerate(coset_reps(2, orbit)):
+            for j, sig_j in enumerate(coset_reps(2, orbit)):
                 if (sig_i < 8) != (sig_j < 8):
                     assert data.entries[i][j].is_zero
 
@@ -473,12 +472,12 @@ def test_gram_matches_direct_tensor_inner_products(cid):
     n, m = 2, 2
     orbit_list = orbits(n, m)
     orbit_index = {o.representative: o for o in orbit_list}
-    for rep in delta_bar(cid, orbit_list):
+    for rep in delta_bar(n, cid, orbit_list):
         orbit = orbit_index[rep]
-        data = gram(cid, orbit)
-        vectors = [_tensor_vector(n, cid, member) for member in members(orbit)]
-        for i in range(orbit.size):
-            for j in range(orbit.size):
+        data = gram(n, cid, orbit)
+        vectors = [_tensor_vector(n, cid, member) for member in members(n, orbit)]
+        for i in range(len(vectors)):
+            for j in range(len(vectors)):
                 lhs = 8 * n * data.entries[i][j]
                 rhs = cid.degree * _tensor_inner(n, vectors[i], vectors[j])
                 assert (lhs - rhs).is_zero
@@ -491,9 +490,9 @@ def test_zeta_orbital_dims_case_analysis():
         orbit_list = orbits(n, m)
         orbit_index = {o.representative: o for o in orbit_list}
         for cid in (c for c in chartab.character_ids(n) if c.kind == "zeta"):
-            for rep in delta_bar(cid, orbit_list):
+            for rep in delta_bar(n, cid, orbit_list):
                 orbit = orbit_index[rep]
-                data = gram(cid, orbit)
+                data = gram(n, cid, orbit)
                 assert data.orbital_dim in (1, 2, 4)
                 reflections = [x for x in orbit.stabilizer if x >= 4 * n]
                 assert (data.orbital_dim == 4) == (not reflections)
@@ -555,10 +554,10 @@ def test_decision_graph_is_the_zero_pattern_of_gram(monkeypatch, n, m):
             rep_of = []
             for x in firsts:
                 coset = {group.multiply(n, elements[x], elements[h]) for h in stab}
-                (i,) = [i for i, s in enumerate(coset_reps(orbit)) if elements[s] in coset]
+                (i,) = [i for i, s in enumerate(coset_reps(n, orbit)) if elements[s] in coset]
                 rep_of.append(i)
-            assert sorted(rep_of) == list(range(orbit.size))
-            entries = gram(cid, orbit).entries
+            assert sorted(rep_of) == list(range(8 * n // len(stab)))
+            entries = gram(n, cid, orbit).entries
             for v, w in itertools.permutations(range(len(firsts)), 2):
                 assert (w in neighbors[v]) == entries[rep_of[v]][rep_of[w]].is_zero, (
                     n, cid, sorted(stab), v, w,
@@ -631,7 +630,7 @@ def test_decision_witness_on_one_orbit():
     orbit_list = orbits(2, 2)
 
     def outcome(cid):
-        return next(o for o in orbital_outcomes(cid, orbit_list) if o.representative == ONE_TWO)
+        return next(o for o in orbital_outcomes(2, cid, orbit_list) if o.representative == ONE_TWO)
 
     result = outcome(zeta(2))
     assert result.found and len(result.witness) == 2
@@ -702,15 +701,15 @@ def test_linear_characters_always_admit_bases():
     for n, m in ((2, 2), (3, 2)):
         orbit_list = orbits(n, m)
         for i in chartab.linear_range(n):
-            outcomes = list(orbital_outcomes(chi(i), orbit_list))
-            assert _verdict(chi(i), orbit_list)
+            outcomes = list(orbital_outcomes(n, chi(i), orbit_list))
+            assert _verdict(n, chi(i), orbit_list)
             assert all(o.orbital_dim == 1 for o in outcomes)
             assert all(o.witness and len(o.witness) == 1 for o in outcomes)
 
 
-def _verdict(cid, orbit_list):
+def _verdict(n, cid, orbit_list):
     """The verdict `basis` reports: one decision per distinct stabilizer."""
-    return has_orthogonal_basis(orbit_list[0].n, cid, {o.stabilizer for o in orbit_list})
+    return has_orthogonal_basis(n, cid, {o.stabilizer for o in orbit_list})
 
 
 def _check_witnesses(n, cid, outcomes, orbit_index, one_per_stabilizer=False):
@@ -728,7 +727,7 @@ def _check_witnesses(n, cid, outcomes, orbit_index, one_per_stabilizer=False):
         seen.add(stab)
         assert outcome.found and outcome.witness is not None
         assert len(outcome.witness) == outcome.orbital_dim
-        assert set(outcome.witness) <= set(members(orbit))
+        assert set(outcome.witness) <= set(members(n, orbit))
         vectors = {w: _tensor_vector(n, cid, w) for w in outcome.witness}
         for u, v in itertools.combinations(outcome.witness, 2):
             assert _tensor_inner(n, vectors[u], vectors[v]).is_zero
@@ -741,7 +740,7 @@ def test_decision_witnesses_are_valid():
     orbit_list = orbits(2, 2)
     orbit_index = {o.representative: o for o in orbit_list}
     for cid in (zeta(2), psi(1)):
-        _check_witnesses(2, cid, orbital_outcomes(cid, orbit_list), orbit_index)
+        _check_witnesses(2, cid, orbital_outcomes(2, cid, orbit_list), orbit_index)
 
 
 def test_psi_witnesses_at_n2_m3_match_tensor_oracle():
@@ -750,9 +749,9 @@ def test_psi_witnesses_at_n2_m3_match_tensor_oracle():
     orbit_list = orbits(2, 3)
     orbit_index = {o.representative: o for o in orbit_list}
     for cid in (psi(1), psi(5)):
-        assert _verdict(cid, orbit_list) is True
+        assert _verdict(2, cid, orbit_list) is True
         assert predicted_basis(2, cid) is False
-        _check_witnesses(2, cid, orbital_outcomes(cid, orbit_list), orbit_index)
+        _check_witnesses(2, cid, orbital_outcomes(2, cid, orbit_list), orbit_index)
 
 
 def test_psi_witnesses_at_n4_match_tensor_oracle():
@@ -763,17 +762,16 @@ def test_psi_witnesses_at_n4_match_tensor_oracle():
     psi_ids = [cid for cid in chartab.character_ids(4) if cid.kind == "psi"]
     assert psi_ids == [psi(1), psi(3), psi(9), psi(11)]
     for cid in psi_ids:
-        assert _verdict(cid, orbit_list) is True
+        assert _verdict(4, cid, orbit_list) is True
         assert predicted_basis(4, cid) is False
-        outcomes = orbital_outcomes(cid, orbit_list)
+        outcomes = orbital_outcomes(4, cid, orbit_list)
         assert len(_check_witnesses(4, cid, outcomes, orbit_index, True)) == 9
 
 
-def _decision_per_orbit(cid, orbit_list):
+def _decision_per_orbit(n, cid, orbit_list):
     """The outcomes for one character as (representative, orbit size,
     stabilizer order, orbital dimension, found, witness), built orbit by
     orbit with act from the cached stabilizer decision, sharing nothing."""
-    n = orbit_list[0].n
     outcomes = []
     for orbit in orbit_list:
         dim, found, sigmas = symclass._stabilizer_decision(n, cid, orbit.stabilizer)
@@ -782,9 +780,8 @@ def _decision_per_orbit(cid, orbit_list):
         witness = None
         if found:
             witness = tuple(act(n, group.elements(n)[x], orbit.representative) for x in sigmas)
-        outcomes.append(
-            (orbit.representative, orbit.size, len(orbit.stabilizer), dim, found, witness)
-        )
+        order = len(orbit.stabilizer)
+        outcomes.append((orbit.representative, 8 * n // order, order, dim, found, witness))
     return outcomes
 
 
@@ -792,10 +789,10 @@ def _decision_per_orbit(cid, orbit_list):
 def test_one_pass_decisions_match_per_character_decisions(n, m):
     orbit_list = orbits(n, m)
     for cid in chartab.character_ids(n):
-        reference = _decision_per_orbit(cid, orbit_list)
-        outcomes = [(*o[:5], o.witness) for o in orbital_outcomes(cid, orbit_list)]
+        reference = _decision_per_orbit(n, cid, orbit_list)
+        outcomes = [(*o[:5], o.witness) for o in orbital_outcomes(n, cid, orbit_list)]
         assert outcomes == reference, cid
-        assert _verdict(cid, orbit_list) == all(found for *_, found, _ in reference), cid
+        assert _verdict(n, cid, orbit_list) == all(found for *_, found, _ in reference), cid
 
 
 def test_orbital_outcomes_decide_each_distinct_stabilizer_once_per_call(monkeypatch):
@@ -813,22 +810,28 @@ def test_orbital_outcomes_decide_each_distinct_stabilizer_once_per_call(monkeypa
     for cid in (chi(0), zeta(2), psi(1)):
         for _ in range(2):  # each call keeps its own lookups
             calls.clear()
-            assert list(orbital_outcomes(cid, orbit_list))
+            assert list(orbital_outcomes(4, cid, orbit_list))
             assert len(calls) == len(stabilizers) and set(calls) == stabilizers, cid
+
+
+def test_an_empty_orbit_list_has_no_outcomes_and_a_basis():
+    # n is passed, not read off the first orbit, so no orbits is no outcomes
+    assert list(orbital_outcomes(2, zeta(2), [])) == []
+    assert has_orthogonal_basis(2, zeta(2), ()) is True
 
 
 def test_exhaustive_decisions_small_cases():
     # zeta_2 at n=2 admits a basis, every degree-2 character at n=3 does not
     n3_orbits = orbits(3, 2)
-    assert _verdict(zeta(2), orbits(2, 2)) is True
-    assert _verdict(zeta(2), n3_orbits) is False
-    assert _verdict(zeta(4), n3_orbits) is False
-    assert _verdict(psi(1), n3_orbits) is False
-    assert _verdict(psi(7), n3_orbits) is False
+    assert _verdict(2, zeta(2), orbits(2, 2)) is True
+    assert _verdict(3, zeta(2), n3_orbits) is False
+    assert _verdict(3, zeta(4), n3_orbits) is False
+    assert _verdict(3, psi(1), n3_orbits) is False
+    assert _verdict(3, psi(7), n3_orbits) is False
 
 
 def test_failing_orbit_reported():
-    outcomes = list(orbital_outcomes(zeta(2), orbits(3, 2)))
+    outcomes = list(orbital_outcomes(3, zeta(2), orbits(3, 2)))
     first_failure = next(o for o in outcomes if not o.found)
     assert first_failure.orbital_dim > 0
     assert first_failure.witness is None
@@ -842,6 +845,6 @@ def test_psi_at_even_n_has_bases_despite_prediction():
     # two reports are deliberately kept in disagreement.
     orbit_list = orbits(2, 2)
     for cid in (psi(1), psi(5)):
-        assert _verdict(cid, orbit_list) is True
+        assert _verdict(2, cid, orbit_list) is True
         assert predicted_basis(2, cid) is False
 

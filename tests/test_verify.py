@@ -1,7 +1,5 @@
 """The table-routed group checks of `verify` fail when their input is wrong."""
 
-import dataclasses
-
 import pytest
 
 from sdtensor import chartab, dims, group, perm, symclass, verify
@@ -79,7 +77,7 @@ def test_criterion_equivalence_matches_the_public_decision(n, m):
     for cid in chartab.character_ids(n):
         if cid.degree != 2:
             continue
-        exists = all(o.found for o in symclass.orbital_outcomes(cid, orbit_list))
+        exists = all(o.found for o in symclass.orbital_outcomes(n, cid, orbit_list))
         predicted = symclass.predicted_basis(n, cid)
         if exists != predicted:
             disagreements.append(f"{cid.label()} exhaustive={exists} predicted={predicted}")
@@ -94,7 +92,7 @@ def test_orbit_stabilizer_catches_a_wrong_stabilizer(monkeypatch):
     orbit_list = symclass.orbits(2, 2)
     k = next(k for k, o in enumerate(orbit_list) if len(o.stabilizer) == 1)
     altered = list(orbit_list)
-    altered[k] = dataclasses.replace(altered[k], stabilizer=(0, 4))
+    altered[k] = altered[k]._replace(stabilizer=(0, 4))
     monkeypatch.setattr(symclass, "orbits", lambda n, m, budget: altered)
     checks = {name: ok for name, ok, _ in verify.run_checks(2, 2, None)}
     assert checks["orbit_stabilizer"] is False
@@ -107,7 +105,7 @@ def test_orbit_stabilizer_catches_a_stabilizer_of_the_right_order(monkeypatch):
     k = next(k for k, o in enumerate(orbit_list) if o.representative == (1, 2, 2, 2, 2, 2, 2, 2))
     assert orbit_list[k].stabilizer == (0, 10)
     altered = list(orbit_list)
-    altered[k] = dataclasses.replace(altered[k], stabilizer=(0, 4))
+    altered[k] = altered[k]._replace(stabilizer=(0, 4))
     monkeypatch.setattr(symclass, "orbits", lambda n, m, budget: altered)
     checks = {name: ok for name, ok, _ in verify.run_checks(2, 2, None)}
     assert checks["orbit_stabilizer"] is False
