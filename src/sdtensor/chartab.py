@@ -144,28 +144,6 @@ def value_terms(n: int, cid: CharacterId) -> tuple[tuple[tuple[int, int], ...], 
     return rotations + ((),) * order
 
 
-@dataclass(frozen=True)
-class CharacterTable:
-    """Square table of exact character values on conjugacy class
-    representatives, the first member of each of group.conjugacy_classes."""
-
-    ids: tuple[CharacterId, ...]
-    classes: tuple[tuple[SDElement, tuple[SDElement, ...]], ...]
-    entries: tuple[tuple[CycloInt, ...], ...]  # entries[row][col]
-
-
-def character_table(n: int) -> CharacterTable:
-    check_n(n)
-    ids = character_ids(n)
-    classes = group.conjugacy_classes(n)
-    if len(ids) != len(classes):
-        raise RuntimeError("character count does not match class count")
-    entries = tuple(
-        tuple(character_value(n, cid, rep) for rep, _ in classes) for cid in ids
-    )
-    return CharacterTable(ids=ids, classes=classes, entries=entries)
-
-
 def char_inner_product(n: int, id1: CharacterId, id2: CharacterId) -> tuple[CycloInt, int]:
     """Unreduced inner product: (sum over G of chi1(g) * conj(chi2(g)), 8n).
 

@@ -4,12 +4,15 @@ Subcommands: classes, table, dims, orbits, basis, verify.  JSON is the
 machine format and is byte-identical across runs for identical arguments;
 CSV is available for the character table only; pretty mode renders
 character values as trigonometric expressions next to their exact
-coordinates.  COMMANDS maps each subcommand to its payload builder and its
-text renderers.  A renderer, like the JSON writer `_write_json`, writes the
-payload to a file as it goes; `_emit` opens the file.  JSON bytes are those of
-json.dump(payload, indent=2, sort_keys=True) plus a newline.  The orbits and
-basis payloads hold one generator per listing, so their entries are built
-as they are written.
+coordinates.  A COMMANDS row describes a whole subcommand: its payload
+builder, its text renderers by format, its help and the options it takes
+besides --n, --format and --output.  build_parser builds each subcommand's
+parser from its row alone, so --format offers json and the row's renderers,
+and only the enumerating subcommands take --budget.  A renderer, like the
+JSON writer `_write_json`, writes the payload to a file as it goes; `_emit`
+opens the file.  JSON bytes are those of json.dump(payload, indent=2,
+sort_keys=True) plus a newline.  The orbits and basis payloads hold one
+generator per listing, so their entries are built as they are written.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 budget
 refusal, 4 the report could not be written (an unwritable --output, or a
@@ -107,25 +110,25 @@ def _classes_pretty(fh, payload: dict) -> None:
 
 
 def _table_payload(args) -> dict:
+    """The square table of character values on the first member of each
+    conjugacy class."""
     n = args.n
-    table = chartab.character_table(n)
+    ids = chartab.character_ids(n)
+    classes = group.conjugacy_classes(n)
+    if len(ids) != len(classes):
+        raise RuntimeError("character count does not match class count")
+    values = [[chartab.character_value(n, cid, rep) for rep, _ in classes] for cid in ids]
     return {
         "n": n,
-        "class_labels": [group.element_name(rep) for rep, _ in table.classes],
-        "class_sizes": [len(m) for _, m in table.classes],
+        "class_labels": [group.element_name(rep) for rep, _ in classes],
+        "class_sizes": [len(m) for _, m in classes],
         "rows": [
             {
                 "character": cid.label(),
                 "degree": cid.degree,
-                "values": [
-                    {
-                        "exact": _cyclo_json(value),
-                        "approx": _approx_str(value),
-                    }
-                    for value in table.entries[i]
-                ],
+                "values": [{"exact": _cyclo_json(v), "approx": _approx_str(v)} for v in row],
             }
-            for i, cid in enumerate(table.ids)
+            for cid, row in zip(ids, values)
         ],
     }
 
@@ -295,30 +298,43 @@ def _verify_pretty(fh, payload: dict) -> None:
     fh.write("all checks passed\n" if payload["ok"] else "SOME CHECKS FAILED\n")
 
 
-# subcommand -> (payload builder, text renderers by format); JSON needs none.
-COMMANDS = {
-    "classes": (_classes_payload, {"pretty": _classes_pretty}),
-    "table": (_table_payload, {"csv": _table_csv, "pretty": _table_pretty}),
-    "dims": (_dims_payload, {"pretty": _dims_pretty}),
-    "orbits": (_orbits_payload, {"pretty": _orbits_pretty}),
-    "basis": (_basis_payload, {"pretty": _basis_pretty}),
-    "verify": (_verify_payload, {"pretty": _verify_pretty}),
+# The options a subcommand may take besides --n, --format and --output.
+OPTIONS = {
+    "--m": {"type": int, "help": "alphabet size / dim V"},
+    "--char": {"help": "character spec: chi:<i> | zeta:<h> | psi:<h> | all (basis only)"},
+    "--budget": {"type": int, "help": "sequence enumeration budget override"},
 }
 
-
-def _add_common(parser, with_m=False, m_required=False, with_char=False, char_required=False):
-    parser.add_argument("--n", type=int, required=True, help="group parameter; the group is SD_{8n}")
-    if with_m:
-        parser.add_argument("--m", type=int, required=m_required, help="alphabet size / dim V")
-    if with_char:
-        parser.add_argument(
-            "--char",
-            required=char_required,
-            help="character spec: chi:<i> | zeta:<h> | psi:<h> | all (basis only)",
-        )
-    parser.add_argument("--format", choices=("json", "csv", "pretty"), default="json")
-    parser.add_argument("--output", help="write report to this path instead of stdout")
-    parser.add_argument("--budget", type=int, help="sequence enumeration budget override")
+# subcommand -> (payload builder, text renderers by format, help, its OPTIONS
+# with whether each is required); JSON needs no renderer.
+COMMANDS = {
+    "classes": (_classes_payload, {"pretty": _classes_pretty}, "conjugacy class report", {}),
+    "table": (
+        _table_payload,
+        {"csv": _table_csv, "pretty": _table_pretty},
+        "character table (json, csv, or pretty)",
+        {},
+    ),
+    "dims": (_dims_payload, {"pretty": _dims_pretty}, "symmetry class dimensions", {"--m": True}),
+    "orbits": (
+        _orbits_payload,
+        {"pretty": _orbits_pretty},
+        "orbit / stabilizer listing",
+        {"--m": True, "--char": False, "--budget": False},
+    ),
+    "basis": (
+        _basis_payload,
+        {"pretty": _basis_pretty},
+        "orthogonal-basis decision (predicted and decided)",
+        {"--m": True, "--char": True, "--budget": False},
+    ),
+    "verify": (
+        _verify_payload,
+        {"pretty": _verify_pretty},
+        "full invariant suite",
+        {"--m": False, "--budget": False},
+    ),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -328,23 +344,13 @@ def build_parser() -> argparse.ArgumentParser:
         "symmetry-class dimensions, orbits, and orthogonal-basis decisions.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    _add_common(sub.add_parser("classes", help="conjugacy class report"))
-    _add_common(sub.add_parser("table", help="character table (json, csv, or pretty)"))
-    _add_common(sub.add_parser("dims", help="symmetry class dimensions"), with_m=True, m_required=True)
-    _add_common(
-        sub.add_parser("orbits", help="orbit / stabilizer listing"),
-        with_m=True,
-        m_required=True,
-        with_char=True,
-    )
-    _add_common(
-        sub.add_parser("basis", help="orthogonal-basis decision (predicted and exhaustive)"),
-        with_m=True,
-        m_required=True,
-        with_char=True,
-        char_required=True,
-    )
-    _add_common(sub.add_parser("verify", help="full invariant suite"), with_m=True)
+    for name, (_, renderers, help_text, options) in COMMANDS.items():
+        command = sub.add_parser(name, help=help_text)
+        command.add_argument("--n", type=int, required=True, help="group parameter; the group is SD_{8n}")
+        for option, required in options.items():
+            command.add_argument(option, required=required, **OPTIONS[option])
+        command.add_argument("--format", choices=("json", *renderers), default="json")
+        command.add_argument("--output", help="write report to this path instead of stdout")
     return parser
 
 
@@ -536,16 +542,13 @@ def main(argv=None) -> int:
 def _run(argv) -> int:
     if hasattr(sys, "set_int_max_str_digits"):  # reports print integers of any length
         sys.set_int_max_str_digits(0)
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    build, renderers = COMMANDS[args.command]
-    render = _write_json if args.format == "json" else renderers.get(args.format)
-    if render is None:
-        parser.error(f"{args.format} format is only available for the character table")
+    args = build_parser().parse_args(argv)
+    build, renderers = COMMANDS[args.command][:2]
+    render = renderers.get(args.format, _write_json)
     try:
-        # A bad budget is a usage error on every subcommand, not only where
-        # enumeration reads it.
-        symclass.resolve_budget(args.budget)
+        # A bad SDTENSOR_BUDGET is a usage error on every subcommand, not only
+        # where enumeration reads it.
+        symclass.resolve_budget(getattr(args, "budget", None))
         if args.output == "":
             # _emit would take it for stdout; its real path is the working directory.
             raise ValueError("--output needs a file path, not an empty string")

@@ -1,10 +1,11 @@
+import argparse
+
 import pytest
 
-from sdtensor import chartab, group
+from sdtensor import chartab, cli, group
 from sdtensor.chartab import (
     char_inner_product,
     character_ids,
-    character_table,
     character_value,
     chi,
     parse_character_spec,
@@ -184,13 +185,14 @@ def test_column_relation():
 
 def test_table_shape():
     for n in (2, 3):
-        table = character_table(n)
-        assert len(table.ids) == len(table.classes)
-        assert len(table.entries) == len(table.ids)
-        assert all(len(row) == len(table.classes) for row in table.entries)
-        assert table.ids[0] == chi(0) and table.classes[0][0] == group.identity()
-        assert table.entries[0][0] == character_value(n, chi(0), group.identity())
-        assert table.entries[0][0].to_int() == 1
+        table = cli._table_payload(argparse.Namespace(n=n))
+        assert len(table["rows"]) == len(table["class_labels"]) == len(table["class_sizes"])
+        assert all(len(row["values"]) == len(table["class_labels"]) for row in table["rows"])
+        assert table["rows"][0]["character"] == "chi:0"
+        assert table["class_labels"][0] == group.element_name(group.identity())
+        one = character_value(n, chi(0), group.identity())
+        assert table["rows"][0]["values"][0]["exact"] == cli._cyclo_json(one)
+        assert one.to_int() == 1
 
 
 def test_degree_two_values_are_trig_forms():

@@ -446,16 +446,17 @@ def test_table_json_entries(capsys):
 
 def test_pretty_table_builds_the_table_once(capsys, monkeypatch):
     calls = []
-    build = chartab.character_table
+    value = chartab.character_value
 
-    def counted(n):
-        calls.append(n)
-        return build(n)
+    def counted(n, cid, g):
+        calls.append((cid, g))
+        return value(n, cid, g)
 
-    monkeypatch.setattr(chartab, "character_table", counted)
+    monkeypatch.setattr(chartab, "character_value", counted)
     (golden,) = [g for g in GOLDEN_REPORTS if g[0] == "table --n 5 --format pretty"]
     assert_golden(capsys, *golden)
-    assert calls == [5]
+    cells = [(cid, rep) for cid in chartab.character_ids(5) for rep, _ in group.conjugacy_classes(5)]
+    assert calls == cells
 
 
 def test_dims_m1(capsys):
@@ -640,10 +641,16 @@ def test_negative_budget_is_a_usage_error(capsys, monkeypatch):
 )
 def test_negative_budget_is_a_usage_error_on_every_subcommand(capsys, monkeypatch, argv, source):
     args = argv.split()
-    if source == "flag":
-        args += ["--budget", "-5"]
-    else:
+    if source == "environment":
         monkeypatch.setenv("SDTENSOR_BUDGET", "-5")
+    elif args[0] in ("classes", "table", "dims"):
+        # these never enumerate, so they take no --budget
+        with pytest.raises(SystemExit) as exc:
+            main(args + ["--budget", "-5"])
+        assert (exc.value.code, capsys.readouterr().out) == (2, "")
+        return
+    else:
+        args += ["--budget", "-5"]
     code, out, err = run_cli(capsys, *args)
     assert (code, out) == (2, "")
     assert err.splitlines() == ["error: the sequence budget must be >= 0, got -5"]
@@ -713,7 +720,35 @@ def test_csv_outside_the_table_is_a_usage_error(capsys, argv):
     assert exc.value.code == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "csv format is only available for the character table" in captured.err
+    assert "invalid choice: 'csv'" in captured.err
+
+
+# The fewest arguments each subcommand parses with.
+LEAST_ARGV = {
+    "classes": "classes --n 2",
+    "table": "table --n 2",
+    "dims": "dims --n 2 --m 2",
+    "orbits": "orbits --n 2 --m 2",
+    "basis": "basis --n 2 --m 2 --char zeta:2",
+    "verify": "verify --n 2",
+}
+
+
+@pytest.mark.parametrize("command", list(cli.COMMANDS))
+def test_budget_and_csv_parse_only_where_they_are_read(command):
+    # only an enumerating subcommand reads a budget, and only the table has a CSV form
+    parse = cli.build_parser().parse_args
+    argv = LEAST_ARGV[command].split()
+    for option, value, parsed, takers in (
+        ("--budget", "5", 5, ("orbits", "basis", "verify")),
+        ("--format", "csv", "csv", ("table",)),
+    ):
+        if command in takers:
+            assert getattr(parse(argv + [option, value]), option[2:]) == parsed
+        else:
+            with pytest.raises(SystemExit) as exc:
+                parse(argv + [option, value])
+            assert exc.value.code == 2, option
 
 
 def test_jobs_flag_is_rejected():
@@ -848,7 +883,8 @@ def test_terminal_report_is_block_buffered(monkeypatch, to_output):
         # a terminal passes written bytes on asynchronously, so wait for them
         arrived.append(select.select([master], [], [], 0.2)[0])
 
-    monkeypatch.setitem(cli.COMMANDS, "classes", (cli.COMMANDS["classes"][0], {"pretty": render}))
+    row = cli.COMMANDS["classes"]
+    monkeypatch.setitem(cli.COMMANDS, "classes", (row[0], {"pretty": render}, *row[2:]))
     argv = ["classes", "--n", "2", "--format", "pretty"]
     with open(master, "rb", buffering=0) as reader, open(terminal, "w") as stdout:
         assert stdout.line_buffering
@@ -965,7 +1001,7 @@ def test_internal_failure_while_building_exits_5(capsys, monkeypatch, exc):
     def fail(args):
         raise exc
 
-    monkeypatch.setitem(cli.COMMANDS, "classes", (fail, cli.COMMANDS["classes"][1]))
+    monkeypatch.setitem(cli.COMMANDS, "classes", (fail, *cli.COMMANDS["classes"][1:]))
     code, out, err = run_cli(capsys, "classes", "--n", "2")
     assert code == 5
     assert out == ""
