@@ -111,13 +111,15 @@ def _class_size_profile(n: int) -> list[int]:
     return sorted([1, 1, 1, 1] + [2] * (2 * n - 2) + [n, n, n, n])
 
 
+@functools.lru_cache(maxsize=None)
 def conjugacy_classes(n: int) -> tuple[tuple[SDElement, tuple[SDElement, ...]], ...]:
     """All conjugacy classes as (representative, sorted members) pairs, each
     class the closure of a member under conjugation by the generators a and b.
 
     Representatives are the lexicographically least members under (s, r)
     order; classes are sorted by representative.  The class count is 2n+3
-    for even n and 2n+6 for odd n, verified before returning.
+    for even n and 2n+6 for odd n, verified before returning.  Built once
+    per n and shared by the table, the inner products and `verify`.
     """
     check_n(n)
     all_elements = elements(n)

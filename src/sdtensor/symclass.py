@@ -37,7 +37,7 @@ from typing import NamedTuple
 
 from . import chartab, group, perm
 from .chartab import CharacterId
-from .cyclo import CycloInt, exact_div, from_exponents, root_power
+from .cyclo import CycloInt, exact_div, from_exponents
 
 Sequence = tuple[int, ...]
 
@@ -350,5 +350,11 @@ def cosine_vanishing_exists(n: int, h: int) -> bool:
     if not 1 <= h < 2 * n:
         raise ValueError(f"h must satisfy 1 <= h < 2n, got {h}")
     m = 4 * n
-    return any((root_power(m, d * h) + root_power(m, -d * h)).is_zero for d in range(m))
+    for d in range(m):
+        vec = [0] * m
+        vec[d * h % m] += 1
+        vec[-d * h % m] += 1
+        if from_exponents(m, vec).is_zero:
+            return True
+    return False
 

@@ -27,6 +27,36 @@ def test_embedding_homomorphism_catches_a_wrong_image(monkeypatch):
     assert main(["verify", "--n", "3"]) == 1
 
 
+@pytest.mark.parametrize("g", [SDElement(1, 3), SDElement(0, 0)], ids=["ba^3", "identity"])
+def test_embedding_homomorphism_catches_a_wrong_image_off_the_generators(monkeypatch, g):
+    # b a^3 is no generator, but it is the product b * a^3; the identity is
+    # held to id directly
+    embed = perm.embed
+
+    def swapped(n, x):
+        p = embed(n, x)
+        if x != g:
+            return p
+        images = list(p.images)
+        images[0], images[1] = images[1], images[0]
+        return perm.Permutation(tuple(images))
+
+    monkeypatch.setattr(verify.perm, "embed", swapped)
+    assert "embedding_homomorphism" in failing_checks(3)
+
+
+def test_embedding_homomorphism_composes_with_b(monkeypatch):
+    # T'(b^s a^r) = T(a^(k^s r)) passes T'(a g) = T'(a) T'(g) for every g, but
+    # sends b to the identity: T'(b a) = T(a^k) is not T'(b) T'(a) = T(a)
+    embed = perm.embed
+
+    def collapsed(n, g):
+        return embed(n, SDElement(0, group.twist(n) ** g.s * g.r % (4 * n)))
+
+    monkeypatch.setattr(verify.perm, "embed", collapsed)
+    assert "embedding_homomorphism" in failing_checks(3)
+
+
 def test_class_checks_catch_a_wrong_product_table(monkeypatch):
     # the Cayley table of the cyclic group of order 8n: every class a point
     n = 3
@@ -36,19 +66,57 @@ def test_class_checks_catch_a_wrong_product_table(monkeypatch):
     assert failing_checks(n) == {"class_count", "class_equation", "embedding_homomorphism"}
 
 
-def test_class_function_catches_a_wrong_member_value(monkeypatch):
-    n = 3
-    cid = chartab.zeta(2)
+def alter_member_terms(monkeypatch, n, cid, rewrite):
+    """Patch value_terms so that rewrite(terms) replaces the terms of cid at a
+    class member that is not its class representative."""
     rep, members = next(c for c in group.conjugacy_classes(n) if len(c[1]) > 1)
-    member = next(g for g in members if g != rep)
+    position = group.element_index(n, next(g for g in members if g != rep))
+    value_terms = chartab.value_terms
+
+    def altered(n_, cid_):
+        terms = value_terms(n_, cid_)
+        if (n_, cid_) != (n, cid):
+            return terms
+        return terms[:position] + (rewrite(terms[position]),) + terms[position + 1 :]
+
+    monkeypatch.setattr(chartab, "value_terms", altered)
+
+
+def count_reductions(monkeypatch):
+    calls = []
     character_value = chartab.character_value
 
-    def altered(n_, cid_, g):
-        value = character_value(n_, cid_, g)
-        return value + 1 if (n_, cid_, g) == (n, cid, member) else value
+    def counted(*args):
+        calls.append(args)
+        return character_value(*args)
 
-    monkeypatch.setattr(chartab, "character_value", altered)
-    assert failing_checks(n) == {"class_function"}
+    monkeypatch.setattr(chartab, "character_value", counted)
+    return calls
+
+
+def test_class_function_catches_a_wrong_member_value(monkeypatch):
+    # one more term, zeta^0, adds 1 to the value at that member alone
+    alter_member_terms(monkeypatch, 3, chartab.zeta(2), lambda terms: terms + ((0, 1),))
+    assert failing_checks(3) == {"class_function"}
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 20, 21])
+def test_class_function_reduces_only_where_member_terms_differ(monkeypatch, n):
+    # every member of a class carries the same raw terms, so no value is reduced
+    calls = count_reductions(monkeypatch)
+    assert failing_checks(n) == set()
+    assert calls == []
+
+
+def test_class_function_reduces_terms_that_differ_but_are_equal(monkeypatch):
+    # zeta^e written as -zeta^(e+2n), since zeta^(2n) = -1: other terms, same value
+    n = 3
+    calls = count_reductions(monkeypatch)
+    alter_member_terms(
+        monkeypatch, n, chartab.zeta(2), lambda terms: tuple(((e + 2 * n) % (4 * n), -c) for e, c in terms)
+    )
+    assert failing_checks(n) == set()
+    assert calls and {cid for _, cid, _ in calls} == {chartab.zeta(2)}
 
 
 def test_group_checks_embed_each_element_once_and_compose_nothing(monkeypatch):
