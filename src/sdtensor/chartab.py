@@ -144,6 +144,14 @@ def value_terms(n: int, cid: CharacterId) -> tuple[tuple[tuple[int, int], ...], 
     return rotations + ((),) * order
 
 
+@functools.lru_cache(maxsize=None)
+def _class_weights(n: int) -> tuple[tuple[int, int], ...]:
+    """Per conjugacy class, the position of its representative in
+    group.elements(n) and its size, read once per n."""
+    classes = group.conjugacy_classes(n)
+    return tuple((group.element_index(n, rep), len(members)) for rep, members in classes)
+
+
 def char_inner_product(n: int, id1: CharacterId, id2: CharacterId) -> tuple[CycloInt, int]:
     """Unreduced inner product: (sum over G of chi1(g) * conj(chi2(g)), 8n).
 
@@ -152,15 +160,15 @@ def char_inner_product(n: int, id1: CharacterId, id2: CharacterId) -> tuple[Cycl
     exactly, with no division performed here.  Characters are class
     functions, so the sum over G is the class-weighted sum
     sum over classes C of |C| * chi1(g_C) * conj(chi2(g_C)), one term per
-    class representative g_C: 2n+3 or 2n+6 terms instead of 8n.  It is
-    taken over exponents in Z[C_4n] and reduced once.  The element-wise sum
-    stays in the tests as the oracle.
+    class representative g_C, with positions and sizes read once per n:
+    2n+3 or 2n+6 terms instead of 8n.  It is taken over exponents in
+    Z[C_4n] and reduced once.  The element-wise sum stays in the tests as
+    the oracle.
     """
     order = 4 * n
     terms1, terms2 = value_terms(n, id1), value_terms(n, id2)
     vec = [0] * order  # conj(zeta^e2) = zeta^(-e2), so a term product adds e1 - e2
-    for rep, members in group.conjugacy_classes(n):
-        position, size = group.element_index(n, rep), len(members)
+    for position, size in _class_weights(n):
         for e1, c1 in terms1[position]:
             for e2, c2 in terms2[position]:
                 vec[(e1 - e2) % order] += size * c1 * c2

@@ -52,6 +52,13 @@ INTERRUPTED = 130  # 128 + SIGINT, as a shell reports a process that SIGINT ende
 # A basis entry's text where its orbital subspace has no orthogonal basis.
 BASIS_FAILURE = "no orthogonal set of size orbital_dim exists"
 
+# The JSON writer's byte tables for basis entries: letters 0..9 become their
+# digits and every other byte "-"; ASCII text stays itself; placeholder
+# 0x80 + p of a marked template stands for representative position p.
+DIGITS = b"0123456789".ljust(256, b"-")
+PLAIN = bytes(range(128))
+MARKS = bytes(range(128, 256))
+
 
 def _cyclo_json(x: CycloInt) -> dict:
     return {"order": x.order, "coeffs": list(x.coeffs)}
@@ -368,12 +375,17 @@ def _write_json(fh, payload) -> None:
     raises passes through.  A symclass.OrbitalOutcome is written as its
     basis entry, the object {"representative", "orbit_size",
     "stabilizer_order", "orbital_dim"} with "witness" (its members) if found
-    and "failure" if not, by one % of its letters on a template cached per
-    (indent, representative length, orbit_size, stabilizer_order,
-    orbital_dim, found); a representative letter or a count that is not an
-    int raises TypeError.  Everything else goes to json.dumps: None, bools,
-    floats, empty containers, subclasses (IntEnum, namedtuple, OrderedDict,
-    str subclasses) and unserializable values, which raise TypeError.
+    and "failure" if not, from a template cached per (indent, representative
+    length, orbit_size, stabilizer_order, orbital_dim, found,
+    witness_positions).  A representative of at most 128 letters, each 0..9,
+    is written by one bytes.translate of the template marked with byte
+    0x80 + p where a slot reads representative position p; any other by one
+    % of its letters.  A representative letter or a count that is not an
+    int raises TypeError, and witness positions of the wrong number or
+    outside the representative raise ValueError.  Everything else goes to
+    json.dumps: None, bools, floats, empty containers, subclasses (IntEnum,
+    namedtuple, OrderedDict, str subclasses) and unserializable values,
+    which raise TypeError.
 
     >>> import io
     >>> out = io.StringIO()
@@ -413,31 +425,49 @@ def _write_json(fh, payload) -> None:
         return template % tuple(value)
 
     def outcome(item: OrbitalOutcome, indent: str) -> str:
-        """The basis entry of an outcome: one % of its letters on a template
-        per shape.  Past the representative, the letters are its own,
-        permuted, so they are ints when its letters are."""
-        rep, size, order, dim, found, letters = item
+        """The basis entry of an outcome, from templates cached per shape
+        and witness positions: one translate of the marked template if every
+        letter is a digit, else one % of its letters."""
+        rep, size, order, dim, found, positions = item
         if {*map(type, rep), type(size), type(order), type(dim)} != {int}:
             raise TypeError(f"a basis entry holds ints only, not {item!r}")
-        key = (indent, len(rep), size, order, dim, found)
-        template = templates.get(key)
-        if template is None:
+        width = len(rep)
+        key = (indent, width, size, order, dim, found, positions)
+        entry = templates.get(key)
+        if entry is None:
+            expected = dim * width if found else 0
+            if len(positions) != expected:
+                raise ValueError(f"{len(positions)} witness positions, not {expected}")
+            if not all(0 <= p < width for p in positions):
+                raise ValueError(f"a witness position is outside the representative: {positions!r}")
             inner = indent + "  "
             fields = {
                 "orbit_size": int.__repr__(size),
                 "orbital_dim": int.__repr__(dim),
-                "representative": block(["%d"] * len(rep), inner),
+                "representative": block(["%d"] * width, inner),
                 "stabilizer_order": int.__repr__(order),
             }
             if found:
-                member = block(["%d"] * len(rep), inner + "  ")
+                member = block(["%d"] * width, inner + "  ")
                 fields["witness"] = block([member] * dim, inner)
             else:
                 fields["failure"] = encode(BASIS_FAILURE)
-            template = templates[key] = block(
-                [encode(k) + ": " + v for k, v in sorted(fields.items())], indent, "{}"
-            )
-        return template % (letters if found else rep)
+            template = block([encode(k) + ": " + v for k, v in sorted(fields.items())], indent, "{}")
+            marked = None
+            if width <= 128:
+                # each slot's placeholder byte is 0x80 + the position it reads
+                marks = tuple(0x80 + p for p in (*range(width), *positions))
+                marked = (template.replace("%d", "%c") % marks).encode("latin-1")
+            entry = templates[key] = (template, marked, MARKS[width:])
+        template, marked, tail = entry
+        try:
+            digits = bytes(rep).translate(DIGITS)
+        except ValueError:  # a letter below 0 or past 255
+            digits = b""
+        if marked is not None and digits.isdigit():
+            # the table: ASCII to itself, then 0x80 + p to the digit of letter p
+            return marked.translate(digits.join((PLAIN, tail))).decode()
+        return template % (*rep, *map(rep.__getitem__, positions))
 
     def children(leads, items, indent: str) -> None:
         """Render each item after its lead, the separator and key before it."""

@@ -262,23 +262,27 @@ def _stabilizer_decision(
 class OrbitalOutcome(NamedTuple):
     """One orbit's decision; a tuple, built per orbit as reports stream.
 
-    letters holds the representative's letters, then, if found, those of
-    each witness member in turn: the same letters, permuted."""
+    witness_positions holds, if found, the representative positions that
+    each witness member reads, member after member, so member i is
+    representative[p] for p in witness_positions[i*L : (i+1)*L], L =
+    len(representative); it is () if nothing was found, and one tuple is
+    shared by the outcomes of one stabilizer."""
 
     representative: Sequence
     orbit_size: int
     stabilizer_order: int
     orbital_dim: int
     found: bool
-    letters: Sequence
+    witness_positions: tuple[int, ...]
 
     @property
     def witness(self) -> tuple[Sequence, ...] | None:
         """The witness members, or None if no orthogonal basis was found."""
         if not self.found:
             return None
-        k, letters = len(self.representative), self.letters
-        return tuple(letters[i : i + k] for i in range(k, len(letters), k))
+        rep, positions = self.representative, self.witness_positions
+        k = len(rep)
+        return tuple(tuple(rep[p] for p in positions[i * k : i * k + k]) for i in range(self.orbital_dim))
 
 
 def orbital_outcomes(n: int, cid: CharacterId, orbit_list: list[OrbitData]):
@@ -287,27 +291,25 @@ def orbital_outcomes(n: int, cid: CharacterId, orbit_list: list[OrbitData]):
 
     Each distinct stabilizer is looked up once per call, in the cached
     _stabilizer_decision, and kept in a dict for the call: its orbit size,
-    order, dimension and verdict, and, where a witness sigma_1 .. sigma_dim
-    was found, one itemgetter, read from the inverse images of the action,
-    sending alpha to the letters of alpha, sigma_1.alpha, ..., sigma_dim.alpha
-    in a row.
+    order, dimension, verdict and, where a witness sigma_1 .. sigma_dim was
+    found, one tuple of witness positions, read from the inverse images of
+    the action: sigma_i.alpha is alpha read at images[sigma_i].  No letters
+    are built; the outcomes of one stabilizer share that tuple.
     """
     chartab.validate_id(n, cid)
     images = _inverse_images(n)
+    new = tuple.__new__
     shapes: dict[tuple[int, ...], tuple] = {}
     for orbit in orbit_list:
         stab = orbit.stabilizer
         shape = shapes.get(stab)
         if shape is None:
             dim, found, sigmas = _stabilizer_decision(n, cid, stab)
-            getter = None
-            if found:
-                getter = operator.itemgetter(*range(4 * n), *(t for x in sigmas for t in images[x]))
-            shape = shapes[stab] = (8 * n // len(stab), len(stab), dim, found, getter)
-        size, order, dim, found, getter = shape
-        if dim:
-            rep = orbit.representative
-            yield OrbitalOutcome(rep, size, order, dim, found, getter(rep) if found else rep)
+            positions = tuple(t for x in sigmas for t in images[x]) if found else ()
+            shape = shapes[stab] = (8 * n // len(stab), len(stab), dim, found, positions)
+        if shape[2]:  # the orbital dimension
+            # tuple.__new__ skips the generated OrbitalOutcome.__new__, a Python call
+            yield new(OrbitalOutcome, (orbit.representative, *shape))
 
 
 def has_orthogonal_basis(n: int, cid: CharacterId, stabilizers) -> bool:

@@ -115,6 +115,10 @@ GOLDEN_REPORTS = [
      "73030213db19d89bbb9d83a30eadd14bf90b7038c4d01255325dde541e2f916e"),
     ("basis --n 2 --m 1 --char all", 0, 1625,
      "d05239bdf70d2756035185fbd14ae185581fde9f4cc68a70e5d7eeddb961aec5"),
+    # 132 letters, past the JSON writer's 128 placeholders: every entry
+    # takes its % template.
+    ("basis --n 33 --m 1 --char all", 0, 16276,
+     "cfdd9dfc3a16d8cff61c30a575f5667e3e610468915b4d7cfac487a957f8fb3b"),
     # Conjugacy classes at odd n: four central classes and four of size n.
     ("classes --n 3", 0, 2176,
      "45c32d9cb2e4d38a7e989348e5d65f3a4b9dc49111037104f9f8738e82070ca1"),
@@ -293,7 +297,10 @@ def test_json_writer_writes_a_generator_as_its_list(make):
 
 def _sample_outcomes():
     """A found and a failed outcome at (3, 2), and hand-built edge shapes:
-    no witness members, and an empty representative."""
+    no witness members; an empty representative, failed, and found with
+    two empty members; letters 0 and 9 on the digit path; and letters the
+    digit path cannot carry, which take the % path: 10, 255 and 1000, a
+    letter -1, and 129 letters, one past the placeholders."""
     found = next(o for o in symclass.orbital_outcomes(2, chartab.zeta(2), symclass.orbits(2, 2)))
     failed = next(
         o for o in symclass.orbital_outcomes(3, chartab.zeta(2), symclass.orbits(3, 2)) if not o.found
@@ -302,8 +309,15 @@ def _sample_outcomes():
     return [
         found,
         failed,
-        symclass.OrbitalOutcome((1, 2), 4, 2, 0, True, (1, 2)),
+        symclass.OrbitalOutcome((1, 2), 4, 2, 0, True, ()),
         symclass.OrbitalOutcome((), 1, 1, 0, False, ()),
+        symclass.OrbitalOutcome((), 8, 1, 2, True, ()),
+        symclass.OrbitalOutcome((0, 9, 0), 24, 1, 2, True, (2, 1, 0, 0, 0, 1)),
+        symclass.OrbitalOutcome((10, 255), 8, 1, 2, True, (1, 0, 0, 0)),
+        symclass.OrbitalOutcome((1000, 2), 8, 1, 1, True, (0, 1)),
+        symclass.OrbitalOutcome((-1, 0), 4, 2, 1, True, (1, 0)),
+        symclass.OrbitalOutcome((0, -1), 4, 2, 1, False, ()),
+        symclass.OrbitalOutcome((1,) * 128 + (2,), 1, 1, 1, True, tuple(range(128, -1, -1))),
     ]
 
 
@@ -322,8 +336,23 @@ def test_json_writer_writes_an_outcome_as_its_basis_entry(make):
 
 def test_json_writer_rejects_an_outcome_with_a_bool_letter():
     # json.dumps would write true where the template would write 1
-    outcome = symclass.OrbitalOutcome((True, 2), 4, 2, 1, True, (True, 2, 2, True))
+    outcome = symclass.OrbitalOutcome((True, 2), 4, 2, 1, True, (0, 1))
     with pytest.raises(TypeError):
+        written_json([outcome])
+
+
+@pytest.mark.parametrize("positions", [(0,), (0, 1, 0), ()], ids=["short", "long", "none"])
+def test_json_writer_rejects_an_outcome_with_a_wrong_positions_length(positions):
+    # one member of two letters reads exactly two positions
+    outcome = symclass.OrbitalOutcome((1, 2), 4, 2, 1, True, positions)
+    with pytest.raises(ValueError, match="witness positions"):
+        written_json([outcome])
+
+
+@pytest.mark.parametrize("position", [2, -1, 200])
+def test_json_writer_rejects_an_outcome_with_a_position_outside_the_representative(position):
+    outcome = symclass.OrbitalOutcome((1, 2), 4, 2, 1, True, (0, position))
+    with pytest.raises(ValueError, match="outside the representative"):
         written_json([outcome])
 
 
