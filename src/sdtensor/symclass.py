@@ -1,8 +1,9 @@
 """Orbits, stabilizers, and orthogonal-basis decisions.
 
 The group SD_{8n} acts on length-4n sequences over the alphabet {1, ..., m}
-by permuting positions through its embedding T into S_{4n}; orbits() lists
-the orbit representatives as necklaces, with no table over the sequences.
+by permuting positions through an affine embedding T into S_{4n}, read by
+_affine(n); orbits() lists the orbit representatives as necklaces, reading
+each stabilizer off the walk, with no table over the sequences or group.
 An orbit is its lex-least representative and its stabilizer H, an
 ascending tuple of positions in group.elements(n).  Each orbit whose
 stabilizer character sum F(H) is nonzero carries an orbital subspace of
@@ -30,8 +31,6 @@ equal.
 from __future__ import annotations
 
 import functools
-import itertools
-import operator
 import os
 from typing import NamedTuple
 
@@ -72,19 +71,23 @@ def resolve_budget(budget: int | None) -> int:
 
 
 @functools.lru_cache(maxsize=None)
-def _inverse_images(n: int) -> tuple[tuple[int, ...], ...]:
-    """The one action table: at the position of g in group.elements, the
-    0-based inverse images of T(g), since (g.alpha)[t] = alpha[T(g)^(-1)(t)]."""
-    return tuple(
-        tuple(p - 1 for p in perm.inverse(perm.embed(n, g)).images) for g in group.elements(n)
-    )
+def _affine(n: int) -> tuple[int, int]:
+    """(k, c) with (b.alpha)[t] = alpha[k t + c mod 4n], read once off the
+    inverse of perm.embed(n, b), since (g.alpha)[t] = alpha[T(g)^(-1)(t)]."""
+    row = [p - 1 for p in perm.inverse(perm.embed(n, group.SDElement(1, 0))).images]
+    k, c = (row[1] - row[0]) % (4 * n), row[0]
+    if any(t != (k * s + c) % (4 * n) for s, t in enumerate(row)):
+        raise RuntimeError(f"b does not move the 4n positions as t -> {k}t + {c}")
+    return k, c
 
 
-@functools.lru_cache(maxsize=None)
-def _action_maps(n: int) -> tuple[operator.itemgetter, ...]:
-    """At the position of g in group.elements, an itemgetter sending alpha
-    to g.alpha, unchecked."""
-    return tuple(operator.itemgetter(*images) for images in _inverse_images(n))
+def _reads(n: int, x: int) -> tuple[int, ...]:
+    """The positions g.alpha reads, g = b^s a^r at position x = 4n s + r of
+    group.elements: (g.alpha)[t] = alpha[k^s t + s c - r], (k, c) = _affine(n)."""
+    length = 4 * n
+    k, c = _affine(n)
+    s, r = divmod(x, length)
+    return tuple((k**s * t + s * c - r) % length for t in range(length))
 
 
 class OrbitData(NamedTuple):
@@ -107,19 +110,21 @@ def orbits(n: int, m: int, budget: int | None = None) -> list[OrbitData]:
     order as byte words, one letter per byte (so m <= 255): strip the
     trailing m's, raise the last letter left and repeat that prefix, whose
     length p is the period; the word is a necklace exactly when p divides
-    4n.  b moves position t to k t + c (mod 4n), read off the action table,
-    so b.alpha is a decimation of alpha: taking every k-th letter of alpha
+    4n.  b.alpha reads alpha at k t + c (mod 4n), with (k, c) = _affine(n),
+    so it is a decimation of alpha: taking every k-th letter of alpha
     written 2k times gives a rotation of b.alpha written twice, in which
     every rotation of b.alpha is a window.  A necklace opens with the
     longest run of its least letter, so only the windows that open with
     that run can be at most alpha: if there is none, alpha is least; if
     b.alpha holds a longer run, it is not; otherwise the least of those few
-    windows decides.  A reflection b a^r fixes alpha only if b.alpha is a
-    rotation of alpha, so an aperiodic representative whose b-image rotates
-    to a larger least word has the trivial stabilizer; every other
-    stabilizer is tested on all 8n action maps.  Orbits store no members,
-    orbits with equal stabilizers share one tuple, and the orbit sizes must
-    sum to m^4n.
+    windows decides.
+
+    The stabilizer H meets <a> in <a^p>.  Window o reads alpha at k t + k o
+    and b a^r at k t + c - r, so b a^r fixes alpha exactly when r = c - k o
+    for a window o equal to alpha: there is one only if the least window is
+    alpha, and they are o + jp for the first, o < p, so r = c - k o (mod p).
+    Orbits share one stabilizer tuple per (p, o), store no members, and
+    their sizes must sum to m^4n.
 
     >>> result = orbits(2, 2)
     >>> len(result), result[0].representative
@@ -137,16 +142,11 @@ def orbits(n: int, m: int, budget: int | None = None) -> list[OrbitData]:
         raise ValueError(f"alphabet size m must be <= 255, one byte per letter, got {m}")
 
     length = 4 * n
-    moves = _action_maps(n)
-    row = _inverse_images(n)[length]  # b follows the 4n rotations
-    k, c = (row[1] - row[0]) % length, row[0]
-    if any(t != (k * s + c) % length for s, t in enumerate(row)):
-        raise RuntimeError(f"b does not move the 4n positions as t -> {k}t + {c}")
+    k, c = _affine(n)
     top = bytes([m])
     raised = [bytes([x + 1]) for x in range(m)]
     repeats = [0] + [-(-length // p) for p in range(1, length + 1)]
-    trivial = (0,)
-    interned = {trivial: trivial}
+    stabilizers: dict[tuple[int, int], tuple[int, ...]] = {}
     result = []
     covered = 0
     word, period = bytes([1]) * length, 1
@@ -164,15 +164,15 @@ def orbits(n: int, m: int, budget: int | None = None) -> list[OrbitData]:
                         least = window
                     at = image.find(lead, at + len(lead))
                 if least is None or word <= least:
-                    alpha = tuple(word)
-                    if period == length and least != word:
-                        stabilizer = trivial
-                    else:
-                        fixes = (move(alpha) == alpha for move in moves)
-                        stabilizer = tuple(itertools.compress(range(8 * n), fixes))
-                        stabilizer = interned.setdefault(stabilizer, stabilizer)
+                    # o: the first window equal to alpha, below the period, or -1
+                    o = image.find(word) if least == word else -1
+                    stabilizer = stabilizers.get((period, o))
+                    if stabilizer is None:
+                        first = length + (c - k * o) % period if o >= 0 else 2 * length
+                        stabilizer = tuple(range(0, length, period)) + tuple(range(first, 2 * length, period))
+                        stabilizers[period, o] = stabilizer
                     covered += 8 * n // len(stabilizer)
-                    result.append(OrbitData(alpha, stabilizer))
+                    result.append(OrbitData(tuple(word), stabilizer))
         head = word.rstrip(top)
         if not head:
             break
@@ -292,12 +292,11 @@ def orbital_outcomes(n: int, cid: CharacterId, orbit_list: list[OrbitData]):
     Each distinct stabilizer is looked up once per call, in the cached
     _stabilizer_decision, and kept in a dict for the call: its orbit size,
     order, dimension, verdict and, where a witness sigma_1 .. sigma_dim was
-    found, one tuple of witness positions, read from the inverse images of
-    the action: sigma_i.alpha is alpha read at images[sigma_i].  No letters
-    are built; the outcomes of one stabilizer share that tuple.
+    found, one tuple of witness positions: sigma_i.alpha is alpha read at
+    _reads(n, sigma_i), the affine rule, for at most 4 witnesses.  No
+    letters are built; the outcomes of one stabilizer share that tuple.
     """
     chartab.validate_id(n, cid)
-    images = _inverse_images(n)
     new = tuple.__new__
     shapes: dict[tuple[int, ...], tuple] = {}
     for orbit in orbit_list:
@@ -305,7 +304,7 @@ def orbital_outcomes(n: int, cid: CharacterId, orbit_list: list[OrbitData]):
         shape = shapes.get(stab)
         if shape is None:
             dim, found, sigmas = _stabilizer_decision(n, cid, stab)
-            positions = tuple(t for x in sigmas for t in images[x]) if found else ()
+            positions = tuple(t for x in sigmas for t in _reads(n, x)) if found else ()
             shape = shapes[stab] = (8 * n // len(stab), len(stab), dim, found, positions)
         if shape[2]:  # the orbital dimension
             # tuple.__new__ skips the generated OrbitalOutcome.__new__, a Python call

@@ -183,14 +183,14 @@ def run_checks(n: int, m: int | None, budget: int | None):
             )
         )
         # each stabilizer fixes its representative, and the first orbit of
-        # each stabilizer H has 8n/|H| images under the whole group
-        moves = symclass._action_maps(n)
+        # each stabilizer H has 8n/|H| images under the whole group: after[g]
+        # sends alpha to alpha o T(g) = g^(-1).alpha, read off perm.embed
         firsts = {o.stabilizer: o.representative for o in reversed(orbit_list)}
         checks.append(
             (
                 "orbit_stabilizer",
-                all(moves[x](o.representative) == o.representative for o in orbit_list for x in o.stabilizer)
-                and all(len({move(rep) for move in moves}) * len(stab) == 8 * n for stab, rep in firsts.items())
+                all(after[x](o.representative) == o.representative for o in orbit_list for x in o.stabilizer)
+                and all(len({move(rep) for move in after}) * len(stab) == 8 * n for stab, rep in firsts.items())
                 and sum(8 * n // len(o.stabilizer) for o in orbit_list) == m ** (4 * n),
                 "orbit size times stabilizer order equals 8n",
             )

@@ -4,6 +4,9 @@ pytest does not collect this module and no package module imports it.
 Each name here is an oracle for something `sdtensor.symclass` computes
 another way:
 
+- `action_maps`, the 8n maps alpha -> g.alpha built from `perm.embed`
+  alone, apart from the affine rule `symclass` reads the action by;
+  `stabilizer_of`, the elements fixing a sequence, by a scan of all 8n.
 - `act`, with its length check: the left action on one sequence, checked;
   `members` and `coset_reps` of an orbit, derived from the coset table.
 - `_cosets`, the left cosets xH of a subgroup and their quotient table, and
@@ -22,10 +25,10 @@ another way:
 from __future__ import annotations
 
 import functools
-import itertools
+import operator
 from dataclasses import dataclass
 
-from sdtensor import chartab, group, symclass
+from sdtensor import chartab, group, perm, symclass
 from sdtensor.chartab import CharacterId
 from sdtensor.cyclo import CycloInt, from_exponents
 from sdtensor.group import SDElement
@@ -37,11 +40,27 @@ def _check_length(n: int, alpha: Sequence) -> None:
         raise ValueError(f"sequence length {len(alpha)} does not match 4n = {4 * n}")
 
 
+@functools.lru_cache(maxsize=None)
+def action_maps(n: int) -> tuple[operator.itemgetter, ...]:
+    """At the position of g in group.elements, an itemgetter sending alpha
+    to g.alpha, unchecked: (g.alpha)[t] = alpha[T(g)^(-1)(t)], 0-based."""
+    return tuple(
+        operator.itemgetter(*(p - 1 for p in perm.inverse(perm.embed(n, g)).images))
+        for g in group.elements(n)
+    )
+
+
+def stabilizer_of(n: int, alpha: Sequence) -> tuple[int, ...]:
+    """The ascending positions in group.elements of the elements fixing
+    alpha, each of the 8n tested."""
+    return tuple(x for x, move in enumerate(action_maps(n)) if move(alpha) == alpha)
+
+
 def act(n: int, g: SDElement, alpha: Sequence) -> Sequence:
     """Left action on sequences: act(gh, alpha) == act(g, act(h, alpha))."""
     _check_length(n, alpha)
     group.check_element(n, g)
-    return symclass._action_maps(n)[group.element_index(n, g)](alpha)
+    return action_maps(n)[group.element_index(n, g)](alpha)
 
 
 @functools.lru_cache(maxsize=None)
@@ -84,12 +103,12 @@ def _coset_sums(n: int, cid: CharacterId, subgroup: tuple[int, ...]) -> tuple[Cy
 def coset_reps(n: int, orbit: OrbitData) -> tuple[int, ...]:
     """Per member, in order, the position of the first element mapping the
     representative to it."""
-    moves, firsts = symclass._action_maps(n), _cosets(n, orbit.stabilizer)[0]
+    moves, firsts = action_maps(n), _cosets(n, orbit.stabilizer)[0]
     return tuple(sorted(firsts, key=lambda x: moves[x](orbit.representative)))
 
 
 def members(n: int, orbit: OrbitData) -> tuple[Sequence, ...]:
-    moves, firsts = symclass._action_maps(n), _cosets(n, orbit.stabilizer)[0]
+    moves, firsts = action_maps(n), _cosets(n, orbit.stabilizer)[0]
     return tuple(sorted(moves[x](orbit.representative) for x in firsts))
 
 
@@ -101,8 +120,7 @@ def stabilizer_char_sum(n: int, cid: CharacterId, alpha: Sequence) -> CycloInt:
     """
     chartab.validate_id(n, cid)
     _check_length(n, alpha)
-    fixes = (move(alpha) == alpha for move in symclass._action_maps(n))
-    return _coset_sums(n, cid, tuple(itertools.compress(range(8 * n), fixes)))[0]
+    return _coset_sums(n, cid, stabilizer_of(n, alpha))[0]
 
 
 def delta_bar(n: int, cid: CharacterId, orbit_list: list[OrbitData]) -> list[Sequence]:

@@ -630,20 +630,27 @@ def test_one_enumeration_per_request(capsys, monkeypatch, argv):
 
 
 def test_orbits_report_reads_each_orbits_stabilizer(capsys, monkeypatch):
-    # the action maps are read once, by the enumeration; each entry's F(H)
-    # comes from the stabilizer the orbit carries, with no second scan
-    calls = []
-    action_maps = symclass._action_maps
+    # one enumeration, and each entry's F(H) comes from the stabilizer the
+    # orbit carries, with no second scan
+    calls, sums = [], []
+    enumerate_orbits, char_sum = symclass.orbits, symclass._subgroup_char_sum
 
-    def counted(n):
-        calls.append(n)
-        return action_maps(n)
+    def counted_orbits(*args):
+        calls.append(enumerate_orbits(*args))
+        return calls[-1]
 
-    monkeypatch.setattr(symclass, "_action_maps", counted)
+    def counted_sum(n, cid, stabilizer):
+        sums.append(stabilizer)
+        return char_sum(n, cid, stabilizer)
+
+    monkeypatch.setattr(symclass, "orbits", counted_orbits)
+    monkeypatch.setattr(symclass, "_subgroup_char_sum", counted_sum)
     golden = GOLDEN_REPORTS[7]
     assert golden[0] == "orbits --n 2 --m 2 --char zeta:2"
     assert_golden(capsys, *golden)
-    assert calls == [2]
+    assert len(calls) == 1
+    assert len(sums) == len(calls[0])
+    assert all(h is o.stabilizer for h, o in zip(sums, calls[0]))
 
 
 def test_negative_budget_is_a_usage_error(capsys, monkeypatch):

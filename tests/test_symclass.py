@@ -1,5 +1,4 @@
 import itertools
-import operator
 import random
 import tracemalloc
 
@@ -17,7 +16,7 @@ from oracles import (
     stabilizer_char_sum,
 )
 
-from sdtensor import chartab, dims, group, symclass
+from sdtensor import chartab, dims, group, perm, symclass
 from sdtensor.chartab import chi, psi, zeta
 from sdtensor.cyclo import CycloInt
 from sdtensor.group import SDElement
@@ -118,29 +117,53 @@ def test_coset_reps_map_representative_to_members():
             assert o.stabilizer == tuple(x for x, image in images.items() if image == o.representative)
 
 
-def _patch_reflection_row(monkeypatch, row):
-    """Make b, at position 4n = 8 in group.elements(2), move the positions
-    by row in both the action table and the action maps."""
-    images = symclass._inverse_images(2)
-    moves = symclass._action_maps(2)
-    images = images[:8] + (tuple(row),) + images[9:]
-    moves = moves[:8] + (operator.itemgetter(*row),) + moves[9:]
-    monkeypatch.setattr(symclass, "_inverse_images", lambda n: images)
-    monkeypatch.setattr(symclass, "_action_maps", lambda n: moves)
-
-
 def test_orbits_check_that_orbit_sizes_sum_to_m_to_the_4n(monkeypatch):
-    # b acting as the identity keeps every necklace as a representative
-    _patch_reflection_row(monkeypatch, range(8))
-    with pytest.raises(RuntimeError, match="orbit sizes"):
-        orbits(2, 2)
+    # a unit twist that is not an involution moves the positions
+    # consistently but is not b, so the orbit sizes overshoot
+    monkeypatch.setattr(symclass, "_affine", lambda n: (3, 6))
+    with pytest.raises(RuntimeError, match="orbit sizes sum to 67296, not m\\^4n = 65536"):
+        orbits(4, 2)
 
 
 def test_orbits_refuse_a_reflection_that_is_not_affine(monkeypatch):
     # b read as a decimation needs t -> k t + c; a transposition is not one
-    _patch_reflection_row(monkeypatch, (1, 0, 2, 3, 4, 5, 6, 7))
-    with pytest.raises(RuntimeError, match="t -> "):
-        orbits(2, 2)
+    swapped = perm.Permutation((2, 1, 3, 4, 5, 6, 7, 8))
+    monkeypatch.setattr(perm, "embed", lambda n, g: swapped)
+    symclass._affine.cache_clear()
+    try:
+        with pytest.raises(RuntimeError, match="t -> "):
+            orbits(2, 2)
+    finally:
+        symclass._affine.cache_clear()
+
+
+def test_reads_follow_the_embedding_at_every_position():
+    # the affine read rule gives every element's witness positions
+    for n in range(2, 41):
+        for x, g in enumerate(group.elements(n)):
+            expected = tuple(p - 1 for p in perm.inverse(perm.embed(n, g)).images)
+            assert symclass._reads(n, x) == expected, (n, x)
+
+
+@pytest.mark.parametrize(
+    "n, m",
+    [(2, 1), (2, 2), (2, 3), (2, 4), (3, 2), (3, 3), (4, 2), (5, 2)] + [(n, 1) for n in range(3, 13)],
+)
+def test_orbit_stabilizers_match_the_scan_of_all_8n_maps(n, m):
+    for o in orbits(n, m):
+        assert o.stabilizer == oracles.stabilizer_of(n, o.representative)
+
+
+def test_orbits_at_one_letter_keep_no_action_table():
+    n = 200
+    tracemalloc.start()
+    try:
+        result = orbits(n, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result == [((1,) * 4 * n, tuple(range(8 * n)))]
+    assert peak < 4 * 2**20, peak
 
 
 def test_orbits_refuse_an_alphabet_past_one_byte():
@@ -153,7 +176,7 @@ def _rotation_min_orbits(n, m):
     """The reference walk, on a list of ints: every necklace is compared
     with all 4n rotations of its b-image, as tuples."""
     length = 4 * n
-    moves = symclass._action_maps(n)
+    moves = oracles.action_maps(n)
     reflect = moves[length]  # b follows the 4n rotations
     windows = [slice(t, t + length) for t in range(length)]
     trivial = (0,)
@@ -233,7 +256,7 @@ def test_orbits_read_the_action_off_the_embedding(monkeypatch):
     def fail(*args):
         raise AssertionError("action read off another table")
 
-    # the action maps come from perm.embed, not from the product table
+    # the affine action comes from perm.embed, not from the product table
     monkeypatch.setattr(group, "product_table", fail)
     result = orbits(2, 2)
     monkeypatch.undo()
