@@ -10,12 +10,14 @@ which is what every orthogonality test in this package rests on.  Reducing
 modulo x^k - 1 instead would not give this: x^k - 1 is reducible, and
 distinct residues could denote the same complex number.
 
-Sums of many values are cheaper one step earlier, in the group ring
-Z[C_k] = Z[x]/(x^k - 1): there a value is an integer list of length k indexed
-by exponent, a product of powers of zeta adds exponents and conjugation
-negates them, with no reduction.  `from_exponents` is the ring map
-Z[C_k] -> Z[zeta_k], x -> zeta; it reduces such a list once, giving the
-canonical coordinates that equality and zero tests need.
+The module has one reduction, `from_exponents`.  Every value the package
+computes is built one step earlier, in the group ring Z[C_k] = Z[x]/(x^k - 1):
+there a value is an integer list of length k indexed by exponent, a product
+of powers of zeta adds exponents and conjugation negates them, with no
+reduction.  `from_exponents` is the ring map Z[C_k] -> Z[zeta_k], x -> zeta;
+it reduces such a list once, giving the canonical coordinates that equality
+and zero tests need.  `CycloInt` is that value: its coordinates, sums and
+differences, and exact conversions to int and (for display) to complex.
 
 Integer polynomials appear in this module as plain tuples of arbitrary
 precision coefficients in ascending degree, trimmed of trailing zeros.
@@ -118,30 +120,6 @@ def cyclotomic_polynomial(k: int) -> tuple[int, ...]:
     return poly
 
 
-@functools.lru_cache(maxsize=None)
-def _power_table(order: int) -> tuple[tuple[int, ...], ...]:
-    """Coordinates of x^e mod Phi_order for every e in [0, order).
-
-    Exponents from order on are reduced modulo order first, since
-    zeta^order = 1: a product of two reduced values reaches 2*phi(order) - 2,
-    which is order or more when order is an odd prime, for example.
-    """
-    phi_poly = cyclotomic_polynomial(order)
-    deg = len(phi_poly) - 1
-    rows = []
-    cur = [0] * deg
-    cur[0] = 1
-    for _ in range(order):
-        rows.append(tuple(cur))
-        carry = cur[deg - 1]
-        cur = [0] + cur[: deg - 1]
-        if carry:
-            # x^deg = -(low-order part of Phi), since Phi is monic
-            for i in range(deg):
-                cur[i] -= carry * phi_poly[i]
-    return tuple(rows)
-
-
 @dataclass(frozen=True)
 class CycloInt:
     """An element of Z[zeta_order] in canonical (reduced) coordinates."""
@@ -157,14 +135,6 @@ class CycloInt:
             )
 
     @staticmethod
-    def zero(order: int) -> "CycloInt":
-        return CycloInt(order, (0,) * euler_phi(order))
-
-    @staticmethod
-    def one(order: int) -> "CycloInt":
-        return CycloInt.from_int(order, 1)
-
-    @staticmethod
     def from_int(order: int, value: int) -> "CycloInt":
         coeffs = [0] * euler_phi(order)
         coeffs[0] = value
@@ -174,12 +144,8 @@ class CycloInt:
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coeffs)
 
-    @property
-    def is_rational_integer(self) -> bool:
-        return all(c == 0 for c in self.coeffs[1:])
-
     def to_int(self) -> int:
-        if not self.is_rational_integer:
+        if any(self.coeffs[1:]):
             raise ExactDivisionError(f"{self!r} is not a rational integer")
         return self.coeffs[0]
 
@@ -209,45 +175,6 @@ class CycloInt:
             return NotImplemented
         return CycloInt(self.order, tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
 
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return CycloInt(self.order, tuple(a * other for a in self.coeffs))
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        table = _power_table(self.order)
-        phi = len(self.coeffs)
-        acc = [0] * phi
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                if b == 0:
-                    continue
-                row = table[(i + j) % self.order]
-                ab = a * b
-                for t in range(phi):
-                    acc[t] += ab * row[t]
-        return CycloInt(self.order, tuple(acc))
-
-    __rmul__ = __mul__
-
-    def conjugate(self) -> "CycloInt":
-        """Complex conjugation, the ring automorphism zeta -> zeta^(-1)."""
-        table = _power_table(self.order)
-        phi = len(self.coeffs)
-        acc = [0] * phi
-        for k, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            row = table[(self.order - k) % self.order]
-            for t in range(phi):
-                acc[t] += c * row[t]
-        return CycloInt(self.order, tuple(acc))
-
     def to_complex(self) -> complex:
         """Floating approximation; for display only, never for equality."""
         z = cmath.exp(2j * cmath.pi / self.order)
@@ -255,21 +182,6 @@ class CycloInt:
 
     def __repr__(self):
         return f"CycloInt({self.order}, {self.coeffs})"
-
-
-def root_power(order: int, e: int) -> CycloInt:
-    """zeta^e in Z[zeta_order], reduced to canonical coordinates.
-
-    >>> root_power(8, 0).coeffs
-    (1, 0, 0, 0)
-    >>> root_power(8, 4).coeffs   # zeta^4 = -1 for order 8
-    (-1, 0, 0, 0)
-    >>> root_power(8, 5).coeffs   # zeta^5 = -zeta
-    (0, -1, 0, 0)
-    """
-    if order < 1:
-        raise ValueError(f"order must be >= 1, got {order}")
-    return CycloInt(order, _power_table(order)[e % order])
 
 
 @functools.lru_cache(maxsize=None)
@@ -307,22 +219,11 @@ def from_exponents(order: int, vec) -> CycloInt:
     return CycloInt(order, tuple(rem[:deg]))
 
 
-def exact_div(value, divisor: int):
-    """Divide exactly by a nonzero integer; raises if any coefficient resists.
-
-    Accepts either an int or a CycloInt and returns the same kind.
-    """
+def exact_div(value: int, divisor: int) -> int:
+    """Divide an integer exactly by a nonzero integer; raises on a remainder."""
     if divisor == 0:
         raise ZeroDivisionError("exact_div by zero")
-    if isinstance(value, int):
-        q, r = divmod(value, divisor)
-        if r:
-            raise ExactDivisionError(f"{value} is not divisible by {divisor}")
-        return q
-    out = []
-    for c in value.coeffs:
-        q, r = divmod(c, divisor)
-        if r:
-            raise ExactDivisionError(f"coefficient {c} is not divisible by {divisor}")
-        out.append(q)
-    return CycloInt(value.order, tuple(out))
+    q, r = divmod(value, divisor)
+    if r:
+        raise ExactDivisionError(f"{value} is not divisible by {divisor}")
+    return q

@@ -28,18 +28,6 @@ class Permutation:
     def degree(self) -> int:
         return len(self.images)
 
-    def apply(self, t: int) -> int:
-        if not 1 <= t <= len(self.images):
-            raise ValueError(f"point {t} out of range 1..{len(self.images)}")
-        return self.images[t - 1]
-
-
-def compose(p: Permutation, q: Permutation) -> Permutation:
-    """The product applying q first: (p o q)(t) = p(q(t))."""
-    if p.degree != q.degree:
-        raise ValueError(f"degree mismatch: {p.degree} vs {q.degree}")
-    return Permutation(tuple(p.images[q.images[t] - 1] for t in range(p.degree)))
-
 
 def inverse(p: Permutation) -> Permutation:
     inv = [0] * p.degree
@@ -75,8 +63,8 @@ def embed(n: int, g: SDElement) -> Permutation:
 
     The generators act by t -> t+1 and t -> kt; the word b^s a^r applies
     the rotation part first, so t -> k^s (t + r) modulo 4n, with residue
-    0 written as 4n.  This makes the map a homomorphism for `compose`, which
-    also applies its right factor first.
+    0 written as 4n.  This makes the map a homomorphism when permutations
+    compose right factor first: embed(gh) = embed(g) o embed(h).
     """
     check_n(n)
     check_element(n, g)

@@ -113,11 +113,13 @@ def orbits(n: int, m: int, budget: int | None = None) -> list[OrbitData]:
     4n.  b.alpha reads alpha at k t + c (mod 4n), with (k, c) = _affine(n),
     so it is a decimation of alpha: taking every k-th letter of alpha
     written 2k times gives a rotation of b.alpha written twice, in which
-    every rotation of b.alpha is a window.  A necklace opens with the
-    longest run of its least letter, so only the windows that open with
-    that run can be at most alpha: if there is none, alpha is least; if
-    b.alpha holds a longer run, it is not; otherwise the least of those few
-    windows decides.
+    every rotation of b.alpha is a window.  alpha is its first p letters
+    repeated 4n/p times, so that decimation is the block's decimation
+    repeated: the walk decimates the block written 2k times, a temporary of
+    2kp letters rather than 2k * 4n.  A necklace opens with the longest run
+    of its least letter, so only the windows that open with that run can be
+    at most alpha: if there is none, alpha is least; if b.alpha holds a
+    longer run, it is not; otherwise the least of those few windows decides.
 
     The stabilizer H meets <a> in <a^p>.  Window o reads alpha at k t + k o
     and b a^r at k t + c - r, so b a^r fixes alpha exactly when r = c - k o
@@ -152,8 +154,9 @@ def orbits(n: int, m: int, budget: int | None = None) -> list[OrbitData]:
     word, period = bytes([1]) * length, 1
     while True:
         if length % period == 0:
-            # position j of image is alpha[j*k mod 4n]: b.alpha rotated, written twice
-            image = (word * 2 * k)[::k]
+            # position j of image is alpha[j*k mod 4n]: b.alpha rotated, written
+            # twice; alpha is its first p letters repeated, and so is image
+            image = (word[:period] * 2 * k)[::k] * (length // period)
             lead = word[: length - len(word.lstrip(word[:1]))]
             at = image.find(lead)
             least = None

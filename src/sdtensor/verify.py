@@ -134,8 +134,8 @@ def run_checks(n: int, m: int | None, budget: int | None):
     checks.append(("cycle_count_formula", cycle_ok, "closed form matches direct factorization"))
 
     # T(1) == id and T(s g) == T(s) o T(g) for the generators s = a, b (see
-    # the module docstring), composed right factor first as perm.compose
-    # does: after[g] maps the images of p to those of p o T(g).
+    # the module docstring), composed right factor first, (p o q)(t) =
+    # p(q(t)): after[g] maps the images of p to those of p o T(g).
     images = [p.images for p in embedded]
     after = [operator.itemgetter(*(t - 1 for t in q)) for q in images]
     generators = [group.element_index(n, g) for g in (group.SDElement(0, 1), group.SDElement(1, 0))]

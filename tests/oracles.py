@@ -20,6 +20,15 @@ another way:
   `symclass._stabilizer_decision`'s closed form is checked on every
   subgroup.
 - `psi_vanishing_exists`, the zeros of psi on rotations.
+
+Two more are oracles for `sdtensor.cyclo` and `sdtensor.perm`:
+
+- `root_power`, `mul` and `conjugate`: a second ring Z[zeta_k], built on
+  `_power_table`, the coordinates of every power of zeta found by shifting
+  one power at a time.  It never calls `cyclo.from_exponents`, the one
+  reduction of the package, so the tests hold the two to each other.
+- `compose`, the product of permutations, right factor first, for which
+  `perm.embed` is a homomorphism.
 """
 
 from __future__ import annotations
@@ -30,8 +39,9 @@ from dataclasses import dataclass
 
 from sdtensor import chartab, group, perm, symclass
 from sdtensor.chartab import CharacterId
-from sdtensor.cyclo import CycloInt, from_exponents
+from sdtensor.cyclo import CycloInt, cyclotomic_polynomial, from_exponents
 from sdtensor.group import SDElement
+from sdtensor.perm import Permutation
 from sdtensor.symclass import OrbitData, Sequence
 
 
@@ -225,3 +235,79 @@ def psi_vanishing_exists(n: int, h: int) -> bool:
     """
     cid = chartab.psi(h)
     return any(chartab.character_value(n, cid, SDElement(0, u)).is_zero for u in range(4 * n))
+
+
+@functools.lru_cache(maxsize=None)
+def _power_table(order: int) -> tuple[tuple[int, ...], ...]:
+    """Coordinates of x^e mod Phi_order for every e in [0, order).
+
+    Exponents from order on are reduced modulo order first, since
+    zeta^order = 1: a product of two reduced values reaches 2*phi(order) - 2,
+    which is order or more when order is an odd prime, for example.
+    """
+    phi_poly = cyclotomic_polynomial(order)
+    deg = len(phi_poly) - 1
+    rows = []
+    cur = [0] * deg
+    cur[0] = 1
+    for _ in range(order):
+        rows.append(tuple(cur))
+        carry = cur[deg - 1]
+        cur = [0] + cur[: deg - 1]
+        if carry:
+            # x^deg = -(low-order part of Phi), since Phi is monic
+            for i in range(deg):
+                cur[i] -= carry * phi_poly[i]
+    return tuple(rows)
+
+
+def root_power(order: int, e: int) -> CycloInt:
+    """zeta^e in Z[zeta_order], read off the power table."""
+    if order < 1:
+        raise ValueError(f"order must be >= 1, got {order}")
+    return CycloInt(order, _power_table(order)[e % order])
+
+
+def mul(x: CycloInt | int, y: CycloInt | int) -> CycloInt:
+    """The product x * y; either factor may be an int scalar."""
+    if isinstance(x, int):
+        x, y = y, x
+    if isinstance(y, int):
+        return CycloInt(x.order, tuple(a * y for a in x.coeffs))
+    if x.order != y.order:
+        raise ValueError(f"order mismatch: {x.order} vs {y.order}")
+    table = _power_table(x.order)
+    phi = len(x.coeffs)
+    acc = [0] * phi
+    for i, a in enumerate(x.coeffs):
+        if a == 0:
+            continue
+        for j, b in enumerate(y.coeffs):
+            if b == 0:
+                continue
+            row = table[(i + j) % x.order]
+            ab = a * b
+            for t in range(phi):
+                acc[t] += ab * row[t]
+    return CycloInt(x.order, tuple(acc))
+
+
+def conjugate(x: CycloInt) -> CycloInt:
+    """Complex conjugation, the ring automorphism zeta -> zeta^(-1)."""
+    table = _power_table(x.order)
+    phi = len(x.coeffs)
+    acc = [0] * phi
+    for k, c in enumerate(x.coeffs):
+        if c == 0:
+            continue
+        row = table[(x.order - k) % x.order]
+        for t in range(phi):
+            acc[t] += c * row[t]
+    return CycloInt(x.order, tuple(acc))
+
+
+def compose(p: Permutation, q: Permutation) -> Permutation:
+    """The product applying q first: (p o q)(t) = p(q(t))."""
+    if p.degree != q.degree:
+        raise ValueError(f"degree mismatch: {p.degree} vs {q.degree}")
+    return Permutation(tuple(p.images[q.images[t] - 1] for t in range(p.degree)))

@@ -65,9 +65,9 @@ def test_criterion_2_character_table_validity():
                 if not (num - expected).is_zero:
                     failures.append(f"n={n}: <{id1.label()},{id2.label()}> != {expected}/{den}")
         for rep, _ in group.conjugacy_classes(n):
-            acc = CycloInt.zero(4 * n)
+            acc = CycloInt.from_int(4 * n, 0)
             for cid in ids:
-                acc = acc + cid.degree * chartab.character_value(n, cid, rep)
+                acc = acc + oracles.mul(cid.degree, chartab.character_value(n, cid, rep))
             expected = 8 * n if rep == group.identity() else 0
             if not (acc - expected).is_zero:
                 failures.append(f"n={n}: column relation fails at {group.element_name(rep)}")

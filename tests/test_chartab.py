@@ -1,6 +1,7 @@
 import argparse
 
 import pytest
+from oracles import conjugate, mul, root_power
 
 from sdtensor import chartab, cli, group
 from sdtensor.chartab import (
@@ -12,7 +13,7 @@ from sdtensor.chartab import (
     psi,
     zeta,
 )
-from sdtensor.cyclo import CycloInt, root_power
+from sdtensor.cyclo import CycloInt
 from sdtensor.group import SDElement
 
 
@@ -97,9 +98,9 @@ def test_linear_characters_respect_presentation():
     for n in (2, 3, 4, 5):
         for i in chartab.linear_range(n):
             value = character_value(n, chi(i), SDElement(0, 1))
-            power = CycloInt.one(4 * n)
+            power = CycloInt.from_int(4 * n, 1)
             for _ in range(2 * n - 2):
-                power = power * value
+                power = mul(power, value)
             assert power.to_int() == 1
 
 
@@ -111,7 +112,7 @@ def test_linear_characters_multiplicative():
                 for h in group.elements(n):
                     product = group.multiply(n, g, h)
                     lhs = character_value(n, cid, product)
-                    rhs = character_value(n, cid, g) * character_value(n, cid, h)
+                    rhs = mul(character_value(n, cid, g), character_value(n, cid, h))
                     assert lhs == rhs
 
 
@@ -149,7 +150,7 @@ def test_conjugate_at_inverse():
         for cid in character_ids(n):
             for g in group.elements(n):
                 lhs = character_value(n, cid, group.inverse(n, g))
-                assert lhs == character_value(n, cid, g).conjugate()
+                assert lhs == conjugate(character_value(n, cid, g))
 
 
 def test_row_orthonormality():
@@ -176,9 +177,9 @@ def test_column_relation():
     for n in (2, 3, 4, 5):
         ids = character_ids(n)
         for rep, _ in group.conjugacy_classes(n):
-            acc = CycloInt.zero(4 * n)
+            acc = CycloInt.from_int(4 * n, 0)
             for cid in ids:
-                acc = acc + cid.degree * character_value(n, cid, rep)
+                acc = acc + mul(cid.degree, character_value(n, cid, rep))
             expected = 8 * n if rep == group.identity() else 0
             assert (acc - expected).is_zero
 

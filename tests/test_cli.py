@@ -25,11 +25,11 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import mul, root_power
 
 import sdtensor
 from sdtensor import chartab, cli, group, symclass, verify
 from sdtensor.cli import main
-from sdtensor.cyclo import root_power
 
 # (arguments, exit code, byte length, sha256) of reports, pinned so
 # that any change to their bytes, witness order included, is caught.
@@ -452,7 +452,7 @@ def trig_text_value(n, text):
     assert e.denominator == 1, text
     e = int(e)
     sign = {"2cos": 1, "2i*sin": -1}[kind]
-    return root_power(order, e) + sign * root_power(order, -e)
+    return root_power(order, e) + mul(sign, root_power(order, -e))
 
 
 def test_character_text_is_the_exact_value():

