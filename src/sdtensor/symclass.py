@@ -154,8 +154,8 @@ def orbits(n: int, m: int, budget: int | None = None) -> list[OrbitData]:
     word, period = bytes([1]) * length, 1
     while True:
         if length % period == 0:
-            # position j of image is alpha[j*k mod 4n]: b.alpha rotated, written
-            # twice; alpha is its first p letters repeated, and so is image
+            # position j of image is alpha[j*k mod 4n]: b.alpha rotated, written twice;
+            # alpha is its first p letters repeated, so image is their decimation repeated
             image = (word[:period] * 2 * k)[::k] * (length // period)
             lead = word[: length - len(word.lstrip(word[:1]))]
             at = image.find(lead)
