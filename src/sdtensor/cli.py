@@ -11,8 +11,10 @@ parser from its row alone, so --format offers json and the row's renderers,
 and only the enumerating subcommands take --budget.  A renderer, like the
 JSON writer `_write_json`, writes the payload to a file as it goes; `_emit`
 opens the file.  JSON bytes are those of json.dump(payload, indent=2,
-sort_keys=True) plus a newline.  The orbits and basis payloads hold one
-generator per listing, so their entries are built as they are written.
+sort_keys=True) plus a newline.  The table payload holds a generator of
+its rows, and the orbits and basis payloads one generator per listing, so
+their entries are built as they are written; the pretty table collects its
+rows, since every cell sizes its column.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 budget
 refusal, 4 the report could not be written (an unwritable --output, or a
@@ -38,7 +40,7 @@ from types import GeneratorType
 
 from . import chartab, dims, group, symclass, verify
 from .chartab import CharacterId
-from .cyclo import CycloInt
+from .cyclo import CycloInt, exact_div
 from .group import SDElement
 from .symclass import BudgetExceededError, OrbitalOutcome
 
@@ -118,25 +120,28 @@ def _classes_pretty(fh, payload: dict) -> None:
 
 def _table_payload(args) -> dict:
     """The square table of character values on the first member of each
-    conjugacy class."""
+    conjugacy class; its "rows" value is a generator, so each row's values
+    are computed as the row is written."""
     n = args.n
     ids = chartab.character_ids(n)
     classes = group.conjugacy_classes(n)
     if len(ids) != len(classes):
         raise RuntimeError("character count does not match class count")
-    values = [[chartab.character_value(n, cid, rep) for rep, _ in classes] for cid in ids]
     return {
         "n": n,
         "class_labels": [group.element_name(rep) for rep, _ in classes],
         "class_sizes": [len(m) for _, m in classes],
-        "rows": [
+        "rows": (
             {
                 "character": cid.label(),
                 "degree": cid.degree,
-                "values": [{"exact": _cyclo_json(v), "approx": _approx_str(v)} for v in row],
+                "values": [
+                    {"exact": _cyclo_json(v), "approx": _approx_str(v)}
+                    for v in (chartab.character_value(n, cid, rep) for rep, _ in classes)
+                ],
             }
-            for cid, row in zip(ids, values)
-        ],
+            for cid in ids
+        ),
     }
 
 
@@ -213,6 +218,9 @@ def _orbits_payload(args) -> dict:
         (cid,) = chartab.parse_character_spec(n, args.char)
     orbit_list = symclass.orbits(n, m, args.budget)
     names = [group.element_name(g) for g in group.elements(n)]
+    # F(H) per distinct stabilizer, read off its cached integer decision:
+    # orbital_dim = chi(1) F(H) / |H|, so F(H) = orbital_dim * |H| / chi(1)
+    char_sums: dict[tuple[int, ...], CycloInt] = {}
 
     def entries():
         for o in orbit_list:
@@ -223,7 +231,11 @@ def _orbits_payload(args) -> dict:
                 "stabilizer": [names[x] for x in o.stabilizer],
             }
             if cid is not None:
-                char_sum = symclass._subgroup_char_sum(n, cid, o.stabilizer)
+                char_sum = char_sums.get(o.stabilizer)
+                if char_sum is None:
+                    dim = symclass._stabilizer_decision(n, cid, o.stabilizer)[0]
+                    value = exact_div(dim * len(o.stabilizer), cid.degree)
+                    char_sum = char_sums[o.stabilizer] = CycloInt.from_int(4 * n, value)
                 entry["char_sum"] = _cyclo_json(char_sum)
                 entry["in_delta_bar"] = not char_sum.is_zero
             yield entry

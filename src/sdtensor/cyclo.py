@@ -1,4 +1,4 @@
-"""Exact arithmetic in rings of cyclotomic integers Z[zeta_k].
+"""Exact values in rings of cyclotomic integers Z[zeta_k].
 
 A value is stored as its coordinate vector with respect to the power basis
 1, zeta, ..., zeta^(phi(k)-1), where zeta = e^(2*pi*i/k) is a primitive k-th
@@ -16,11 +16,12 @@ there a value is an integer list of length k indexed by exponent, a product
 of powers of zeta adds exponents and conjugation negates them, with no
 reduction.  `from_exponents` is the ring map Z[C_k] -> Z[zeta_k], x -> zeta;
 it reduces such a list once, giving the canonical coordinates that equality
-and zero tests need.  `CycloInt` is that value: its coordinates, sums and
-differences, and exact conversions to int and (for display) to complex.
+and zero tests need.  `CycloInt` is that value: its coordinates, compared
+and converted exactly to int and (for display) to complex.  The package
+adds and multiplies exponent lists only, never values.
 
-Integer polynomials appear in this module as plain tuples of arbitrary
-precision coefficients in ascending degree, trimmed of trailing zeros.
+The one polynomial here is Phi_k, a tuple of integer coefficients in
+ascending degree, built as a Moebius product of binomials x^d - 1.
 """
 
 from __future__ import annotations
@@ -69,36 +70,27 @@ def euler_phi(k: int) -> int:
     return result
 
 
-def poly_trim(coeffs) -> tuple[int, ...]:
-    """Canonical form: drop trailing zero coefficients."""
-    coeffs = list(coeffs)
-    while coeffs and coeffs[-1] == 0:
-        coeffs.pop()
-    return tuple(coeffs)
+def mobius_quotients(k: int) -> tuple[tuple[int, int], ...]:
+    """The pairs (mu(s), k/s) over the squarefree s dividing k, from s = 1,
+    each prime p of k doubling the list by the pairs (-mu, t/p).
 
-
-def poly_divmod(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Quotient and remainder of p by a monic q; stays in Z[x]."""
-    if not q or q[-1] != 1:
-        raise ValueError("divisor must be monic")
-    rem = list(p)
-    quo = [0] * max(len(p) - len(q) + 1, 0)
-    while len(poly_trim(rem)) >= len(q):
-        rem = list(poly_trim(rem))
-        shift = len(rem) - len(q)
-        lead = rem[-1]
-        quo[shift] += lead
-        for i, c in enumerate(q):
-            rem[shift + i] -= lead * c
-    return poly_trim(quo), poly_trim(rem)
+    >>> mobius_quotients(12)
+    ((1, 12), (-1, 6), (-1, 4), (1, 2))
+    """
+    pairs = [(1, k)]
+    for p in prime_factors(k):
+        pairs += [(-mu, t // p) for mu, t in pairs]
+    return tuple(pairs)
 
 
 @functools.lru_cache(maxsize=None)
 def cyclotomic_polynomial(k: int) -> tuple[int, ...]:
     """The k-th cyclotomic polynomial, monic of degree phi(k).
 
-    Computed by exact division of x^k - 1 by the product of the cyclotomic
-    polynomials of the proper divisors of k.
+    Phi_k is the product of (x^d - 1)^mu over the pairs (mu, d) of
+    mobius_quotients(k), by Moebius inversion of x^k - 1 = prod_(d | k) Phi_d:
+    the binomials with mu = +1 multiplied out, then those with mu = -1
+    divided out exactly.
 
     >>> cyclotomic_polynomial(1)
     (-1, 1)
@@ -109,15 +101,22 @@ def cyclotomic_polynomial(k: int) -> tuple[int, ...]:
     """
     if k < 1:
         raise ValueError(f"cyclotomic_polynomial requires k >= 1, got {k}")
-    poly = tuple([-1] + [0] * (k - 1) + [1])  # x^k - 1
-    for d in range(1, k):
-        if k % d == 0:
-            poly, rem = poly_divmod(poly, cyclotomic_polynomial(d))
-            if rem:
-                raise ArithmeticError(f"non-exact division while building Phi_{k}")
+    pairs = mobius_quotients(k)
+    poly = [1]
+    for d in [d for mu, d in pairs if mu > 0]:
+        # p (x^d - 1): p shifted up by d, minus p
+        poly = list(map(operator.sub, [0] * d + poly, poly + [0] * d))
+    for d in [d for mu, d in pairs if mu < 0]:
+        # p = q (x^d - 1) gives q[i] = q[i-d] - p[i], in place from the
+        # bottom; the division is exact iff the top d entries of q vanish
+        for i in range(len(poly)):
+            poly[i] = (poly[i - d] if i >= d else 0) - poly[i]
+        if any(poly[-d:]):
+            raise ArithmeticError(f"non-exact division while building Phi_{k}")
+        del poly[-d:]
     if len(poly) - 1 != euler_phi(k):
         raise ArithmeticError(f"Phi_{k} has wrong degree")
-    return poly
+    return tuple(poly)
 
 
 @dataclass(frozen=True)
@@ -148,32 +147,6 @@ class CycloInt:
         if any(self.coeffs[1:]):
             raise ExactDivisionError(f"{self!r} is not a rational integer")
         return self.coeffs[0]
-
-    def _coerce(self, other) -> "CycloInt":
-        if isinstance(other, int):
-            return CycloInt.from_int(self.order, other)
-        if isinstance(other, CycloInt):
-            if other.order != self.order:
-                raise ValueError(f"order mismatch: {self.order} vs {other.order}")
-            return other
-        return NotImplemented
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return CycloInt(self.order, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return CycloInt(self.order, tuple(-a for a in self.coeffs))
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return CycloInt(self.order, tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
 
     def to_complex(self) -> complex:
         """Floating approximation; for display only, never for equality."""

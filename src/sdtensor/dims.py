@@ -39,29 +39,22 @@ from dataclasses import dataclass
 
 from . import chartab, group, perm
 from .chartab import CharacterId
-from .cyclo import ExactDivisionError, exact_div, from_exponents, prime_factors
+from .cyclo import ExactDivisionError, exact_div, from_exponents, mobius_quotients, prime_factors
 
 
 @functools.lru_cache(maxsize=None)
 def _ramanujan_terms(order: int) -> tuple[tuple[int, tuple[tuple[int, int], ...]], ...]:
     """For each divisor d of order, d and the signed terms (mu(s), q/s) of the
-    Ramanujan sum c_q, q = order/d, over the squarefree s dividing q."""
-    primes = prime_factors(order)
+    Ramanujan sum c_q, q = order/d, over the squarefree s dividing q: the
+    pairs of mobius_quotients(q)."""
     divisors = [1]
-    for p in primes:
+    for p in prime_factors(order):
         power, more = p, []
         while order % power == 0:
             more += [d * power for d in divisors]
             power *= p
         divisors += more
-    table = []
-    for q in divisors:
-        signed = [(1, q)]
-        for p in primes:
-            if q % p == 0:
-                signed += [(-mu, exact_div(t, p)) for mu, t in signed]
-        table.append((exact_div(order, q), tuple(signed)))
-    return tuple(table)
+    return tuple((exact_div(order, q), mobius_quotients(q)) for q in divisors)
 
 
 def _rotation_sum(order: int, m: int, h: int) -> int:

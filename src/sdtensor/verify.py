@@ -30,7 +30,8 @@ element-by-element `dims.dim_trace` as well as to the closed-form catalog,
 whose psi and odd-n chi:3 entries are known defects, and
 `orbital_direct_sum` and `stabilizer_sum_structure` read F(H) in Z[zeta]
 from `symclass._subgroup_char_sum`, a route apart from the integer
-decisions that `criterion_equivalence` compares with the prediction table.
+decisions that `criterion_equivalence` compares with the prediction table
+and that `orbits --char` writes F(H) from.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ import operator
 from collections import Counter
 
 from . import chartab, dims, group, perm, symclass
-from .cyclo import from_exponents
+from .cyclo import CycloInt, from_exponents
 
 
 def run_checks(n: int, m: int | None, budget: int | None):
@@ -94,8 +95,7 @@ def run_checks(n: int, m: int | None, budget: int | None):
     for i, id1 in enumerate(ids):
         for id2 in ids[i:]:
             num, den = chartab.char_inner_product(n, id1, id2)
-            want = den if id1 == id2 else 0
-            if not (num - want).is_zero:
+            if num != CycloInt.from_int(4 * n, den if id1 == id2 else 0):
                 ortho_ok = False
     checks.append(
         ("row_orthonormality", ortho_ok, "inner products are exactly 8n * delta")
@@ -223,7 +223,7 @@ def run_checks(n: int, m: int | None, budget: int | None):
             for cid in zetas:
                 char_sum = symclass._subgroup_char_sum(n, cid, stab)
                 expected = 2 * l if cid.param % l == 0 else 0
-                zeta_ok &= (char_sum - expected).is_zero
+                zeta_ok &= char_sum == CycloInt.from_int(4 * n, expected)
         checks.append(
             (
                 "stabilizer_sum_structure",

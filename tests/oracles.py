@@ -23,10 +23,12 @@ another way:
 
 Two more are oracles for `sdtensor.cyclo` and `sdtensor.perm`:
 
-- `root_power`, `mul` and `conjugate`: a second ring Z[zeta_k], built on
-  `_power_table`, the coordinates of every power of zeta found by shifting
-  one power at a time.  It never calls `cyclo.from_exponents`, the one
-  reduction of the package, so the tests hold the two to each other.
+- `root_power`, `add`, `sub`, `mul` and `conjugate`: a second ring
+  Z[zeta_k].  Sums and differences are taken coordinate by coordinate;
+  products and conjugates are built on `_power_table`, the coordinates of
+  every power of zeta found by shifting one power at a time.  None of them
+  calls `cyclo.from_exponents`, the one reduction of the package, so the
+  tests hold the two to each other.
 - `compose`, the product of permutations, right factor first, for which
   `perm.embed` is a homomorphism.
 """
@@ -266,6 +268,25 @@ def root_power(order: int, e: int) -> CycloInt:
     if order < 1:
         raise ValueError(f"order must be >= 1, got {order}")
     return CycloInt(order, _power_table(order)[e % order])
+
+
+def _coordinatewise(op, x: CycloInt | int, y: CycloInt | int) -> CycloInt:
+    """op on the coordinates of x and y; an int stands for a rational integer."""
+    order = y.order if isinstance(x, int) else x.order
+    x, y = (CycloInt.from_int(order, v) if isinstance(v, int) else v for v in (x, y))
+    if x.order != y.order:
+        raise ValueError(f"order mismatch: {x.order} vs {y.order}")
+    return CycloInt(order, tuple(map(op, x.coeffs, y.coeffs)))
+
+
+def add(x: CycloInt | int, y: CycloInt | int) -> CycloInt:
+    """The sum x + y; either term may be an int."""
+    return _coordinatewise(operator.add, x, y)
+
+
+def sub(x: CycloInt | int, y: CycloInt | int) -> CycloInt:
+    """The difference x - y; either term may be an int."""
+    return _coordinatewise(operator.sub, x, y)
 
 
 def mul(x: CycloInt | int, y: CycloInt | int) -> CycloInt:

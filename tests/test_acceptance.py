@@ -62,14 +62,14 @@ def test_criterion_2_character_table_validity():
             for id2 in ids[i:]:
                 num, den = chartab.char_inner_product(n, id1, id2)
                 expected = den if id1 == id2 else 0
-                if not (num - expected).is_zero:
+                if not oracles.sub(num, expected).is_zero:
                     failures.append(f"n={n}: <{id1.label()},{id2.label()}> != {expected}/{den}")
         for rep, _ in group.conjugacy_classes(n):
             acc = CycloInt.from_int(4 * n, 0)
             for cid in ids:
-                acc = acc + oracles.mul(cid.degree, chartab.character_value(n, cid, rep))
+                acc = oracles.add(acc, oracles.mul(cid.degree, chartab.character_value(n, cid, rep)))
             expected = 8 * n if rep == group.identity() else 0
-            if not (acc - expected).is_zero:
+            if not oracles.sub(acc, expected).is_zero:
                 failures.append(f"n={n}: column relation fails at {group.element_name(rep)}")
         if sum(cid.degree**2 for cid in ids) != 8 * n:
             failures.append(f"n={n}: degree squares do not sum to 8n")

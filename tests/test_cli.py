@@ -25,7 +25,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import mul, root_power
+from oracles import add, mul, root_power, sub
 
 import sdtensor
 from sdtensor import chartab, cli, group, symclass, verify
@@ -444,7 +444,7 @@ def trig_text_value(n, text):
     2i*sin(x*pi) is zeta^(2nx) - zeta^(-2nx), with zeta = e^(i*pi/2n)."""
     order = 4 * n
     i = root_power(order, n)
-    exact = {"0": 0, "1": 1, "2": 2, "i": i, "-1": -1, "-i": -i}
+    exact = {"0": 0, "1": 1, "2": 2, "i": i, "-1": -1, "-i": mul(-1, i)}
     if text in exact:
         return exact[text]
     kind, x = text[:-len("*pi)")].split("(")
@@ -452,7 +452,7 @@ def trig_text_value(n, text):
     assert e.denominator == 1, text
     e = int(e)
     sign = {"2cos": 1, "2i*sin": -1}[kind]
-    return root_power(order, e) + mul(sign, root_power(order, -e))
+    return add(root_power(order, e), mul(sign, root_power(order, -e)))
 
 
 def test_character_text_is_the_exact_value():
@@ -460,7 +460,7 @@ def test_character_text_is_the_exact_value():
         for cid in chartab.character_ids(n):
             for g in group.elements(n):
                 want = trig_text_value(n, cli._trig_str(n, cid, g))
-                assert (chartab.character_value(n, cid, g) - want).is_zero, (n, cid, g)
+                assert sub(chartab.character_value(n, cid, g), want).is_zero, (n, cid, g)
 
 
 def test_table_json_entries(capsys):
@@ -587,6 +587,23 @@ def test_pretty_basis_report_is_written_in_bounded_memory():
     assert peak < 2**20, peak / 2**20
 
 
+def test_table_report_is_written_in_bounded_memory():
+    # each row is computed as it is written: with the caches warm, the
+    # 2,807,424-character table at n = 30 peaks under 0.5 MiB
+    args = cli.build_parser().parse_args("table --n 30".split())
+    cli._write_json(NullSink(), cli._table_payload(args))  # warms the value tables
+    sink = NullSink()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        cli._write_json(sink, cli._table_payload(args))
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert sink.chars == 2807424
+    assert peak < 2**19, peak / 2**20
+
+
 def test_budget_refusal_exit_code(capsys):
     # the streamed reports refuse before their first byte
     for command in (["orbits"], ["basis", "--char", "all"]):
@@ -630,27 +647,31 @@ def test_one_enumeration_per_request(capsys, monkeypatch, argv):
 
 
 def test_orbits_report_reads_each_orbits_stabilizer(capsys, monkeypatch):
-    # one enumeration, and each entry's F(H) comes from the stabilizer the
-    # orbit carries, with no second scan
-    calls, sums = [], []
-    enumerate_orbits, char_sum = symclass.orbits, symclass._subgroup_char_sum
+    # one enumeration, and each entry's F(H) comes from the integer decision
+    # on the stabilizer the orbit carries: one lookup per distinct
+    # stabilizer, in orbit order, with no second scan
+    calls, lookups = [], []
+    enumerate_orbits, decide = symclass.orbits, symclass._stabilizer_decision
 
     def counted_orbits(*args):
         calls.append(enumerate_orbits(*args))
         return calls[-1]
 
-    def counted_sum(n, cid, stabilizer):
-        sums.append(stabilizer)
-        return char_sum(n, cid, stabilizer)
+    def counted_decision(n, cid, stabilizer):
+        lookups.append(stabilizer)
+        return decide(n, cid, stabilizer)
 
     monkeypatch.setattr(symclass, "orbits", counted_orbits)
-    monkeypatch.setattr(symclass, "_subgroup_char_sum", counted_sum)
+    monkeypatch.setattr(symclass, "_stabilizer_decision", counted_decision)
     golden = GOLDEN_REPORTS[7]
     assert golden[0] == "orbits --n 2 --m 2 --char zeta:2"
     assert_golden(capsys, *golden)
     assert len(calls) == 1
-    assert len(sums) == len(calls[0])
-    assert all(h is o.stabilizer for h, o in zip(sums, calls[0]))
+    firsts = {}
+    for o in calls[0]:
+        firsts.setdefault(o.stabilizer, o.stabilizer)
+    assert lookups == list(firsts)
+    assert all(h is firsts[h] for h in lookups)
 
 
 def test_negative_budget_is_a_usage_error(capsys, monkeypatch):

@@ -4,11 +4,11 @@
 element of Z[C_k] = Z[x]/(x^k - 1), to Z[zeta_k].  Here it is checked as a
 ring map with hypothesis, and against sympy's remainder modulo the
 cyclotomic polynomial.  The sums built on it (`char_inner_product`,
-`dim_general`) are compared with plain CycloInt loops kept in this file,
-over character values written out from the definitions.  `dim_closed_form`
+`dim_general`) are compared with plain loops in the oracle ring, kept in
+this file, over character values written out from the definitions.  `dim_closed_form`
 is held to the catalog summed term by term over k < 4n, as the paper
 writes it; its cosine sums are checked against `root_power` loops.  The
-reference ring, `root_power`, `mul` and `conjugate`, is the power table in
+reference ring, `root_power`, `add`, `sub`, `mul` and `conjugate`, is in
 `oracles`, which never calls `from_exponents`.
 """
 
@@ -18,7 +18,7 @@ import pytest
 import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import conjugate, mul, root_power
+from oracles import add, conjugate, mul, root_power
 
 from sdtensor import chartab, dims, group, perm
 from sdtensor.cyclo import (
@@ -38,11 +38,11 @@ def formula_value(n: int, cid, g) -> CycloInt:
     order = 4 * n
     if cid.kind == "chi":
         value = root_power(order, CHI_A_POWER_OF_I[cid.param] * n * g.r)
-        return -value if g.s and CHI_B[cid.param] < 0 else value
+        return mul(-1, value) if g.s and CHI_B[cid.param] < 0 else value
     if g.s:
         return CycloInt.from_int(order, 0)
     h = cid.param
-    return root_power(order, h * g.r) + root_power(order, (2 * n - 1) * h * g.r)
+    return add(root_power(order, h * g.r), root_power(order, (2 * n - 1) * h * g.r))
 
 
 def formula_table(n: int, cid) -> list[CycloInt]:
@@ -53,7 +53,7 @@ def reference_inner_product(left: list[CycloInt], conj_right: list[CycloInt], or
     """Sum of left[i] * conj_right[i], the right factor already conjugated."""
     acc = CycloInt.from_int(order, 0)
     for x, y in zip(left, conj_right):
-        acc = acc + mul(x, y)
+        acc = add(acc, mul(x, y))
     return acc
 
 
@@ -79,7 +79,7 @@ def exponent_vectors(draw, count):
 def test_from_exponents_is_a_ring_homomorphism(case):
     order, (a, b) = case
     fa, fb = from_exponents(order, a), from_exponents(order, b)
-    assert from_exponents(order, [x + y for x, y in zip(a, b)]) == fa + fb
+    assert from_exponents(order, [x + y for x, y in zip(a, b)]) == add(fa, fb)
     assert from_exponents(order, cyclic_product(a, b)) == mul(fa, fb)
     assert from_exponents(order, [1] + [0] * (order - 1)) == CycloInt.from_int(order, 1)
 
@@ -172,7 +172,7 @@ def test_dim_general_matches_the_reference_loop(n):
         for m in (1, 2, 3):
             acc = CycloInt.from_int(4 * n, 0)
             for g, value in zip(group.elements(n), values):
-                acc = acc + mul(value, m ** perm.cycle_count_formula(n, g))
+                acc = add(acc, mul(value, m ** perm.cycle_count_formula(n, g)))
             want = exact_div(acc.to_int(), 8 * n // cid.degree)
             assert dims.dim_general(n, m, cid) == want
 
@@ -204,7 +204,7 @@ def literal_closed_form(n: int, m: int, cid) -> int:
     if cid.kind == "zeta":
         return exact_div(cos_sum_doubled(n, m, h, range(order)).to_int(), order)
     if cid.kind == "psi":
-        total = (mul(cos_sum_doubled(n, m, h, zetas), 2) + (m**order - m ** (2 * n))).to_int()
+        total = add(mul(cos_sum_doubled(n, m, h, zetas), 2), m**order - m ** (2 * n)).to_int()
         return exact_div(total, order)
     full = gcd_power_sum(range(order))
     rot = m**order + m ** (2 * n) + 2 * gcd_power_sum(zetas)
@@ -241,7 +241,7 @@ def test_cos_sum_doubled_matches_the_reference_loop(n):
                 acc = CycloInt.from_int(order, 0)
                 for k in ks:
                     weight = m ** (gcd(order, k) if k else order)
-                    acc = acc + mul(weight, root_power(order, h * k) + root_power(order, -h * k))
+                    acc = add(acc, mul(weight, add(root_power(order, h * k), root_power(order, -h * k))))
                 assert cos_sum_doubled(n, m, h, ks) == acc
 
 

@@ -340,7 +340,7 @@ def test_coset_sums_match_explicit_cosets(n):
             for k, coset in enumerate(cosets):
                 expected = CycloInt.from_int(4 * n, 0)
                 for g in coset:
-                    expected = expected + chartab.character_value(n, cid, g)
+                    expected = oracles.add(expected, chartab.character_value(n, cid, g))
                 assert sums[k] == expected, (n, cid, sorted(stab), k)
             assert symclass._subgroup_char_sum(n, cid, stab) == sums[0]
             assert (symclass._stabilizer_decision(n, cid, stab)[0] == 0) == sums[0].is_zero
@@ -389,7 +389,7 @@ def test_zeta_stabilizer_sums_follow_the_rotation_gcd():
                 r = gcd(4 * n, *(x for x in o.stabilizer if x < 4 * n))
                 l = 4 * n // r
                 if (r * h) % (4 * n) == 0:
-                    assert (total - 2 * l).is_zero
+                    assert oracles.sub(total, 2 * l).is_zero
                 else:
                     assert total.is_zero
 
@@ -478,7 +478,7 @@ def _tensor_vector(n, cid, member):
     coeffs = {}
     for g in group.elements(n):
         key = act(n, g, member)
-        coeffs[key] = coeffs.get(key, CycloInt.from_int(4 * n, 0)) + chartab.character_value(n, cid, g)
+        coeffs[key] = oracles.add(coeffs.get(key, 0), chartab.character_value(n, cid, g))
     return coeffs
 
 
@@ -486,7 +486,7 @@ def _tensor_inner(n, u, v):
     acc = CycloInt.from_int(4 * n, 0)
     for key, c in u.items():
         if key in v:
-            acc = acc + mul(c, conjugate(v[key]))
+            acc = oracles.add(acc, mul(c, conjugate(v[key])))
     return acc
 
 
@@ -507,7 +507,7 @@ def test_gram_matches_direct_tensor_inner_products(cid):
             for j in range(len(vectors)):
                 lhs = mul(8 * n, data.entries[i][j])
                 rhs = mul(cid.degree, _tensor_inner(n, vectors[i], vectors[j]))
-                assert (lhs - rhs).is_zero
+                assert oracles.sub(lhs, rhs).is_zero
 
 
 def test_zeta_orbital_dims_case_analysis():
