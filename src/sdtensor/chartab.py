@@ -10,7 +10,8 @@ consequences checked by the test suite, not the definition used here.
 
 So every value is 0, +-zeta^e, or zeta^(hr) + zeta^(khr), and
 `value_terms` stores it as that list of signed exponent terms (e, c) with
-0 <= e < 4n.  Sums of values and of their products (inner products,
+0 <= e < 4n, indexed by the element itself: as in `group`, b^s a^r is the
+int x = 4n s + r.  Sums of values and of their products (inner products,
 symmetrizer traces, stabilizer and coset sums) are accumulated as integer
 lists indexed by exponent, where a product adds exponents and a conjugate
 negates them, and each result is reduced modulo the cyclotomic polynomial
@@ -34,7 +35,7 @@ from dataclasses import dataclass
 
 from . import group
 from .cyclo import CycloInt, from_exponents
-from .group import SDElement, check_n
+from .group import check_n
 
 
 @dataclass(frozen=True, order=True)
@@ -112,12 +113,12 @@ def validate_id(n: int, cid: CharacterId) -> None:
         raise ValueError(f"{cid.label()} is not a character of SD_{8 * n}")
 
 
-def character_value(n: int, cid: CharacterId, g: SDElement) -> CycloInt:
-    """Exact value of the character at a group element."""
-    group.check_element(n, g)
+def character_value(n: int, cid: CharacterId, x: int) -> CycloInt:
+    """Exact value of the character at the group element x."""
+    group.check_element(n, x)
     order = 4 * n
     vec = [0] * order
-    for e, c in value_terms(n, cid)[group.element_index(n, g)]:
+    for e, c in value_terms(n, cid)[x]:
         vec[e] += c
     return from_exponents(order, vec)
 
@@ -127,17 +128,18 @@ def value_terms(n: int, cid: CharacterId) -> tuple[tuple[tuple[int, int], ...], 
     """Every character value as signed exponent terms; the one producer of
     character values.
 
-    Entry i belongs to group.elements(n)[i]; the value there is the sum of
-    c * zeta^e over its pairs (e, c), with 0 <= e < 4n.  A linear character
-    chi:i has one term, chi(a)^r (-1)^(is) at b^s a^r.  A degree-2 character
-    has the two terms zeta^(hr) and zeta^(khr) at a^r, none on reflections.
+    Entry x belongs to the element x = 4n s + r, b^s a^r; the value there
+    is the sum of c * zeta^e over its pairs (e, c), with 0 <= e < 4n.  A
+    linear character chi:i has one term, chi(a)^r (-1)^(is) at b^s a^r.  A
+    degree-2 character has the two terms zeta^(hr) and zeta^(khr) at a^r,
+    none on reflections.
     """
     validate_id(n, cid)
     order = 4 * n
     if cid.kind == "chi":
         exp_a, sign_b = linear_generators(n, cid.param)
         return tuple(
-            ((exp_a * g.r % order, sign_b if g.s else 1),) for g in group.elements(n)
+            ((exp_a * r % order, sign_b if s else 1),) for s in (0, 1) for r in range(order)
         )
     h, kh = cid.param, group.twist(n) * cid.param
     rotations = tuple(((h * r % order, 1), (kh * r % order, 1)) for r in range(order))
@@ -146,10 +148,8 @@ def value_terms(n: int, cid: CharacterId) -> tuple[tuple[tuple[int, int], ...], 
 
 @functools.lru_cache(maxsize=None)
 def _class_weights(n: int) -> tuple[tuple[int, int], ...]:
-    """Per conjugacy class, the position of its representative in
-    group.elements(n) and its size, read once per n."""
-    classes = group.conjugacy_classes(n)
-    return tuple((group.element_index(n, rep), len(members)) for rep, members in classes)
+    """Per conjugacy class, its representative and its size, read once per n."""
+    return tuple((rep, len(members)) for rep, members in group.conjugacy_classes(n))
 
 
 def char_inner_product(n: int, id1: CharacterId, id2: CharacterId) -> tuple[CycloInt, int]:
@@ -160,7 +160,7 @@ def char_inner_product(n: int, id1: CharacterId, id2: CharacterId) -> tuple[Cycl
     exactly, with no division performed here.  Characters are class
     functions, so the sum over G is the class-weighted sum
     sum over classes C of |C| * chi1(g_C) * conj(chi2(g_C)), one term per
-    class representative g_C, with positions and sizes read once per n:
+    class representative g_C, with representatives and sizes read once per n:
     2n+3 or 2n+6 terms instead of 8n.  It is taken over exponents in
     Z[C_4n] and reduced once.  The element-wise sum stays in the tests as
     the oracle.
@@ -168,9 +168,9 @@ def char_inner_product(n: int, id1: CharacterId, id2: CharacterId) -> tuple[Cycl
     order = 4 * n
     terms1, terms2 = value_terms(n, id1), value_terms(n, id2)
     vec = [0] * order  # conj(zeta^e2) = zeta^(-e2), so a term product adds e1 - e2
-    for position, size in _class_weights(n):
-        for e1, c1 in terms1[position]:
-            for e2, c2 in terms2[position]:
+    for rep, size in _class_weights(n):
+        for e1, c1 in terms1[rep]:
+            for e2, c2 in terms2[rep]:
                 vec[(e1 - e2) % order] += size * c1 * c2
     return from_exponents(order, vec), 8 * n
 

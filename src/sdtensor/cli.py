@@ -41,7 +41,6 @@ from types import GeneratorType
 from . import chartab, dims, group, symclass, verify
 from .chartab import CharacterId
 from .cyclo import CycloInt, exact_div
-from .group import SDElement
 from .symclass import BudgetExceededError, OrbitalOutcome
 
 USAGE_ERROR = 2
@@ -71,14 +70,15 @@ def _approx_str(x: CycloInt) -> str:
     return f"{z.real:+.6f}{z.imag:+.6f}i"
 
 
-def _element_json(g: SDElement) -> dict:
-    return {"s": g.s, "r": g.r, "name": group.element_name(g)}
+def _element_json(n: int, x: int) -> dict:
+    s, r = divmod(x, 4 * n)
+    return {"s": s, "r": r, "name": group.element_name(n, x)}
 
 
-def _trig_str(n: int, cid: CharacterId, g: SDElement) -> str:
-    """Human-readable exact form of a character value, read from its first
-    exponent term (e, c)."""
-    terms = chartab.value_terms(n, cid)[group.element_index(n, g)]
+def _trig_str(n: int, cid: CharacterId, x: int) -> str:
+    """Human-readable exact form of the value of a character at the element
+    x, read from its first exponent term (e, c)."""
+    terms = chartab.value_terms(n, cid)[x]
     if not terms:
         return "0"
     e, c = terms[0]
@@ -103,9 +103,9 @@ def _classes_payload(args) -> dict:
         "class_count": len(classes),
         "classes": [
             {
-                "representative": _element_json(rep),
+                "representative": _element_json(n, rep),
                 "size": len(members),
-                "members": [group.element_name(g) for g in members],
+                "members": [group.element_name(n, x) for x in members],
             }
             for rep, members in classes
         ],
@@ -129,7 +129,7 @@ def _table_payload(args) -> dict:
         raise RuntimeError("character count does not match class count")
     return {
         "n": n,
-        "class_labels": [group.element_name(rep) for rep, _ in classes],
+        "class_labels": [group.element_name(n, rep) for rep, _ in classes],
         "class_sizes": [len(m) for _, m in classes],
         "rows": (
             {
@@ -163,7 +163,7 @@ def _table_pretty(fh, payload: dict) -> None:
     read back from their labels, so the table is built once per request.
     Its rows are collected first: every cell sizes its column."""
     n = payload["n"]
-    by_name = {group.element_name(g): g for g in group.elements(n)}
+    by_name = {group.element_name(n, x): x for x in group.elements(n)}
     reps = [by_name[label] for label in payload["class_labels"]]
     rows = [["character"] + payload["class_labels"]]
     for row in payload["rows"]:
@@ -217,7 +217,7 @@ def _orbits_payload(args) -> dict:
     if args.char is not None:
         (cid,) = chartab.parse_character_spec(n, args.char)
     orbit_list = symclass.orbits(n, m, args.budget)
-    names = [group.element_name(g) for g in group.elements(n)]
+    names = [group.element_name(n, x) for x in group.elements(n)]
     # F(H) per distinct stabilizer, read off its cached integer decision:
     # orbital_dim = chi(1) F(H) / |H|, so F(H) = orbital_dim * |H| / chi(1)
     char_sums: dict[tuple[int, ...], CycloInt] = {}

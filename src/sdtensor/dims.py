@@ -37,7 +37,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 
-from . import chartab, group, perm
+from . import chartab, perm
 from .chartab import CharacterId
 from .cyclo import ExactDivisionError, exact_div, from_exponents, mobius_quotients, prime_factors
 
@@ -95,7 +95,7 @@ def dim_general(n: int, m: int, cid: CharacterId) -> int:
     re = im = 0
     for r0 in range(4):
         x, y = _I_POWERS[j_a * r0 % 4]
-        weight = sign_b * m ** perm.cycle_count_formula(n, group.SDElement(1, r0))
+        weight = sign_b * m ** perm.cycle_count_formula(n, 4 * n + r0)
         re += x * weight
         im += y * weight
     if im:
@@ -108,8 +108,8 @@ def dim_trace(n: int, m: int, cid: CharacterId) -> int:
     _check(n, m, cid)
     order = 4 * n
     vec = [0] * order
-    for g, terms in zip(group.elements(n), chartab.value_terms(n, cid)):
-        weight = m ** perm.cycle_count_formula(n, g)
+    for x, terms in enumerate(chartab.value_terms(n, cid)):
+        weight = m ** perm.cycle_count_formula(n, x)
         for e, c in terms:
             vec[e] += c * weight
     total = from_exponents(order, vec).to_int()  # must be rational: dimensions are integers

@@ -1,25 +1,15 @@
 """The semi-dihedral group SD_{8n} = <a, b | a^(4n) = b^2 = 1, bab = a^k>,
 with k = 2n-1 written only in `twist`, which every table derived from the group
-reads.  Elements are kept in the unique normal form b^s a^r, s in {0, 1} and
-0 <= r < 4n.  All operations are pure functions taking the group parameter n
-explicitly; values are immutable and hashable.
+reads.  Each element has the unique normal form b^s a^r, s in {0, 1} and
+0 <= r < 4n, and is held as one int, its position x = 4n s + r in
+elements(n): divmod(x, 4n) gives (s, r) back, and order on positions is
+order on (s, r).  All operations are pure functions taking the group
+parameter n explicitly.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
-
-
-@dataclass(frozen=True, order=True)
-class SDElement:
-    """Group element b^s a^r.  Ordering is lexicographic on (s, r)."""
-
-    s: int
-    r: int
-
-    def __repr__(self):
-        return f"SDElement({self.s}, {self.r})"
 
 
 def check_n(n: int) -> None:
@@ -32,31 +22,23 @@ def twist(n: int) -> int:
     return 2 * n - 1
 
 
-def check_element(n: int, g: SDElement) -> None:
-    if not (isinstance(g.s, int) and isinstance(g.r, int) and g.s in (0, 1) and 0 <= g.r < 4 * n):
-        raise ValueError(f"{g} is not a valid element of SD_{8 * n}")
+def check_element(n: int, x: int) -> None:
+    if not (isinstance(x, int) and 0 <= x < 8 * n):
+        raise ValueError(f"{x!r} is not a valid element of SD_{8 * n}")
 
 
-def identity() -> SDElement:
-    return SDElement(0, 0)
-
-
-def elements(n: int) -> tuple[SDElement, ...]:
-    """All 8n elements, rotations first, in (s, r) order."""
+def elements(n: int) -> range:
+    """All 8n elements as positions, rotations a^r at r, then reflections
+    b a^r at 4n + r."""
     check_n(n)
-    return tuple(SDElement(s, r) for s in (0, 1) for r in range(4 * n))
-
-
-def element_index(n: int, g: SDElement) -> int:
-    """Position of g in elements(n); g is not validated."""
-    return g.s * 4 * n + g.r
+    return range(8 * n)
 
 
 @functools.lru_cache(maxsize=None)
 def product_table(n: int) -> tuple[tuple[int, ...], ...]:
-    """Cayley table on positions in elements(n): row i, column j is the
-    position of elements(n)[i] * elements(n)[j].  For inner loops over
-    elements already known to be valid; multiply checks its arguments.
+    """Cayley table on positions: row x, column y is the position of x * y.
+    For inner loops over elements already known to be valid; multiply
+    checks its arguments.
 
     Built from the normal-form closed form
     (b^s1 a^r1)(b^s2 a^r2) = b^(s1 xor s2) a^(k^s2 * r1 + r2 mod 4n),
@@ -74,35 +56,40 @@ def product_table(n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(block(s, r) + block(1 - s, k * r) for s in (0, 1) for r in range(m))
 
 
-def multiply(n: int, g: SDElement, h: SDElement) -> SDElement:
+def multiply(n: int, x: int, y: int) -> int:
     """Normal-form product.
 
     Pushing a^r past b uses a^r b = b a^(kr), so
     (b^s1 a^r1)(b^s2 a^r2) = b^(s1 xor s2) a^(k^s2 * r1 + r2).
     """
     check_n(n)
-    check_element(n, g)
-    check_element(n, h)
-    r1 = twist(n) * g.r if h.s else g.r
-    return SDElement(g.s ^ h.s, (r1 + h.r) % (4 * n))
+    check_element(n, x)
+    check_element(n, y)
+    m = 4 * n
+    s1, r1 = divmod(x, m)
+    s2, r2 = divmod(y, m)
+    return (s1 ^ s2) * m + (twist(n) ** s2 * r1 + r2) % m
 
 
-def inverse(n: int, g: SDElement) -> SDElement:
+def inverse(n: int, x: int) -> int:
     """(b^s a^r)^(-1) = a^(-r) b^s = b^s a^(-k^s r)."""
     check_n(n)
-    check_element(n, g)
-    return SDElement(g.s, -(twist(n) ** g.s) * g.r % (4 * n))
+    check_element(n, x)
+    m = 4 * n
+    s, r = divmod(x, m)
+    return s * m + -(twist(n) ** s) * r % m
 
 
-def element_name(g: SDElement) -> str:
-    """Conventional name: 1, a, a^2, ..., b, ba, ba^2, ..."""
-    if g.s == 0:
-        if g.r == 0:
+def element_name(n: int, x: int) -> str:
+    """Conventional name: 1, a, a^2, ..., b, ba, ba^2, ...; x is not validated."""
+    s, r = divmod(x, 4 * n)
+    if s == 0:
+        if r == 0:
             return "1"
-        return "a" if g.r == 1 else f"a^{g.r}"
-    if g.r == 0:
+        return "a" if r == 1 else f"a^{r}"
+    if r == 0:
         return "b"
-    return "ba" if g.r == 1 else f"ba^{g.r}"
+    return "ba" if r == 1 else f"ba^{r}"
 
 
 def _class_size_profile(n: int) -> list[int]:
@@ -112,21 +99,21 @@ def _class_size_profile(n: int) -> list[int]:
 
 
 @functools.lru_cache(maxsize=None)
-def conjugacy_classes(n: int) -> tuple[tuple[SDElement, tuple[SDElement, ...]], ...]:
-    """All conjugacy classes as (representative, sorted members) pairs, each
-    class the closure of a member under conjugation by the generators a and b.
+def conjugacy_classes(n: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
+    """All conjugacy classes as (representative, sorted members) pairs of
+    positions, each class the closure of a member under conjugation by the
+    generators a and b.
 
-    Representatives are the lexicographically least members under (s, r)
-    order; classes are sorted by representative.  The class count is 2n+3
-    for even n and 2n+6 for odd n, verified before returning.  Built once
-    per n and shared by the table, the inner products and `verify`.
+    Representatives are the least members; classes are sorted by
+    representative.  The class count is 2n+3 for even n and 2n+6 for odd
+    n, verified before returning.  Built once per n and shared by the
+    table, the inner products and `verify`.
     """
     check_n(n)
-    all_elements = elements(n)
-    generators = [(g, inverse(n, g)) for g in (SDElement(0, 1), SDElement(1, 0))]
-    seen: set[SDElement] = set()
+    generators = [(g, inverse(n, g)) for g in (1, 4 * n)]
+    seen: set[int] = set()
     classes = []
-    for h in all_elements:
+    for h in elements(n):
         if h in seen:
             continue
         members, frontier = {h}, [h]

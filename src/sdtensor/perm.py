@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
-from .group import SDElement, check_element, check_n, twist
+from .group import check_element, check_n, twist
 
 
 @dataclass(frozen=True)
@@ -58,8 +58,9 @@ def cycle_decomposition(p: Permutation) -> tuple[tuple[int, ...], ...]:
     return tuple(cycles)
 
 
-def embed(n: int, g: SDElement) -> Permutation:
-    """The permutation of {1, ..., 4n} representing b^s a^r.
+def embed(n: int, x: int) -> Permutation:
+    """The permutation of {1, ..., 4n} representing b^s a^r, the element at
+    position x = 4n s + r.
 
     The generators act by t -> t+1 and t -> kt; the word b^s a^r applies
     the rotation part first, so t -> k^s (t + r) modulo 4n, with residue
@@ -67,17 +68,18 @@ def embed(n: int, g: SDElement) -> Permutation:
     compose right factor first: embed(gh) = embed(g) o embed(h).
     """
     check_n(n)
-    check_element(n, g)
+    check_element(n, x)
     m = 4 * n
-    factor = twist(n) ** g.s
+    s, r = divmod(x, m)
+    factor = twist(n) ** s
     images = []
     for t in range(1, m + 1):
-        v = factor * (t + g.r) % m
+        v = factor * (t + r) % m
         images.append(v if v else m)
     return Permutation(tuple(images))
 
 
-def cycle_count_formula(n: int, g: SDElement) -> int:
+def cycle_count_formula(n: int, x: int) -> int:
     """Number of disjoint cycles of the embedded permutation, closed form.
 
     Rotations a^r have gcd(4n, r) cycles (4n for the identity).  For
@@ -87,12 +89,13 @@ def cycle_count_formula(n: int, g: SDElement) -> int:
     preserves r mod 4, so the case split reads off the normal form directly.
     """
     check_n(n)
-    check_element(n, g)
+    check_element(n, x)
     m = 4 * n
-    if g.s == 0:
-        return gcd(m, g.r)
-    if g.r % 2 == 1:
+    s, r = divmod(x, m)
+    if s == 0:
+        return gcd(m, r)
+    if r % 2 == 1:
         return n
     if n % 2 == 0:
         return 2 * n + 1
-    return 2 * n + 2 if g.r % 4 == 0 else 2 * n
+    return 2 * n + 2 if r % 4 == 0 else 2 * n

@@ -74,7 +74,7 @@ def resolve_budget(budget: int | None) -> int:
 def _affine(n: int) -> tuple[int, int]:
     """(k, c) with (b.alpha)[t] = alpha[k t + c mod 4n], read once off the
     inverse of perm.embed(n, b), since (g.alpha)[t] = alpha[T(g)^(-1)(t)]."""
-    row = [p - 1 for p in perm.inverse(perm.embed(n, group.SDElement(1, 0))).images]
+    row = [p - 1 for p in perm.inverse(perm.embed(n, 4 * n)).images]
     k, c = (row[1] - row[0]) % (4 * n), row[0]
     if any(t != (k * s + c) % (4 * n) for s, t in enumerate(row)):
         raise RuntimeError(f"b does not move the 4n positions as t -> {k}t + {c}")
@@ -82,8 +82,8 @@ def _affine(n: int) -> tuple[int, int]:
 
 
 def _reads(n: int, x: int) -> tuple[int, ...]:
-    """The positions g.alpha reads, g = b^s a^r at position x = 4n s + r of
-    group.elements: (g.alpha)[t] = alpha[k^s t + s c - r], (k, c) = _affine(n)."""
+    """The positions x.alpha reads, for the element x = 4n s + r, b^s a^r:
+    (x.alpha)[t] = alpha[k^s t + s c - r], (k, c) = _affine(n)."""
     length = 4 * n
     k, c = _affine(n)
     s, r = divmod(x, length)

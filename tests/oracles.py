@@ -42,7 +42,6 @@ from dataclasses import dataclass
 from sdtensor import chartab, group, perm, symclass
 from sdtensor.chartab import CharacterId
 from sdtensor.cyclo import CycloInt, cyclotomic_polynomial, from_exponents
-from sdtensor.group import SDElement
 from sdtensor.perm import Permutation
 from sdtensor.symclass import OrbitData, Sequence
 
@@ -54,25 +53,24 @@ def _check_length(n: int, alpha: Sequence) -> None:
 
 @functools.lru_cache(maxsize=None)
 def action_maps(n: int) -> tuple[operator.itemgetter, ...]:
-    """At the position of g in group.elements, an itemgetter sending alpha
-    to g.alpha, unchecked: (g.alpha)[t] = alpha[T(g)^(-1)(t)], 0-based."""
+    """At each element x, an itemgetter sending alpha to x.alpha,
+    unchecked: (x.alpha)[t] = alpha[T(x)^(-1)(t)], 0-based."""
     return tuple(
-        operator.itemgetter(*(p - 1 for p in perm.inverse(perm.embed(n, g)).images))
-        for g in group.elements(n)
+        operator.itemgetter(*(p - 1 for p in perm.inverse(perm.embed(n, x)).images))
+        for x in group.elements(n)
     )
 
 
 def stabilizer_of(n: int, alpha: Sequence) -> tuple[int, ...]:
-    """The ascending positions in group.elements of the elements fixing
-    alpha, each of the 8n tested."""
+    """The ascending elements fixing alpha, each of the 8n tested."""
     return tuple(x for x, move in enumerate(action_maps(n)) if move(alpha) == alpha)
 
 
-def act(n: int, g: SDElement, alpha: Sequence) -> Sequence:
-    """Left action on sequences: act(gh, alpha) == act(g, act(h, alpha))."""
+def act(n: int, x: int, alpha: Sequence) -> Sequence:
+    """Left action on sequences: act(xy, alpha) == act(x, act(y, alpha))."""
     _check_length(n, alpha)
-    group.check_element(n, g)
-    return action_maps(n)[group.element_index(n, g)](alpha)
+    group.check_element(n, x)
+    return action_maps(n)[x](alpha)
 
 
 @functools.lru_cache(maxsize=None)
@@ -236,7 +234,7 @@ def psi_vanishing_exists(n: int, h: int) -> bool:
     that the answer is "n is even".
     """
     cid = chartab.psi(h)
-    return any(chartab.character_value(n, cid, SDElement(0, u)).is_zero for u in range(4 * n))
+    return any(chartab.character_value(n, cid, u).is_zero for u in range(4 * n))
 
 
 @functools.lru_cache(maxsize=None)

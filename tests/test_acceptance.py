@@ -68,9 +68,9 @@ def test_criterion_2_character_table_validity():
             acc = CycloInt.from_int(4 * n, 0)
             for cid in ids:
                 acc = oracles.add(acc, oracles.mul(cid.degree, chartab.character_value(n, cid, rep)))
-            expected = 8 * n if rep == group.identity() else 0
+            expected = 8 * n if rep == 0 else 0
             if not oracles.sub(acc, expected).is_zero:
-                failures.append(f"n={n}: column relation fails at {group.element_name(rep)}")
+                failures.append(f"n={n}: column relation fails at {group.element_name(n, rep)}")
         if sum(cid.degree**2 for cid in ids) != 8 * n:
             failures.append(f"n={n}: degree squares do not sum to 8n")
     _report(2, not failures, time.perf_counter() - start,
@@ -86,7 +86,7 @@ def test_criterion_3_cycle_count_formulas():
             formula = perm.cycle_count_formula(n, g)
             direct = len(perm.cycle_decomposition(perm.embed(n, g)))
             if formula != direct:
-                failures.append(f"n={n}, {group.element_name(g)}: {formula} != {direct}")
+                failures.append(f"n={n}, {group.element_name(n, g)}: {formula} != {direct}")
     _report(3, not failures, time.perf_counter() - start,
             "closed-form cycle counts match direct factorization for all 8n elements, n=2..6")
     assert not failures, failures
@@ -151,7 +151,7 @@ def test_criterion_5_burnside_and_fixed_points():
                 if tuple(alpha[i] for i in pos) == alpha
             )
             if fixed != m ** perm.cycle_count_formula(n, g):
-                failures.append(f"m={m}, {group.element_name(g)}: {fixed} fixed sequences")
+                failures.append(f"m={m}, {group.element_name(n, g)}: {fixed} fixed sequences")
     _report(5, not failures, time.perf_counter() - start,
             "direct orbit and fixed-point counts match the trace formula, n=2, m=2..3")
     assert not failures, failures

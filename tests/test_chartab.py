@@ -14,7 +14,6 @@ from sdtensor.chartab import (
     zeta,
 )
 from sdtensor.cyclo import CycloInt
-from sdtensor.group import SDElement
 
 
 def paper_index_sets(n):
@@ -85,19 +84,19 @@ def test_trivial_character():
 
 def test_table_i_examples():
     # zeta_2 at a^1 for n=2: 2cos(2*pi/4) = 0
-    assert character_value(2, zeta(2), SDElement(0, 1)).is_zero
+    assert character_value(2, zeta(2), 1).is_zero
     # psi_1 vanishes on reflections
-    assert character_value(2, psi(1), SDElement(1, 0)).is_zero
+    assert character_value(2, psi(1), 8).is_zero  # b
     # chi_4(a) = i = zeta^3 at n=3
-    assert character_value(3, chi(4), SDElement(0, 1)) == root_power(12, 3)
-    assert character_value(3, chi(6), SDElement(0, 1)) == root_power(12, 9)
+    assert character_value(3, chi(4), 1) == root_power(12, 3)
+    assert character_value(3, chi(6), 1) == root_power(12, 9)
 
 
 def test_linear_characters_respect_presentation():
     # chi(a) = chi(a)^(2n-1) * chi(b)^2 forces chi(a)^(2n-2) = 1
     for n in (2, 3, 4, 5):
         for i in chartab.linear_range(n):
-            value = character_value(n, chi(i), SDElement(0, 1))
+            value = character_value(n, chi(i), 1)
             power = CycloInt.from_int(4 * n, 1)
             for _ in range(2 * n - 2):
                 power = mul(power, value)
@@ -118,13 +117,13 @@ def test_linear_characters_multiplicative():
 
 def test_invalid_ids_rejected():
     with pytest.raises(ValueError):
-        character_value(2, chi(4), SDElement(0, 0))  # chi_4 needs odd n
+        character_value(2, chi(4), 0)  # chi_4 needs odd n
     with pytest.raises(ValueError):
-        character_value(2, zeta(1), SDElement(0, 0))  # zeta parameter must be even
+        character_value(2, zeta(1), 0)  # zeta parameter must be even
     with pytest.raises(ValueError):
-        character_value(3, psi(3), SDElement(0, 0))  # n and 3n are excluded
+        character_value(3, psi(3), 0)  # n and 3n are excluded
     with pytest.raises(ValueError):
-        character_value(2, zeta(0), SDElement(0, 0))
+        character_value(2, zeta(0), 0)
     with pytest.raises(ValueError):
         chartab.validate_id(2, zeta(1))
     with pytest.raises(ValueError):
@@ -180,7 +179,7 @@ def test_column_relation():
             acc = CycloInt.from_int(4 * n, 0)
             for cid in ids:
                 acc = add(acc, mul(cid.degree, character_value(n, cid, rep)))
-            expected = 8 * n if rep == group.identity() else 0
+            expected = 8 * n if rep == 0 else 0
             assert sub(acc, expected).is_zero
 
 
@@ -191,8 +190,8 @@ def test_table_shape():
         assert len(rows) == len(table["class_labels"]) == len(table["class_sizes"])
         assert all(len(row["values"]) == len(table["class_labels"]) for row in rows)
         assert rows[0]["character"] == "chi:0"
-        assert table["class_labels"][0] == group.element_name(group.identity())
-        one = character_value(n, chi(0), group.identity())
+        assert table["class_labels"][0] == group.element_name(n, 0)
+        one = character_value(n, chi(0), 0)
         assert rows[0]["values"][0]["exact"] == cli._cyclo_json(one)
         assert one.to_int() == 1
 
@@ -207,12 +206,12 @@ def test_degree_two_values_are_trig_forms():
             h = cid.param
             for r in range(0, order, 2):
                 want = add(root_power(order, h * r), root_power(order, -h * r))
-                assert character_value(n, cid, SDElement(0, r)) == want
+                assert character_value(n, cid, r) == want
         for cid in (c for c in deg2 if c.kind == "psi"):
             h = cid.param
             for r in range(1, order, 2):
                 want = sub(root_power(order, h * r), root_power(order, -h * r))
-                assert character_value(n, cid, SDElement(0, r)) == want
+                assert character_value(n, cid, r) == want
 
 
 def test_zeta_equals_even_h_cosine_on_all_rotations():
@@ -221,7 +220,7 @@ def test_zeta_equals_even_h_cosine_on_all_rotations():
         for cid in (c for c in character_ids(n) if c.kind == "zeta"):
             h = cid.param
             for r in range(4 * n):
-                value = character_value(n, cid, SDElement(0, r))
+                value = character_value(n, cid, r)
                 want = add(root_power(4 * n, h * r), root_power(4 * n, -h * r))
                 assert value == want
 
@@ -263,7 +262,7 @@ def test_degree_two_zeros_follow_the_congruence(n):
     # zeta^(hu) + zeta^(khu) = 0 exactly when zeta^((k-1)hu) = -1
     order, k = 4 * n, 2 * n - 1
     for cid in character_ids(n)[len(chartab.linear_range(n)):]:
-        zeros = [u for u in range(order) if character_value(n, cid, SDElement(0, u)).is_zero]
+        zeros = [u for u in range(order) if character_value(n, cid, u).is_zero]
         assert zeros == [u for u in range(order) if (k - 1) * cid.param * u % order == 2 * n]
         if cid.kind == "psi":
             # each psi character vanishes on some rotation at even n only

@@ -124,6 +124,15 @@ GOLDEN_REPORTS = [
      "45c32d9cb2e4d38a7e989348e5d65f3a4b9dc49111037104f9f8738e82070ca1"),
     ("classes --n 5 --format pretty", 0, 474,
      "f1e564a5af9619e11a24fc5d3f8d2b59d764a15eff26366bc1135720d41082a2"),
+    # The reports that print elements: (s, r) and names with 3-digit
+    # exponents in the classes, and the pretty table's representatives,
+    # read back by name.
+    ("classes --n 64", 0, 28132,
+     "d11e6628a4c36feadd16c82bae61a6171b7b481c3fc65993d1c7b5ca26ee5c4d"),
+    ("classes --n 63 --format pretty", 0, 5352,
+     "a1743260535918ffcd9149a4ee057c1c13d37e6a9b12fb3a11c30be21d323648"),
+    ("table --n 12 --format pretty", 0, 38360,
+     "2382146cb9b469bc9aa0970fc424b45f76c8b02d855e2bd728b960144854d5c0"),
 ]
 
 

@@ -34,19 +34,20 @@ CHI_A_POWER_OF_I = (0, 0, 2, 2, 1, 1, 3, 3)
 CHI_B = (1, -1, 1, -1, 1, -1, 1, -1)
 
 
-def formula_value(n: int, cid, g) -> CycloInt:
+def formula_value(n: int, cid, x) -> CycloInt:
     order = 4 * n
+    s, r = divmod(x, order)
     if cid.kind == "chi":
-        value = root_power(order, CHI_A_POWER_OF_I[cid.param] * n * g.r)
-        return mul(-1, value) if g.s and CHI_B[cid.param] < 0 else value
-    if g.s:
+        value = root_power(order, CHI_A_POWER_OF_I[cid.param] * n * r)
+        return mul(-1, value) if s and CHI_B[cid.param] < 0 else value
+    if s:
         return CycloInt.from_int(order, 0)
     h = cid.param
-    return add(root_power(order, h * g.r), root_power(order, (2 * n - 1) * h * g.r))
+    return add(root_power(order, h * r), root_power(order, (2 * n - 1) * h * r))
 
 
 def formula_table(n: int, cid) -> list[CycloInt]:
-    return [formula_value(n, cid, g) for g in group.elements(n)]
+    return [formula_value(n, cid, x) for x in group.elements(n)]
 
 
 def reference_inner_product(left: list[CycloInt], conj_right: list[CycloInt], order: int) -> CycloInt:

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from oracles import compose
 
 from sdtensor import group, perm
-from sdtensor.group import SDElement
 from sdtensor.perm import (
     Permutation,
     cycle_count_formula,
@@ -28,7 +27,7 @@ def test_permutation_validation():
 
 
 def test_compose_identity_and_inverse():
-    p = embed(2, SDElement(1, 3))
+    p = embed(2, 11)  # b a^3
     assert compose(p, identity(8)) == p
     assert compose(identity(8), p) == p
     assert compose(p, inverse(p)) == identity(8)
@@ -42,9 +41,9 @@ def test_compose_degree_mismatch():
 
 def test_compose_applies_right_factor_first():
     # T(a) twice is T(a^2); T(a) o T(b) sends t to T(a)(T(b)(t))
-    ta = embed(2, SDElement(0, 1))
-    tb = embed(2, SDElement(1, 0))
-    assert compose(ta, ta) == embed(2, SDElement(0, 2))
+    ta = embed(2, 1)
+    tb = embed(2, 8)
+    assert compose(ta, ta) == embed(2, 2)
     composed = compose(ta, tb)
     for t in range(1, 9):
         assert composed.images[t - 1] == ta.images[tb.images[t - 1] - 1]
@@ -63,34 +62,34 @@ def test_cycle_decomposition_canonical_form():
 
 def test_embed_generator_a():
     # the 8-cycle t -> t+1 at n=2
-    ta = embed(2, SDElement(0, 1))
+    ta = embed(2, 1)
     assert cycle_decomposition(ta) == ((1, 2, 3, 4, 5, 6, 7, 8),)
 
 
 def test_embed_generator_b():
     # t -> 3t mod 8: transpositions (1 3)(2 6)(5 7), fixed points 4 and 8
-    tb = embed(2, SDElement(1, 0))
+    tb = embed(2, 8)
     assert cycle_decomposition(tb) == ((1, 3), (2, 6), (4,), (5, 7), (8,))
     assert len(cycle_decomposition(tb)) == 5
 
 
 def test_embed_identity():
     for n in (2, 3, 5):
-        assert embed(n, group.identity()) == identity(4 * n)
+        assert embed(n, 0) == identity(4 * n)
 
 
 def test_embed_respects_bab_relation():
     for n in (2, 3, 4):
-        ta = embed(n, SDElement(0, 1))
-        tb = embed(n, SDElement(1, 0))
+        ta = embed(n, 1)
+        tb = embed(n, 4 * n)
         lhs = compose(tb, compose(ta, tb))
-        assert lhs == embed(n, SDElement(0, 2 * n - 1))
+        assert lhs == embed(n, 2 * n - 1)
 
 
 def test_embed_relations():
     for n in (2, 3, 4, 5):
-        ta = embed(n, SDElement(0, 1))
-        tb = embed(n, SDElement(1, 0))
+        ta = embed(n, 1)
+        tb = embed(n, 4 * n)
         p = identity(4 * n)
         for _ in range(4 * n):
             p = compose(p, ta)
@@ -128,11 +127,11 @@ def test_embed_is_injective():
 
 
 def test_cycle_count_examples():
-    assert cycle_count_formula(2, SDElement(0, 2)) == 2  # gcd(8, 2)
-    assert cycle_count_formula(2, SDElement(1, 0)) == 5  # 2n + 1
-    assert cycle_count_formula(3, SDElement(1, 2)) == 6  # 2n, exponent 2 mod 4
-    assert cycle_count_formula(3, SDElement(1, 4)) == 8  # 2n + 2, exponent 0 mod 4
-    assert cycle_count_formula(2, group.identity()) == 8  # 4n
+    assert cycle_count_formula(2, 2) == 2  # a^2: gcd(8, 2)
+    assert cycle_count_formula(2, 8) == 5  # b: 2n + 1
+    assert cycle_count_formula(3, 14) == 6  # b a^2: 2n, exponent 2 mod 4
+    assert cycle_count_formula(3, 16) == 8  # b a^4: 2n + 2, exponent 0 mod 4
+    assert cycle_count_formula(2, 0) == 8  # 4n
 
 
 def test_cycle_count_formula_matches_decomposition():

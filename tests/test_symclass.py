@@ -21,7 +21,6 @@ from oracles import (
 from sdtensor import chartab, dims, group, perm, symclass
 from sdtensor.chartab import chi, psi, zeta
 from sdtensor.cyclo import CycloInt
-from sdtensor.group import SDElement
 from sdtensor.symclass import (
     BudgetExceededError,
     cosine_vanishing_exists,
@@ -36,7 +35,7 @@ ONE_TWO = (1, 2, 2, 2, 2, 2, 2, 2)
 
 
 def test_act_identity_and_constants():
-    assert act(2, group.identity(), ONE_TWO) == ONE_TWO
+    assert act(2, 0, ONE_TWO) == ONE_TWO
     constant = (1,) * 8
     for g in group.elements(2):
         assert act(2, g, constant) == constant
@@ -44,7 +43,7 @@ def test_act_identity_and_constants():
 
 def test_act_moves_marked_position():
     # the generator a shifts positions forward: the 1 lands in position 2
-    assert act(2, SDElement(0, 1), ONE_TWO) == (2, 1, 2, 2, 2, 2, 2, 2)
+    assert act(2, 1, ONE_TWO) == (2, 1, 2, 2, 2, 2, 2, 2)
 
 
 def test_act_is_left_action():
@@ -60,7 +59,7 @@ def test_act_is_left_action():
 
 def test_act_length_mismatch():
     with pytest.raises(ValueError):
-        act(2, group.identity(), (1, 2, 3))
+        act(2, 0, (1, 2, 3))
 
 
 def test_orbits_single_letter():
@@ -72,7 +71,7 @@ def test_orbits_single_letter():
 def test_orbit_of_marked_sequence():
     orbit = next(o for o in orbits(2, 2) if o.representative == ONE_TWO)
     assert len(members(2, orbit)) == 8
-    # positions in group.elements(2): 1 and ba^2
+    # 1 and ba^2, at positions 0 and 4n + 2
     assert orbit.stabilizer == (0, 10)
 
 
@@ -105,13 +104,12 @@ def test_orbits_partition_and_representatives_minimal():
 
 def test_coset_reps_map_representative_to_members():
     for n, m in ((2, 2), (2, 3), (3, 2)):
-        elements = group.elements(n)
         for o in orbits(n, m):
             for sigma, member in zip(coset_reps(n, o), members(n, o)):
-                assert act(n, elements[sigma], o.representative) == member
-            # each coset representative is the position of the first
-            # element, in group.elements order, reaching its member
-            images = {x: act(n, g, o.representative) for x, g in enumerate(elements)}
+                assert act(n, sigma, o.representative) == member
+            # each coset representative is the first element, in
+            # group.elements order, reaching its member
+            images = {x: act(n, x, o.representative) for x in group.elements(n)}
             first = {}
             for x, image in images.items():
                 first.setdefault(image, x)
@@ -142,8 +140,8 @@ def test_orbits_refuse_a_reflection_that_is_not_affine(monkeypatch):
 def test_reads_follow_the_embedding_at_every_position():
     # the affine read rule gives every element's witness positions
     for n in range(2, 41):
-        for x, g in enumerate(group.elements(n)):
-            expected = tuple(p - 1 for p in perm.inverse(perm.embed(n, g)).images)
+        for x in group.elements(n):
+            expected = tuple(p - 1 for p in perm.inverse(perm.embed(n, x)).images)
             assert symclass._reads(n, x) == expected, (n, x)
 
 
@@ -324,17 +322,16 @@ def test_coset_sums_match_explicit_cosets(n):
     elements = group.elements(n)
     for stab in {o.stabilizer for o in orbits(n, 2)}:
         firsts, number, quotient = oracles._cosets(n, stab)
-        cosets = [{group.multiply(n, elements[x], elements[h]) for h in stab} for x in firsts]
+        cosets = [{group.multiply(n, x, h) for h in stab} for x in firsts]
         assert sorted(g for coset in cosets for g in coset) == list(elements)
-        assert cosets[0] == {elements[h] for h in stab}
+        assert cosets[0] == set(stab)
         for k, (x, coset) in enumerate(zip(firsts, cosets)):
-            positions = {group.element_index(n, g) for g in coset}
-            assert x == min(positions)
-            assert {number[p] for p in positions} == {k}
+            assert x == min(coset)
+            assert {number[p] for p in coset} == {k}
         for i, x in enumerate(firsts):
-            inverse = group.inverse(n, elements[x])
+            inverse = group.inverse(n, x)
             for j, y in enumerate(firsts):
-                assert group.multiply(n, inverse, elements[y]) in cosets[quotient[i][j]]
+                assert group.multiply(n, inverse, y) in cosets[quotient[i][j]]
         for cid in chartab.character_ids(n):
             sums = oracles._coset_sums(n, cid, stab)
             for k, coset in enumerate(cosets):
@@ -357,8 +354,7 @@ def group_elements(draw, count):
 @given(group_elements(2))
 def test_product_table_agrees_with_multiply(case):
     n, (g, h) = case
-    product = group.product_table(n)[group.element_index(n, g)][group.element_index(n, h)]
-    assert group.elements(n)[product] == group.multiply(n, g, h)
+    assert group.product_table(n)[g][h] == group.multiply(n, g, h)
 
 
 @settings(max_examples=60, deadline=None)
@@ -445,7 +441,7 @@ def test_gram_rotation_coset_entries():
         for j, sig_j in enumerate(coset_reps(2, orbit)):
             if sig_i >= 8 or sig_j >= 8:
                 continue
-            want = chartab.character_value(2, zeta(2), SDElement(0, (sig_j - sig_i) % 8))
+            want = chartab.character_value(2, zeta(2), (sig_j - sig_i) % 8)
             assert data.entries[i][j] == want
 
 
@@ -566,7 +562,6 @@ def test_decision_graph_is_the_zero_pattern_of_gram(monkeypatch, n, m):
         return find_clique(neighbors, k)
 
     monkeypatch.setattr(oracles, "_find_clique", recording)
-    elements = group.elements(n)
     one_orbit_per_stabilizer = {o.stabilizer: o for o in orbits(n, m)}
     checked = 0
     for stab, orbit in one_orbit_per_stabilizer.items():
@@ -580,8 +575,8 @@ def test_decision_graph_is_the_zero_pattern_of_gram(monkeypatch, n, m):
             # vertex v is the coset of firsts[v]; find the coset rep inside it
             rep_of = []
             for x in firsts:
-                coset = {group.multiply(n, elements[x], elements[h]) for h in stab}
-                (i,) = [i for i, s in enumerate(coset_reps(n, orbit)) if elements[s] in coset]
+                coset = {group.multiply(n, x, h) for h in stab}
+                (i,) = [i for i, s in enumerate(coset_reps(n, orbit)) if s in coset]
                 rep_of.append(i)
             assert sorted(rep_of) == list(range(8 * n // len(stab)))
             entries = gram(n, cid, orbit).entries
@@ -806,7 +801,7 @@ def _decision_per_orbit(n, cid, orbit_list):
             continue
         witness = None
         if found:
-            witness = tuple(act(n, group.elements(n)[x], orbit.representative) for x in sigmas)
+            witness = tuple(act(n, x, orbit.representative) for x in sigmas)
         order = len(orbit.stabilizer)
         outcomes.append((orbit.representative, 8 * n // order, order, dim, found, witness))
     return outcomes

@@ -4,7 +4,6 @@ import pytest
 
 from sdtensor import chartab, dims, group, perm, symclass, verify
 from sdtensor.cli import main
-from sdtensor.group import SDElement
 
 
 def failing_checks(n):
@@ -14,9 +13,9 @@ def failing_checks(n):
 def test_embedding_homomorphism_catches_a_wrong_image(monkeypatch):
     embed = perm.embed
 
-    def swapped(n, g):
-        p = embed(n, g)
-        if g != SDElement(1, 0):
+    def swapped(n, x):
+        p = embed(n, x)
+        if x != 4 * n:  # b
             return p
         images = list(p.images)
         images[0], images[1] = images[1], images[0]
@@ -27,10 +26,10 @@ def test_embedding_homomorphism_catches_a_wrong_image(monkeypatch):
     assert main(["verify", "--n", "3"]) == 1
 
 
-@pytest.mark.parametrize("g", [SDElement(1, 3), SDElement(0, 0)], ids=["ba^3", "identity"])
+@pytest.mark.parametrize("g", [15, 0], ids=["ba^3", "identity"])
 def test_embedding_homomorphism_catches_a_wrong_image_off_the_generators(monkeypatch, g):
-    # b a^3 is no generator, but it is the product b * a^3; the identity is
-    # held to id directly
+    # b a^3, at position 4n + 3 = 15 for n = 3, is no generator, but it is
+    # the product b * a^3; the identity is held to id directly
     embed = perm.embed
 
     def swapped(n, x):
@@ -50,8 +49,9 @@ def test_embedding_homomorphism_composes_with_b(monkeypatch):
     # sends b to the identity: T'(b a) = T(a^k) is not T'(b) T'(a) = T(a)
     embed = perm.embed
 
-    def collapsed(n, g):
-        return embed(n, SDElement(0, group.twist(n) ** g.s * g.r % (4 * n)))
+    def collapsed(n, x):
+        s, r = divmod(x, 4 * n)
+        return embed(n, group.twist(n) ** s * r % (4 * n))
 
     monkeypatch.setattr(verify.perm, "embed", collapsed)
     assert "embedding_homomorphism" in failing_checks(3)
@@ -70,7 +70,7 @@ def alter_member_terms(monkeypatch, n, cid, rewrite):
     """Patch value_terms so that rewrite(terms) replaces the terms of cid at a
     class member that is not its class representative."""
     rep, members = next(c for c in group.conjugacy_classes(n) if len(c[1]) > 1)
-    position = group.element_index(n, next(g for g in members if g != rep))
+    position = next(x for x in members if x != rep)
     value_terms = chartab.value_terms
 
     def altered(n_, cid_):
