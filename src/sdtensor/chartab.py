@@ -31,23 +31,20 @@ Character families, all read from k (Clifford theory on Z_4n x|_k C_2):
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import group
 from .cyclo import CycloInt, from_exponents
 from .group import check_n
 
 
-@dataclass(frozen=True, order=True)
-class CharacterId:
-    """Tagged name of an irreducible character: kind chi/zeta/psi plus parameter."""
+class CharacterId(NamedTuple):
+    """Tagged name of an irreducible character: kind chi/zeta/psi plus
+    parameter.  Any pair can be built; `validate_id` tests it against
+    `character_ids`."""
 
     kind: str
     param: int
-
-    def __post_init__(self):
-        if self.kind not in ("chi", "zeta", "psi"):
-            raise ValueError(f"unknown character kind {self.kind!r}")
 
     @property
     def degree(self) -> int:

@@ -159,15 +159,13 @@ def _table_csv(fh, payload: dict) -> None:
 
 
 def _table_pretty(fh, payload: dict) -> None:
-    """The table of the payload, its characters and class representatives
-    read back from their labels, so the table is built once per request.
+    """The table of the payload, whose rows and columns are the cached
+    chartab.character_ids and group.conjugacy_classes it was built from.
     Its rows are collected first: every cell sizes its column."""
     n = payload["n"]
-    by_name = {group.element_name(n, x): x for x in group.elements(n)}
-    reps = [by_name[label] for label in payload["class_labels"]]
+    reps = [rep for rep, _ in group.conjugacy_classes(n)]
     rows = [["character"] + payload["class_labels"]]
-    for row in payload["rows"]:
-        (cid,) = chartab.parse_character_spec(n, row["character"])
+    for cid, row in zip(chartab.character_ids(n), payload["rows"]):
         rows.append(
             [row["character"]]
             + [f"{_trig_str(n, cid, rep)} ({_coeffs_str(v)})" for rep, v in zip(reps, row["values"])]

@@ -29,7 +29,7 @@ from __future__ import annotations
 import cmath
 import functools
 import operator
-from dataclasses import dataclass
+from typing import NamedTuple
 
 
 class ExactDivisionError(ArithmeticError):
@@ -119,19 +119,12 @@ def cyclotomic_polynomial(k: int) -> tuple[int, ...]:
     return tuple(poly)
 
 
-@dataclass(frozen=True)
-class CycloInt:
-    """An element of Z[zeta_order] in canonical (reduced) coordinates."""
+class CycloInt(NamedTuple):
+    """An element of Z[zeta_order] in canonical (reduced) coordinates, phi(order)
+    of them, as `from_exponents` and `from_int` build it."""
 
     order: int
     coeffs: tuple[int, ...]
-
-    def __post_init__(self):
-        if len(self.coeffs) != euler_phi(self.order):
-            raise ValueError(
-                f"coordinate vector must have length phi({self.order}) = "
-                f"{euler_phi(self.order)}, got {len(self.coeffs)}"
-            )
 
     @staticmethod
     def from_int(order: int, value: int) -> "CycloInt":

@@ -35,7 +35,7 @@ point is used anywhere.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import chartab, perm
 from .chartab import CharacterId
@@ -176,8 +176,7 @@ def dim_closed_form(n: int, m: int, cid: CharacterId) -> int:
     )
 
 
-@dataclass(frozen=True)
-class DimEntry:
+class DimEntry(NamedTuple):
     character: CharacterId
     general: int
     closed_form: int | None
@@ -185,8 +184,7 @@ class DimEntry:
     note: str = ""
 
 
-@dataclass(frozen=True)
-class DimReport:
+class DimReport(NamedTuple):
     entries: tuple[DimEntry, ...]
     total: int
     total_identity_holds: bool

@@ -23,7 +23,7 @@ def twist(n: int) -> int:
 
 
 def check_element(n: int, x: int) -> None:
-    if not (isinstance(x, int) and 0 <= x < 8 * n):
+    if not (type(x) is int and 0 <= x < 8 * n):  # bool is an int subclass
         raise ValueError(f"{x!r} is not a valid element of SD_{8 * n}")
 
 

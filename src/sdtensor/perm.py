@@ -1,51 +1,38 @@
-"""Permutations of {1, ..., N} and the embedding of SD_{8n} into S_{4n}.
+"""The embedding of SD_{8n} into S_{4n}, with permutations of {1, ..., N}
+held as image tuples.
 
+A permutation p is the tuple of its images: p[t-1] is the image of point t.
 Points are 1-based: the residue class of 0 modulo 4n is represented by the
 point 4n, so the rotation generator acts literally as t -> t+1 and the
 reflection generator as t -> kt modulo 4n, with k = group.twist(n).
+Nothing here checks that a tuple is a bijection; `verify`'s
+embedding_homomorphism check proves it of every embedded element.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
 
 from .group import check_element, check_n, twist
 
 
-@dataclass(frozen=True)
-class Permutation:
-    """A bijection of {1, ..., N}; images[t-1] is the image of point t."""
-
-    images: tuple[int, ...]
-
-    def __post_init__(self):
-        n = len(self.images)
-        if sorted(self.images) != list(range(1, n + 1)):
-            raise ValueError("images do not form a bijection of {1, ..., N}")
-
-    @property
-    def degree(self) -> int:
-        return len(self.images)
-
-
-def inverse(p: Permutation) -> Permutation:
-    inv = [0] * p.degree
-    for t, image in enumerate(p.images, start=1):
+def inverse(p: tuple[int, ...]) -> tuple[int, ...]:
+    inv = [0] * len(p)
+    for t, image in enumerate(p, start=1):
         inv[image - 1] = t
-    return Permutation(tuple(inv))
+    return tuple(inv)
 
 
-def cycle_decomposition(p: Permutation) -> tuple[tuple[int, ...], ...]:
+def cycle_decomposition(p: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
     """Canonical disjoint cycles partitioning the point set, fixed points
     included: each starts at its least point, sorted by it.
 
-    >>> cycle_decomposition(Permutation((2, 1, 3)))
+    >>> cycle_decomposition((2, 1, 3))
     ((1, 2), (3,))
     """
-    seen = [False] * p.degree
+    seen = [False] * len(p)
     cycles = []
-    for start in range(1, p.degree + 1):
+    for start in range(1, len(p) + 1):
         if seen[start - 1]:
             continue
         cycle = []
@@ -53,14 +40,14 @@ def cycle_decomposition(p: Permutation) -> tuple[tuple[int, ...], ...]:
         while not seen[t - 1]:
             seen[t - 1] = True
             cycle.append(t)
-            t = p.images[t - 1]
+            t = p[t - 1]
         cycles.append(tuple(cycle))
     return tuple(cycles)
 
 
-def embed(n: int, x: int) -> Permutation:
-    """The permutation of {1, ..., 4n} representing b^s a^r, the element at
-    position x = 4n s + r.
+def embed(n: int, x: int) -> tuple[int, ...]:
+    """The images of 1, ..., 4n under the permutation representing b^s a^r,
+    the element at position x = 4n s + r.
 
     The generators act by t -> t+1 and t -> kt; the word b^s a^r applies
     the rotation part first, so t -> k^s (t + r) modulo 4n, with residue
@@ -72,11 +59,7 @@ def embed(n: int, x: int) -> Permutation:
     m = 4 * n
     s, r = divmod(x, m)
     factor = twist(n) ** s
-    images = []
-    for t in range(1, m + 1):
-        v = factor * (t + r) % m
-        images.append(v if v else m)
-    return Permutation(tuple(images))
+    return tuple(factor * (t + r) % m or m for t in range(1, m + 1))
 
 
 def cycle_count_formula(n: int, x: int) -> int:

@@ -73,8 +73,10 @@ def resolve_budget(budget: int | None) -> int:
 @functools.lru_cache(maxsize=None)
 def _affine(n: int) -> tuple[int, int]:
     """(k, c) with (b.alpha)[t] = alpha[k t + c mod 4n], read once off the
-    inverse of perm.embed(n, b), since (g.alpha)[t] = alpha[T(g)^(-1)(t)]."""
-    row = [p - 1 for p in perm.inverse(perm.embed(n, 4 * n)).images]
+    inverse of perm.embed(n, b), since (g.alpha)[t] = alpha[T(g)^(-1)(t)].
+    An embedding that is no bijection leaves a 0 in the inverse, so a -1 in
+    the row, which no affine map gives."""
+    row = [p - 1 for p in perm.inverse(perm.embed(n, 4 * n))]
     k, c = (row[1] - row[0]) % (4 * n), row[0]
     if any(t != (k * s + c) % (4 * n) for s, t in enumerate(row)):
         raise RuntimeError(f"b does not move the 4n positions as t -> {k}t + {c}")

@@ -15,7 +15,8 @@ T(s g) = T(s) T(g) for s in {a, b} and every g: 16n compositions.  That is
 T(x g) = T(x) T(g) for every pair, by induction on a word in a and b for
 x.  For x = 1 it is T(1) = id.  For x = s x' with the claim true of x',
 T(s x' g) = T(s) T(x' g) = T(s) T(x') T(g) = T(s x') T(g).  So its detail,
-"checked on all pairs", holds.
+"checked on all pairs", holds.  It also proves every T(g) a bijection,
+which `perm` does not check: T(g) T(g^(-1)) = T(1) = id.
 
 Character sums are exponent vectors reduced once, as in `chartab`:
 `column_relation` reduces one per class, and `row_orthonormality` reads
@@ -124,17 +125,16 @@ def run_checks(n: int, m: int | None, budget: int | None):
                 class_fun_ok &= len({chartab.character_value(n, cid, x) for x in members}) == 1
     checks.append(("class_function", class_fun_ok, "values constant on conjugacy classes"))
 
-    embedded = [perm.embed(n, x) for x in group.elements(n)]
+    images = [perm.embed(n, x) for x in group.elements(n)]
     cycle_ok = all(
         perm.cycle_count_formula(n, x) == len(perm.cycle_decomposition(p))
-        for x, p in enumerate(embedded)
+        for x, p in enumerate(images)
     )
     checks.append(("cycle_count_formula", cycle_ok, "closed form matches direct factorization"))
 
     # T(1) == id and T(s g) == T(s) o T(g) for the generators s = a, b (see
     # the module docstring), composed right factor first, (p o q)(t) =
     # p(q(t)): after[g] maps the images of p to those of p o T(g).
-    images = [p.images for p in embedded]
     after = [operator.itemgetter(*(t - 1 for t in q)) for q in images]
     generators = [1, 4 * n]  # a and b
     hom_ok = images[0] == tuple(range(1, 4 * n + 1)) and all(

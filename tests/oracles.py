@@ -42,7 +42,6 @@ from dataclasses import dataclass
 from sdtensor import chartab, group, perm, symclass
 from sdtensor.chartab import CharacterId
 from sdtensor.cyclo import CycloInt, cyclotomic_polynomial, from_exponents
-from sdtensor.perm import Permutation
 from sdtensor.symclass import OrbitData, Sequence
 
 
@@ -56,7 +55,7 @@ def action_maps(n: int) -> tuple[operator.itemgetter, ...]:
     """At each element x, an itemgetter sending alpha to x.alpha,
     unchecked: (x.alpha)[t] = alpha[T(x)^(-1)(t)], 0-based."""
     return tuple(
-        operator.itemgetter(*(p - 1 for p in perm.inverse(perm.embed(n, x)).images))
+        operator.itemgetter(*(p - 1 for p in perm.inverse(perm.embed(n, x))))
         for x in group.elements(n)
     )
 
@@ -325,8 +324,8 @@ def conjugate(x: CycloInt) -> CycloInt:
     return CycloInt(x.order, tuple(acc))
 
 
-def compose(p: Permutation, q: Permutation) -> Permutation:
-    """The product applying q first: (p o q)(t) = p(q(t))."""
-    if p.degree != q.degree:
-        raise ValueError(f"degree mismatch: {p.degree} vs {q.degree}")
-    return Permutation(tuple(p.images[q.images[t] - 1] for t in range(p.degree)))
+def compose(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
+    """The product of two image tuples applying q first: (p o q)(t) = p(q(t))."""
+    if len(p) != len(q):
+        raise ValueError(f"degree mismatch: {len(p)} vs {len(q)}")
+    return tuple(p[image - 1] for image in q)

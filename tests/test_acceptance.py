@@ -127,7 +127,7 @@ def test_criterion_5_burnside_and_fixed_points():
     start = time.perf_counter()
     failures = []
     n = 2
-    maps = [tuple(p - 1 for p in perm.inverse(perm.embed(n, g)).images) for g in group.elements(n)]
+    maps = [tuple(p - 1 for p in perm.inverse(perm.embed(n, g))) for g in group.elements(n)]
     for m in (2, 3):
         seen = set()
         orbit_count = 0

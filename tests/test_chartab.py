@@ -127,6 +127,8 @@ def test_invalid_ids_rejected():
     with pytest.raises(ValueError):
         chartab.validate_id(2, zeta(1))
     with pytest.raises(ValueError):
+        chartab.validate_id(2, chartab.CharacterId("bogus", 1))  # no such kind
+    with pytest.raises(ValueError):
         chartab.validate_id(2.0, chi(0))  # equal to the cached n=2, but not an int
     with pytest.raises(ValueError):
         chartab.value_terms(2, psi(2))  # psi parameter must be odd

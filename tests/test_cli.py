@@ -1012,6 +1012,20 @@ def test_closed_pipe_is_an_io_error():
     assert err.startswith("error: ") and len(err.splitlines()) == 1
 
 
+def test_import_loads_neither_dataclasses_nor_inspect():
+    # every run pays its imports; dataclasses and the inspect module it
+    # loads took 7-10 ms of start-up, for records that tuples hold
+    env = dict(os.environ, PYTHONPATH=str(Path(sdtensor.__file__).resolve().parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, sdtensor.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"],
+        stdout=subprocess.PIPE,
+        env=env,
+        timeout=60,
+        check=True,
+    )
+    assert proc.stdout == b"[]\n"
+
+
 def test_closed_stdout_is_an_io_error():
     # with descriptor 1 closed at start-up, sys.stdout is None
     env = dict(os.environ, PYTHONPATH=str(Path(sdtensor.__file__).resolve().parents[1]))

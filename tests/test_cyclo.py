@@ -12,6 +12,7 @@ from sdtensor.cyclo import (
     cyclotomic_polynomial,
     euler_phi,
     exact_div,
+    from_exponents,
 )
 
 # First handful of cyclotomic polynomials, from the standard table.
@@ -59,6 +60,15 @@ def test_cyclotomic_product_identity():
 def test_cyclotomic_degree_is_phi():
     for k in range(1, 40):
         assert len(cyclotomic_polynomial(k)) - 1 == euler_phi(k)
+
+
+def test_constructors_give_phi_coordinates_at_orders_up_to_80():
+    # a CycloInt checks no length; its two constructors give phi(order)
+    for order in range(1, 81):
+        phi = euler_phi(order)
+        assert len(CycloInt.from_int(order, 7).coeffs) == phi
+        for e in range(order):
+            assert len(from_exponents(order, [0] * e + [1] + [0] * (order - e - 1)).coeffs) == phi
 
 
 def test_cyclotomic_matches_sympy():

@@ -14,8 +14,7 @@ from sdtensor.dims import dim_closed_form, dim_general, dim_report, dim_trace
 def _embedded_action(n, g):
     """Position maps for the orbit-counting oracle, built straight from the
     embedding (independent of the symclass module)."""
-    inv = perm.inverse(perm.embed(n, g))
-    return tuple(p - 1 for p in inv.images)
+    return tuple(p - 1 for p in perm.inverse(perm.embed(n, g)))
 
 
 def count_orbits_direct(n, m):

@@ -149,10 +149,10 @@ ELEMENT_ENTRY_POINTS = {
 @pytest.mark.parametrize("n", [2, 3])
 @pytest.mark.parametrize("entry", ELEMENT_ENTRY_POINTS.values(), ids=ELEMENT_ENTRY_POINTS)
 def test_element_entry_points_check_position(entry, n):
-    # 8n - 1 is b a^(4n-1), the last element; 8n, -1, a float and a
-    # string are none
+    # 8n - 1 is b a^(4n-1), the last element; 8n, -1, a float, a string
+    # and a bool (an int subclass, True == 1) are none
     entry(n, 8 * n - 1)
-    for bad in (8 * n, -1, 1.5, "0"):
+    for bad in (8 * n, -1, 1.5, "0", True):
         with pytest.raises(ValueError):
             entry(n, bad)
 

@@ -126,22 +126,24 @@ def test_orbits_check_that_orbit_sizes_sum_to_m_to_the_4n(monkeypatch):
 
 
 def test_orbits_refuse_a_reflection_that_is_not_affine(monkeypatch):
-    # b read as a decimation needs t -> k t + c; a transposition is not one
-    swapped = perm.Permutation((2, 1, 3, 4, 5, 6, 7, 8))
-    monkeypatch.setattr(perm, "embed", lambda n, g: swapped)
-    symclass._affine.cache_clear()
-    try:
-        with pytest.raises(RuntimeError, match="t -> "):
-            orbits(2, 2)
-    finally:
+    # b read as a decimation needs t -> k t + c; a transposition is not one,
+    # and a map that misses point 2 leaves a 0 in its inverse, read as the
+    # position -1, which no map of 0..4n-1 to itself gives
+    for images in (2, 1, 3, 4, 5, 6, 7, 8), (1, 1, 3, 4, 5, 6, 7, 8):
+        monkeypatch.setattr(perm, "embed", lambda n, g: images)
         symclass._affine.cache_clear()
+        try:
+            with pytest.raises(RuntimeError, match="t -> "):
+                orbits(2, 2)
+        finally:
+            symclass._affine.cache_clear()
 
 
 def test_reads_follow_the_embedding_at_every_position():
     # the affine read rule gives every element's witness positions
     for n in range(2, 41):
         for x in group.elements(n):
-            expected = tuple(p - 1 for p in perm.inverse(perm.embed(n, x)).images)
+            expected = tuple(p - 1 for p in perm.inverse(perm.embed(n, x)))
             assert symclass._reads(n, x) == expected, (n, x)
 
 
