@@ -16,9 +16,10 @@ there a value is an integer list of length k indexed by exponent, a product
 of powers of zeta adds exponents and conjugation negates them, with no
 reduction.  `from_exponents` is the ring map Z[C_k] -> Z[zeta_k], x -> zeta;
 it reduces such a list once, giving the canonical coordinates that equality
-and zero tests need.  `CycloInt` is that value: its coordinates, compared
-and converted exactly to int and (for display) to complex.  The package
-adds and multiplies exponent lists only, never values.
+and zero tests need.  A character sum reaches it through `from_terms`, which
+folds signed exponent terms (e, c) into that list.  `CycloInt` is that value:
+its coordinates, compared and converted exactly to int and (for display) to
+complex.  The package adds and multiplies exponent lists only, never values.
 
 The one polynomial here is Phi_k, a tuple of integer coefficients in
 ascending degree, built as a Moebius product of binomials x^d - 1.
@@ -183,6 +184,19 @@ def from_exponents(order: int, vec) -> CycloInt:
             for i, c in low:
                 rem[e - deg + i] -= lead * c
     return CycloInt(order, tuple(rem[:deg]))
+
+
+def from_terms(order: int, terms) -> CycloInt:
+    """The sum of c * zeta_order^e over the pairs (e, c): each c is added at
+    e mod order (e may be negative) in one list that `from_exponents` reduces.
+
+    >>> from_terms(8, [(1, 2), (-1, 3)]).coeffs    # 2 zeta + 3 zeta^(-1)
+    (0, 2, 0, -3)
+    """
+    vec = [0] * order
+    for e, c in terms:
+        vec[e % order] += c
+    return from_exponents(order, vec)
 
 
 def exact_div(value: int, divisor: int) -> int:

@@ -10,8 +10,8 @@ of the embedded permutation.  Three routes compute it:
   c_(4n/d)(h), so the rotation part has one term per divisor d of 4n.
   A reflection's cycle count depends on r mod 4 only, and a linear
   character's value on b a^r does too, so the reflection part has four
-  terms, summed in Z[i].  The total must be an integer divisible by
-  8n/chi(1); anything else is a bug, never valid input.
+  terms, reduced by `cyclo.from_terms`.  Both parts must be integers and
+  the total divisible by 8n/chi(1); anything else is a bug, never valid input.
 
 * `dim_trace` sums the trace element by element, over the exponents of
   zeta (chartab.value_terms), reduced once into Z[zeta].  It is the oracle
@@ -39,7 +39,7 @@ from typing import NamedTuple
 
 from . import chartab, perm
 from .chartab import CharacterId
-from .cyclo import ExactDivisionError, exact_div, from_exponents, mobius_quotients, prime_factors
+from .cyclo import ExactDivisionError, exact_div, from_terms, mobius_quotients, prime_factors
 
 
 @functools.lru_cache(maxsize=None)
@@ -73,11 +73,8 @@ def _rotation_sum(order: int, m: int, h: int) -> int:
 
 def _check(n: int, m: int, cid: CharacterId) -> None:
     chartab.validate_id(n, cid)
-    if m < 1:
+    if not (type(m) is int and m >= 1):  # bool is an int subclass
         raise ValueError(f"alphabet size m must be >= 1, got {m}")
-
-
-_I_POWERS = ((1, 0), (0, 1), (-1, 0), (0, -1))  # i^j as (re, im)
 
 
 def dim_general(n: int, m: int, cid: CharacterId) -> int:
@@ -91,28 +88,16 @@ def dim_general(n: int, m: int, cid: CharacterId) -> int:
     exp_a, sign_b = chartab.linear_generators(n, cid.param)
     # zeta^n = i; chi(b a^r) = sign_b chi(a)^r and the cycle count of b a^r
     # depend on r mod 4 only, so each r0 < 4 stands for n reflections
-    j_a = exact_div(exp_a, n)
-    re = im = 0
-    for r0 in range(4):
-        x, y = _I_POWERS[j_a * r0 % 4]
-        weight = sign_b * m ** perm.cycle_count_formula(n, 4 * n + r0)
-        re += x * weight
-        im += y * weight
-    if im:
-        raise RuntimeError(f"reflection sum of {cid.label()} has imaginary part {im}")
-    return exact_div(_rotation_sum(order, m, exp_a) + n * re, 8 * n)
+    terms = [(exp_a * r0, sign_b * m ** perm.cycle_count_formula(n, order + r0)) for r0 in range(4)]
+    return exact_div(_rotation_sum(order, m, exp_a) + n * from_terms(order, terms).to_int(), 8 * n)
 
 
 def dim_trace(n: int, m: int, cid: CharacterId) -> int:
     """Dimension of V_chi by the symmetrizer trace, element by element."""
     _check(n, m, cid)
-    order = 4 * n
-    vec = [0] * order
-    for x, terms in enumerate(chartab.value_terms(n, cid)):
-        weight = m ** perm.cycle_count_formula(n, x)
-        for e, c in terms:
-            vec[e] += c * weight
-    total = from_exponents(order, vec).to_int()  # must be rational: dimensions are integers
+    values = chartab.value_terms(n, cid)
+    terms = ((e, c * m ** perm.cycle_count_formula(n, x)) for x in range(8 * n) for e, c in values[x])
+    total = from_terms(4 * n, terms).to_int()  # must be rational: dimensions are integers
     return exact_div(total, 8 * n // cid.degree)
 
 

@@ -81,7 +81,8 @@ def inverse(n: int, x: int) -> int:
 
 
 def element_name(n: int, x: int) -> str:
-    """Conventional name: 1, a, a^2, ..., b, ba, ba^2, ...; x is not validated."""
+    """Conventional name: 1, a, a^2, ..., b, ba, ba^2, ..."""
+    check_element(n, x)
     s, r = divmod(x, 4 * n)
     if s == 0:
         if r == 0:

@@ -36,7 +36,7 @@ from typing import NamedTuple
 
 from . import chartab, group, perm
 from .chartab import CharacterId
-from .cyclo import CycloInt, exact_div, from_exponents
+from .cyclo import CycloInt, exact_div, from_terms
 
 Sequence = tuple[int, ...]
 
@@ -135,7 +135,7 @@ def orbits(n: int, m: int, budget: int | None = None) -> list[OrbitData]:
     (27, (1, 1, 1, 1, 1, 1, 1, 1))
     """
     group.check_n(n)
-    if m < 1:
+    if not (type(m) is int and m >= 1):  # bool is an int subclass
         raise ValueError(f"alphabet size m must be >= 1, got {m}")
     total = m ** (4 * n)
     limit = resolve_budget(budget)
@@ -190,17 +190,12 @@ def orbits(n: int, m: int, budget: int | None = None) -> list[OrbitData]:
 
 @functools.lru_cache(maxsize=None)
 def _subgroup_char_sum(n: int, cid: CharacterId, subgroup: tuple[int, ...]) -> CycloInt:
-    """F(H), the character sum over a subgroup of element positions: one
-    exponent vector over its positions, reduced once.  An orbit lies in
+    """F(H), the character sum over a subgroup of element positions: the
+    terms of its positions, reduced once.  An orbit lies in
     Omega, its decomposable symmetrized tensors being nonzero, exactly when
     F of its stabilizer is nonzero."""
-    order = 4 * n
     terms = chartab.value_terms(n, cid)
-    vec = [0] * order
-    for x in subgroup:
-        for e, c in terms[x]:
-            vec[e] += c
-    return from_exponents(order, vec)
+    return from_terms(4 * n, (term for x in subgroup for term in terms[x]))
 
 
 def _orbital_dim(cid: CharacterId, char_sum: CycloInt, stab_order: int) -> int:
@@ -355,12 +350,6 @@ def cosine_vanishing_exists(n: int, h: int) -> bool:
     group.check_n(n)
     if not 1 <= h < 2 * n:
         raise ValueError(f"h must satisfy 1 <= h < 2n, got {h}")
-    m = 4 * n
-    for d in range(m):
-        vec = [0] * m
-        vec[d * h % m] += 1
-        vec[-d * h % m] += 1
-        if from_exponents(m, vec).is_zero:
-            return True
-    return False
+    order = 4 * n
+    return any(from_terms(order, ((d * h, 1), (-d * h, 1))).is_zero for d in range(order))
 

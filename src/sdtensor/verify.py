@@ -18,13 +18,13 @@ T(s x' g) = T(s) T(x' g) = T(s) T(x') T(g) = T(s x') T(g).  So its detail,
 "checked on all pairs", holds.  It also proves every T(g) a bijection,
 which `perm` does not check: T(g) T(g^(-1)) = T(1) = id.
 
-Character sums are exponent vectors reduced once, as in `chartab`:
-`column_relation` reduces one per class, and `row_orthonormality` reads
-`chartab.char_inner_product`, one term per class representative weighted
-by the class size.  `class_function` compares the sorted exponent terms of
-the members of each class.  Equal terms give equal values, and only where
-they differ are the values reduced by `character_value`, so the check is
-still an exact equivalence.
+Character sums are exponent terms reduced once, as in `chartab`:
+`column_relation` passes each class's terms to `cyclo.from_terms`, and
+`row_orthonormality` reads `chartab.char_inner_product`, one term per class
+representative weighted by the class size.  `class_function` compares the
+sorted exponent terms of the members of each class.  Equal terms give equal
+values, and only where they differ are the values reduced by
+`character_value`, so the check is still an exact equivalence.
 
 With m, `dims_cross_check` holds every report dimension to the
 element-by-element `dims.dim_trace` as well as to the closed-form catalog,
@@ -41,7 +41,7 @@ import operator
 from collections import Counter
 
 from . import chartab, dims, group, perm, symclass
-from .cyclo import CycloInt, from_exponents
+from .cyclo import CycloInt, from_terms
 
 
 def run_checks(n: int, m: int | None, budget: int | None):
@@ -104,13 +104,10 @@ def run_checks(n: int, m: int | None, budget: int | None):
 
     column_ok = True
     for rep, _ in classes:
-        vec = [0] * (4 * n)
-        for cid in ids:
-            for e, c in chartab.value_terms(n, cid)[rep]:
-                vec[e] += cid.degree * c
+        terms = [(e, cid.degree * c) for cid in ids for e, c in chartab.value_terms(n, cid)[rep]]
         if rep == 0:
-            vec[0] -= 8 * n
-        column_ok &= from_exponents(4 * n, vec).is_zero
+            terms.append((0, -8 * n))
+        column_ok &= from_terms(4 * n, terms).is_zero
     checks.append(
         ("column_relation", column_ok, "degree-weighted column sums vanish off the identity")
     )

@@ -200,7 +200,7 @@ def test_divisor_route_total_at_n512():
     assert sum(dim_general(n, 3, cid) for cid in chartab.character_ids(n)) == 3 ** (4 * n)
 
 
-def test_reflection_sum_with_an_imaginary_part_is_an_internal_error(monkeypatch):
+def test_reflection_sum_with_an_imaginary_part_is_an_internal_error(monkeypatch, capsys):
     # chi:4 at odd n sends a to zeta^n = i; b a and b a^3 have n cycles each,
     # so their i and -i cancel only while the two counts agree
     count = perm.cycle_count_formula
@@ -209,8 +209,12 @@ def test_reflection_sum_with_an_imaginary_part_is_an_internal_error(monkeypatch)
         return count(n, g) + (g == 4 * n + 3)  # b a^3
 
     monkeypatch.setattr(perm, "cycle_count_formula", skewed)
-    with pytest.raises(RuntimeError, match="imaginary part"):
+    with pytest.raises(ExactDivisionError, match="not a rational integer"):
         dim_general(3, 2, chi(4))
+    assert main(["dims", "--n", "3", "--m", "2"]) == 5
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: internal error: ") and len(err.splitlines()) == 1
 
 
 def test_non_divisible_numerator_exits_5(capsys, monkeypatch):
@@ -226,12 +230,11 @@ def test_non_divisible_numerator_exits_5(capsys, monkeypatch):
 
 
 def test_rejects_bad_parameters():
-    with pytest.raises(ValueError):
-        dim_general(2, 0, chi(0))
-    with pytest.raises(ValueError):
-        dim_trace(2, 0, chi(0))
-    with pytest.raises(ValueError):
-        dim_closed_form(2, 0, chi(0))
+    # a float or a bool (an int subclass, True == 1) is no alphabet size
+    for route in (dim_general, dim_trace, dim_closed_form):
+        for bad in (0, 2.0, True):
+            with pytest.raises(ValueError):
+                route(2, bad, chi(0))
     with pytest.raises(ValueError):
         dim_general(2, 2, zeta(1))
     with pytest.raises(ValueError):

@@ -3,7 +3,8 @@
 `cyclo.from_exponents` reduces an integer list indexed by exponent, an
 element of Z[C_k] = Z[x]/(x^k - 1), to Z[zeta_k].  Here it is checked as a
 ring map with hypothesis, and against sympy's remainder modulo the
-cyclotomic polynomial.  The sums built on it (`char_inner_product`,
+cyclotomic polynomial; `cyclo.from_terms` is checked against it on the
+list its terms fold into.  The sums built on it (`char_inner_product`,
 `dim_general`) are compared with plain loops in the oracle ring, kept in
 this file, over character values written out from the definitions.  `dim_closed_form`
 is held to the catalog summed term by term over k < 4n, as the paper
@@ -27,6 +28,7 @@ from sdtensor.cyclo import (
     cyclotomic_polynomial,
     exact_div,
     from_exponents,
+    from_terms,
 )
 
 # chi_i(a) as a power of i = zeta^n, and chi_i(b), for i = 0..7.
@@ -123,6 +125,13 @@ def test_from_exponents_matches_the_unfolded_reduction(data):
     coeff = st.integers(-50, 50) | st.integers(-(2**80), 2**80)
     vec = data.draw(st.lists(coeff, min_size=order, max_size=order))
     assert from_exponents(order, vec).coeffs == unfolded_remainder(order, vec)
+    # from_terms folds each exponent mod order, negative ones and those past
+    # the order too, as cosine_vanishing_exists passes -dh
+    terms = data.draw(st.lists(st.tuples(st.integers(-3 * order, 3 * order), coeff), max_size=2 * order))
+    folded = [0] * order
+    for e, c in terms:
+        folded[e % order] += c
+    assert from_terms(order, terms) == from_exponents(order, folded)
 
 
 def test_from_exponents_rejects_a_wrong_length():

@@ -143,6 +143,7 @@ ELEMENT_ENTRY_POINTS = {
     "embed": perm.embed,
     "cycle_count_formula": perm.cycle_count_formula,
     "character_value": lambda n, x: character_value(n, chi(0), x),
+    "element_name": group.element_name,
 }
 
 

@@ -174,6 +174,10 @@ def test_orbits_refuse_an_alphabet_past_one_byte():
     # the budget admits 256^8 sequences; the letters would not fit a byte
     with pytest.raises(ValueError, match="m must be <= 255"):
         orbits(2, 256, budget=256**8)
+    # nor is a float or a bool (an int subclass, True == 1) an alphabet size
+    for bad in (0, 2.0, True):
+        with pytest.raises(ValueError, match="m must be >= 1"):
+            orbits(2, bad)
 
 
 def _rotation_min_orbits(n, m):
